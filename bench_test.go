@@ -264,10 +264,10 @@ func BenchmarkKMeans(b *testing.B) {
 			col := benchCollection(b, 0, 100)
 			model := synth.BuildModel(col.Pages)
 			pages := model.Sample(n, 1)
-			vecs := vector.TFIDF(synth.TagSignatures(pages))
+			iv := vector.TFIDFInterned(synth.TagSignatures(pages))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cluster.KMeans(vecs, cluster.KMeansConfig{K: 4, Restarts: 1, Seed: int64(i), Workers: 1})
+				cluster.KMeansInterned(iv.Vecs, iv.Dict.Len(), cluster.KMeansConfig{K: 4, Restarts: 1, Seed: int64(i), Workers: 1})
 			}
 		})
 	}

@@ -71,9 +71,9 @@ func main() {
 		models  = flag.String("models", "", "with -serve: directory of per-site model files (<site>.thor.model.gz) served lazily at POST /extract/<site>")
 		drift   = flag.Bool("drift", false, "with -serve: watch served models for template drift and rebuild them in-process (models without a training baseline serve unchanged)")
 		saveTo  = flag.String("save-model", "", "train on the probed site and save the model to this file")
-		indexF  = flag.String("index", "", "with -serve: load a QA-object index (segment directory or legacy .gz snapshot) and mount GET /search + GET /sites")
-		saveIdx = flag.String("save-index", "", "probe the sites, index every extracted QA-object, and persist the index (directory of segment files; a .gz suffix selects the legacy single-file snapshot)")
-		idxShd  = flag.Int("index-shards", 4, "segment count for -save-index builds and legacy-snapshot loads")
+		indexF  = flag.String("index", "", "with -serve: load a QA-object index (a -save-index segment directory) and mount GET /search + GET /sites")
+		saveIdx = flag.String("save-index", "", "probe the sites, index every extracted QA-object, and persist the index (a directory of segment files)")
+		idxShd  = flag.Int("index-shards", 4, "segment count for -save-index builds")
 		corpusF = flag.String("corpus", "", "extract from a persisted corpus file (loaded eagerly) instead of probing")
 		streamF = flag.String("stream", "", "like -corpus, but stream pages off the file with bounded derived memory; output is identical")
 		saveCor = flag.String("save-corpus", "", "probe the sites, persist the labeled corpus to this file, and exit")
@@ -133,7 +133,7 @@ func main() {
 				log.Printf("serving models from %s at POST /extract/<site>", *models)
 			}
 			if *indexF != "" {
-				sh, err := qaindex.Open(*indexF, *idxShd, *workers)
+				sh, err := qaindex.Open(*indexF)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -183,19 +183,7 @@ func main() {
 			res := core.NewExtractor(cfg).Extract(col.Pages)
 			return qaindex.DocsFromPagelets(s.ID(), s.Name(), res.Pagelets, nil)
 		})
-		if strings.HasSuffix(*saveIdx, ".gz") {
-			// Legacy single-file snapshot: re-ingest through the reference
-			// index, whose postings the snapshot format rebuilds on load.
-			ix := &qaindex.Index{}
-			for i := 0; i < sh.Shards(); i++ {
-				for _, d := range sh.Segment(i).Docs() {
-					ix.AddText(d.SiteID, d.SiteName, d.ProbeQuery, d.PageURL, d.Text)
-				}
-			}
-			if err := ix.WriteFile(*saveIdx); err != nil {
-				log.Fatal(err)
-			}
-		} else if err := sh.WriteDir(*saveIdx); err != nil {
+		if err := sh.WriteDir(*saveIdx); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("indexed %d QA-objects from %d sites into %s (%s)\n",

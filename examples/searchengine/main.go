@@ -25,7 +25,7 @@ func main() {
 	sites := deepweb.NewSites(nSites, 77)
 	prober := &probe.Prober{Plan: probe.NewPlan(90, 9, 13), Labeler: deepweb.Labeler()}
 	partitioner := objects.NewPartitioner(objects.Config{})
-	index := &qaindex.Index{}
+	var docs []qaindex.Doc
 
 	fmt.Printf("building a deep-web search engine over %d sources…\n", nSites)
 	for _, site := range sites {
@@ -33,10 +33,14 @@ func main() {
 		cfg := core.DefaultConfig()
 		cfg.Seed = int64(site.ID())
 		res := core.NewExtractor(cfg).Extract(col.Pages)
-		added := index.IngestPagelets(site.ID(), site.Name(), res.Pagelets, partitioner)
+		added := qaindex.DocsFromPagelets(site.ID(), site.Name(), res.Pagelets, partitioner)
+		docs = append(docs, added...)
 		fmt.Printf("  %-22s %3d pages → %3d pagelets → %4d QA-Objects indexed\n",
-			site.Name(), len(col.Pages), len(res.Pagelets), added)
+			site.Name(), len(col.Pages), len(res.Pagelets), len(added))
 	}
+	// The sharded engine: documents hash-partitioned across segments,
+	// top-k served with block-max early termination.
+	index := qaindex.BuildSharded(docs, 4, 0)
 	fmt.Printf("\n%s\n", index)
 
 	// Mode 1: fine-grained content search across every source.

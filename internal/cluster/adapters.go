@@ -18,38 +18,37 @@ func init() {
 	Register(dbscanClusterer{})
 }
 
-// sparseCentroids projects ID-space centroids back to the string-keyed
-// form for Result.Centroids — k small vectors, off the hot path.
-func sparseCentroids(d *vector.Dict, centroids []vector.IDVec) []vector.Sparse {
-	out := make([]vector.Sparse, len(centroids))
-	for i, c := range centroids {
-		out[i] = d.ToSparse(c)
+// interned returns the input's interned view, or the error naming the
+// vector representation a vector-space clusterer needs.
+func interned(name string, in Input) (vector.Interned, error) {
+	if in.Interned == nil {
+		return vector.Interned{}, needErr(name, "vector")
 	}
-	return out
+	return in.Interned(), nil
+}
+
+// centroidResult completes a vector-space clustering with its ID-space
+// centroids and internal similarity.
+func centroidResult(iv vector.Interned, cl Clustering) Result {
+	centroids := ClusterCentroidsInterned(iv.Vecs, cl, iv.Dict.Len())
+	return Result{Clustering: cl, Similarity: InternalSimilarityInterned(iv.Vecs, cl, centroids),
+		Dict: iv.Dict, Centroids: centroids}
 }
 
 // kmeansClusterer is THOR's choice: Simple K-Means over sparse cosine
-// space with restarts guided by internal similarity. Interned input runs
-// the integer kernels; string input runs the original string kernels;
-// the two are bit-identical.
+// space with restarts guided by internal similarity.
 type kmeansClusterer struct{}
 
 func (kmeansClusterer) Name() string { return "kmeans" }
 
 func (c kmeansClusterer) Cluster(in Input, cfg Config) (Result, error) {
-	kcfg := KMeansConfig{K: cfg.K, Restarts: cfg.Restarts, Seed: cfg.Seed, Workers: cfg.Workers}
-	if in.Interned != nil {
-		iv := in.Interned()
-		res := KMeansInterned(iv.Vecs, iv.Dict.Len(), kcfg)
-		return Result{Clustering: res.Clustering, Similarity: res.Similarity,
-			Centroids: sparseCentroids(iv.Dict, res.Centroids),
-			Dict:      iv.Dict, IDCentroids: res.Centroids}, nil
+	iv, err := interned(c.Name(), in)
+	if err != nil {
+		return Result{}, err
 	}
-	if in.Vecs == nil {
-		return Result{}, needErr(c.Name(), "vector")
-	}
-	res := KMeans(in.Vecs(), kcfg)
-	return Result{Clustering: res.Clustering, Centroids: res.Centroids, Similarity: res.Similarity}, nil
+	res := KMeansInterned(iv.Vecs, iv.Dict.Len(), KMeansConfig{K: cfg.K, Restarts: cfg.Restarts, Seed: cfg.Seed, Workers: cfg.Workers})
+	return Result{Clustering: res.Clustering, Similarity: res.Similarity,
+		Dict: iv.Dict, Centroids: res.Centroids}, nil
 }
 
 // bisectingClusterer is the Steinbach et al. [29] bisecting K-Means.
@@ -58,24 +57,12 @@ type bisectingClusterer struct{}
 func (bisectingClusterer) Name() string { return "bisecting" }
 
 func (c bisectingClusterer) Cluster(in Input, cfg Config) (Result, error) {
-	bcfg := BisectingConfig{K: cfg.K, Seed: cfg.Seed}
-	if in.Interned != nil {
-		iv := in.Interned()
-		dim := iv.Dict.Len()
-		cl := BisectingKMeansInterned(iv.Vecs, dim, bcfg)
-		centroids := ClusterCentroidsInterned(iv.Vecs, cl, dim)
-		return Result{Clustering: cl, Similarity: InternalSimilarityInterned(iv.Vecs, cl, centroids),
-			Centroids: sparseCentroids(iv.Dict, centroids),
-			Dict:      iv.Dict, IDCentroids: centroids}, nil
+	iv, err := interned(c.Name(), in)
+	if err != nil {
+		return Result{}, err
 	}
-	if in.Vecs == nil {
-		return Result{}, needErr(c.Name(), "vector")
-	}
-	vecs := in.Vecs()
-	cl := BisectingKMeans(vecs, bcfg)
-	centroids := ClusterCentroids(vecs, cl)
-	return Result{Clustering: cl, Centroids: centroids,
-		Similarity: InternalSimilarity(vecs, cl, centroids)}, nil
+	cl := BisectingKMeansInterned(iv.Vecs, iv.Dict.Len(), BisectingConfig{K: cfg.K, Seed: cfg.Seed})
+	return centroidResult(iv, cl), nil
 }
 
 // kmedoidsClusterer runs K-Medoids over cosine distance between the item
@@ -86,28 +73,14 @@ type kmedoidsClusterer struct{}
 func (kmedoidsClusterer) Name() string { return "kmedoids" }
 
 func (c kmedoidsClusterer) Cluster(in Input, cfg Config) (Result, error) {
-	mcfg := KMedoidsConfig{K: cfg.K, Restarts: cfg.Restarts, Seed: cfg.Seed}
-	if in.Interned != nil {
-		iv := in.Interned()
-		cl := KMedoids(len(iv.Vecs), func(i, j int) float64 {
-			return 1 - iv.Vecs[i].Cosine(iv.Vecs[j])
-		}, mcfg)
-		dim := iv.Dict.Len()
-		centroids := ClusterCentroidsInterned(iv.Vecs, cl, dim)
-		return Result{Clustering: cl, Similarity: InternalSimilarityInterned(iv.Vecs, cl, centroids),
-			Centroids: sparseCentroids(iv.Dict, centroids),
-			Dict:      iv.Dict, IDCentroids: centroids}, nil
+	iv, err := interned(c.Name(), in)
+	if err != nil {
+		return Result{}, err
 	}
-	if in.Vecs == nil {
-		return Result{}, needErr(c.Name(), "vector")
-	}
-	vecs := in.Vecs()
-	cl := KMedoids(len(vecs), func(i, j int) float64 {
-		return 1 - vector.Cosine(vecs[i], vecs[j])
-	}, mcfg)
-	centroids := ClusterCentroids(vecs, cl)
-	return Result{Clustering: cl, Centroids: centroids,
-		Similarity: InternalSimilarity(vecs, cl, centroids)}, nil
+	cl := KMedoids(len(iv.Vecs), func(i, j int) float64 {
+		return 1 - iv.Vecs[i].Cosine(iv.Vecs[j])
+	}, KMedoidsConfig{K: cfg.K, Restarts: cfg.Restarts, Seed: cfg.Seed})
+	return centroidResult(iv, cl), nil
 }
 
 // randomClusterer is the uniform-assignment baseline of Figure 4.
@@ -154,27 +127,14 @@ type dbscanClusterer struct{}
 func (dbscanClusterer) Name() string { return "dbscan" }
 
 func (c dbscanClusterer) Cluster(in Input, cfg Config) (Result, error) {
-	if in.Interned != nil {
-		iv := in.Interned()
-		cl := DBSCAN(len(iv.Vecs), func(i, j int) float64 {
-			return 1 - iv.Vecs[i].Cosine(iv.Vecs[j])
-		}, DBSCANConfig{})
-		dim := iv.Dict.Len()
-		centroids := ClusterCentroidsInterned(iv.Vecs, cl, dim)
-		return Result{Clustering: cl, Similarity: InternalSimilarityInterned(iv.Vecs, cl, centroids),
-			Centroids: sparseCentroids(iv.Dict, centroids),
-			Dict:      iv.Dict, IDCentroids: centroids}, nil
+	iv, err := interned(c.Name(), in)
+	if err != nil {
+		return Result{}, err
 	}
-	if in.Vecs == nil {
-		return Result{}, needErr(c.Name(), "vector")
-	}
-	vecs := in.Vecs()
-	cl := DBSCAN(len(vecs), func(i, j int) float64 {
-		return 1 - vector.Cosine(vecs[i], vecs[j])
+	cl := DBSCAN(len(iv.Vecs), func(i, j int) float64 {
+		return 1 - iv.Vecs[i].Cosine(iv.Vecs[j])
 	}, DBSCANConfig{})
-	centroids := ClusterCentroids(vecs, cl)
-	return Result{Clustering: cl, Centroids: centroids,
-		Similarity: InternalSimilarity(vecs, cl, centroids)}, nil
+	return centroidResult(iv, cl), nil
 }
 
 // byTreeEditClusterer clusters by normalized tag-tree edit distance — the

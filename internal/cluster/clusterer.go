@@ -17,14 +17,9 @@ import (
 type Input struct {
 	// N is the number of items to cluster.
 	N int
-	// Interned returns the items as integer-ID vectors sharing one Dict —
-	// the fast path. When present, the vector-space clusterers run their
-	// integer kernels and never touch Vecs; the two paths are
-	// bit-identical (pinned by TestInternedKernelsMatchStringPath), so
-	// providing Interned is purely a performance decision.
+	// Interned returns the items as integer-ID vectors sharing one Dict
+	// (the vector-space clusterers).
 	Interned func() vector.Interned
-	// Vecs returns the items as sparse vectors (vector-space clusterers).
-	Vecs func() []vector.Sparse
 	// Sizes returns the items' sizes in bytes (the size baseline).
 	Sizes func() []int
 	// URLs returns the items' URLs (the URL-edit-distance baseline).
@@ -45,19 +40,15 @@ type Config struct {
 }
 
 // Result is a clustering together with the artifacts a clusterer can
-// share: centroids (vector-space clusterers only, in cluster-index order)
-// and the internal similarity of the chosen clustering (0 when the
-// algorithm has no such guidance metric).
+// share: for the vector-space clusterers, the input's dictionary and the
+// centroids in its ID space (in cluster-index order), and the internal
+// similarity of the chosen clustering (0 when the algorithm has no such
+// guidance metric).
 type Result struct {
 	Clustering Clustering
-	Centroids  []vector.Sparse
 	Similarity float64
-	// Dict and IDCentroids are set when the clusterer ran on interned
-	// input: the shared dictionary and the centroids in its ID space
-	// (Centroids is then their string-keyed projection, kept populated
-	// for inspection-oriented consumers).
-	Dict        *vector.Dict
-	IDCentroids []vector.IDVec
+	Dict       *vector.Dict
+	Centroids  []vector.IDVec
 }
 
 // Clusterer is one page-clustering algorithm, selectable by name through

@@ -124,28 +124,12 @@ func TestDBSCANRegistryContract(t *testing.T) {
 		t.Errorf("similarity %v, want > 0 for two tight groups", res.Similarity)
 	}
 
-	// Interned and string paths must agree on the clustering.
-	vecs := in.Vecs()
-	df := make(map[string]int)
-	for _, v := range vecs {
-		for _, term := range v.Terms {
-			df[term]++
-		}
-	}
-	dict := vector.DictFromDF(df)
-	ids := make([]vector.IDVec, len(vecs))
-	for i, v := range vecs {
-		ids[i] = dict.Intern(v)
-	}
-	interned := vector.Interned{Dict: dict, Vecs: ids}
-	resI, err := c.Cluster(Input{
-		N:        12,
-		Interned: func() vector.Interned { return interned },
-	}, Config{K: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resI.Clustering, cl) {
-		t.Error("interned path clusters differently from the string path")
+	// The string-keyed reference must agree on the clustering.
+	vecs := in.Interned().ToSparse()
+	want := DBSCAN(len(vecs), func(i, j int) float64 {
+		return 1 - vector.Cosine(vecs[i], vecs[j])
+	}, DBSCANConfig{})
+	if !reflect.DeepEqual(want, cl) {
+		t.Error("interned path clusters differently from the string reference")
 	}
 }

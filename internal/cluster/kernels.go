@@ -8,19 +8,20 @@ import (
 	"thor/internal/vector"
 )
 
-// This file is the integer-ID mirror of kmeans.go and bisecting.go: the
-// same algorithms, step for step, over vector.IDVec instead of
-// vector.Sparse. Every floating-point operation happens in the same
-// order as in the string kernels — the merge-joins visit identical term
-// pairs (ascending-ID order is ascending-term order by Dict
-// construction), the cached norms carry the same bits the string path
-// recomputes per call, and the dense centroid accumulator folds member
-// weights in member order — so both paths choose bit-identical
-// clusterings from bit-identical similarities. The contract is pinned by
+// This file holds the clustering kernels every vector-space clusterer
+// runs: K-Means, bisecting K-Means, and their centroid and similarity
+// helpers over vector.IDVec. They mirror the string-keyed test reference
+// in kmeans.go step for step, and every floating-point operation happens
+// in the same order — the merge-joins visit identical term pairs
+// (ascending-ID order is ascending-term order by Dict construction), the
+// cached norms carry the same bits the string path recomputes per call,
+// and the dense centroid accumulator folds member weights in member
+// order — so both choose bit-identical clusterings from bit-identical
+// similarities. The contract is pinned by
 // TestInternedKernelsMatchStringPath. RNG consumption is mirrored
 // exactly (one Perm per restart, one Intn per empty-cluster reseed, one
-// Int63 per bisection trial), which is what keeps the two paths on the
-// same random trajectory.
+// Int63 per bisection trial), which is what keeps the two on the same
+// random trajectory.
 
 // KMeansInternedResult carries the chosen clustering with its centroids
 // in ID space.
@@ -31,8 +32,16 @@ type KMeansInternedResult struct {
 	Iterations int // total assign/recenter cycles across all restarts
 }
 
-// KMeansInterned is KMeans over interned vectors. dim is the dictionary
-// size, used to pre-size the per-worker centroid scratch buffers; the
+// KMeansInterned partitions the vectors into cfg.K clusters with Simple
+// K-Means under cosine similarity. The algorithm starts from K random
+// cluster centers, assigns each page to the most similar center,
+// recomputes each center as its cluster's centroid, and repeats until
+// assignments stabilize. It runs cfg.Restarts times — concurrently up to
+// cfg.Workers, each restart on an independently derived seed — and keeps
+// the clustering with the highest internal similarity (ties go to the
+// lowest restart index, so the winner does not depend on scheduling).
+//
+// dim is the dictionary size, used to pre-size the per-worker centroid scratch buffers; the
 // scratches live in a pool keyed to this call, so concurrent restarts
 // never share one and sequential restarts on the same worker reuse it
 // across all their iterations.
@@ -126,7 +135,13 @@ func kmeansOnceInterned(vecs []vector.IDVec, k, maxIter int, rng *rand.Rand, scr
 	return assign, centroids, iters
 }
 
-// InternalSimilarityInterned is InternalSimilarity over ID vectors.
+// InternalSimilarityInterned computes the internal similarity of a
+// clustering: the n_i/n-weighted sum over clusters of the per-cluster
+// average similarity of each page to its cluster centroid (Section
+// 3.1.4, after Steinbach et al. [29] and Zhao & Karypis [32]).
+// Equivalently, it is the mean page-to-own-centroid similarity over all
+// pages. Higher is better; it is the internal guidance metric that picks
+// the best of the M K-Means restarts.
 func InternalSimilarityInterned(vecs []vector.IDVec, cl Clustering, centroids []vector.IDVec) float64 {
 	if len(vecs) == 0 {
 		return 0
@@ -156,7 +171,9 @@ func ClusterCentroidsInterned(vecs []vector.IDVec, cl Clustering, dim int) []vec
 	return out
 }
 
-// BisectingKMeansInterned is BisectingKMeans over ID vectors.
+// BisectingKMeansInterned partitions vecs into cfg.K clusters by
+// repeatedly splitting the largest cluster with 2-means (see
+// BisectingConfig).
 func BisectingKMeansInterned(vecs []vector.IDVec, dim int, cfg BisectingConfig) Clustering {
 	n := len(vecs)
 	k := cfg.K
@@ -202,7 +219,10 @@ func BisectingKMeansInterned(vecs []vector.IDVec, dim int, cfg BisectingConfig) 
 	return Clustering{K: len(clusters), Assign: assign, Clusters: clusters}
 }
 
-// bisectInterned mirrors bisect over ID vectors.
+// bisectInterned splits members into two parts with 2-means, keeping the
+// best of trials attempts by internal similarity; when every trial is
+// degenerate (e.g. identical vectors) it splits evenly so progress is
+// guaranteed.
 func bisectInterned(vecs []vector.IDVec, dim int, members []int, trials int, rng *rand.Rand) (left, right []int) {
 	sub := make([]vector.IDVec, len(members))
 	for i, m := range members {

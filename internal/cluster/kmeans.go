@@ -52,8 +52,8 @@ type KMeansConfig struct {
 	Workers int
 }
 
-// KMeansResult carries the chosen clustering together with its centroids
-// and internal similarity.
+// KMeansResult is the string-keyed reference's result: the chosen
+// clustering with its centroids and internal similarity.
 type KMeansResult struct {
 	Clustering Clustering
 	Centroids  []vector.Sparse
@@ -64,14 +64,12 @@ type KMeansResult struct {
 	Iterations int // total assign/recenter cycles across all restarts
 }
 
-// KMeans partitions the vectors into cfg.K clusters with Simple K-Means
-// under cosine similarity. The algorithm starts from K random cluster
-// centers, assigns each page to the most similar center, recomputes each
-// center as its cluster's centroid, and repeats until assignments
-// stabilize. It runs cfg.Restarts times — concurrently up to cfg.Workers,
-// each restart on an independently derived seed — and keeps the
-// clustering with the highest internal similarity (ties go to the lowest
-// restart index, so the winner does not depend on scheduling).
+// KMeans is the string-keyed test reference of KMeansInterned: Simple
+// K-Means over vector.Sparse with vector.Cosine, the algorithm as it ran
+// before term interning. Production clusters only in ID space; this
+// reference exists so the contract tests in this and other packages can
+// check the integer kernels against an implementation they do not share.
+// It has no non-test caller.
 func KMeans(vecs []vector.Sparse, cfg KMeansConfig) KMeansResult {
 	n := len(vecs)
 	k := cfg.K
@@ -162,7 +160,9 @@ func kmeansOnce(vecs []vector.Sparse, k, maxIter int, rng *rand.Rand) (assign []
 	return assign, centroids, iters
 }
 
-// InternalSimilarity computes the internal similarity of a clustering: the
+// InternalSimilarity is the string-keyed test reference of
+// InternalSimilarityInterned (no non-test caller). It computes the
+// internal similarity of a clustering: the
 // n_i/n-weighted sum over clusters of the per-cluster average similarity of
 // each page to its cluster centroid (Section 3.1.4, after Steinbach et al.
 // [29] and Zhao & Karypis [32], where this quantity equals the weighted sum
@@ -184,8 +184,9 @@ func InternalSimilarity(vecs []vector.Sparse, cl Clustering, centroids []vector.
 	return total / n
 }
 
-// ClusterCentroids recomputes centroids for an arbitrary clustering of the
-// given vectors.
+// ClusterCentroids is the string-keyed test reference of
+// ClusterCentroidsInterned (no non-test caller): it recomputes centroids
+// for an arbitrary clustering of the given vectors.
 func ClusterCentroids(vecs []vector.Sparse, cl Clustering) []vector.Sparse {
 	out := make([]vector.Sparse, cl.K)
 	for c, members := range cl.Clusters {

@@ -67,11 +67,11 @@ func testInput(n int) Input {
 		}
 	}
 	return Input{
-		N:     n,
-		Vecs:  Memo(func() []vector.Sparse { return vector.TFIDF(docs) }),
-		Sizes: Memo(func() []int { return sizes }),
-		URLs:  Memo(func() []string { return urls }),
-		Trees: Memo(func() []*tagtree.Node { return trees }),
+		N:        n,
+		Interned: Memo(func() vector.Interned { return vector.TFIDFInterned(docs) }),
+		Sizes:    Memo(func() []int { return sizes }),
+		URLs:     Memo(func() []string { return urls }),
+		Trees:    Memo(func() []*tagtree.Node { return trees }),
 	}
 }
 
@@ -117,7 +117,8 @@ func TestAdaptersMatchDirectCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := KMeans(in.Vecs(), KMeansConfig{K: k, Restarts: 5, Seed: 42, Workers: 1})
+	iv := in.Interned()
+	direct := KMeansInterned(iv.Vecs, iv.Dict.Len(), KMeansConfig{K: k, Restarts: 5, Seed: 42, Workers: 1})
 	if !reflect.DeepEqual(got.Clustering, direct.Clustering) {
 		t.Error("kmeans: registry clustering differs from direct call")
 	}

@@ -28,8 +28,7 @@ const DriftBuckets = 20
 // how many pages each cluster absorbed. A drift detector histograms live
 // traffic the same way and compares distributions; the per-cluster sizes
 // are the N_c weights of the mini-batch centroid update. Persisted with
-// the model since format v3 (v2 models load with a nil baseline, which
-// disables drift detection for them).
+// the model.
 type DriftBaseline struct {
 	// Hist counts training pages by nearest-centroid distance bucket
 	// (DriftBuckets equal-width buckets over [0, 1]).
@@ -96,11 +95,11 @@ const refineMaxIter = 5
 // remedy of the lifecycle policy, for drift that moved the population
 // within the existing cluster structure rather than replacing it.
 //
-// The batch is vectorized in the model's own training space (signature →
-// Accumulator → FinishWith over the frozen DF table → Dict interning, so
-// each page lands exactly where Apply would place it), assigned to the
-// nearest current centroid, and each touched centroid is blended with
-// its batch mean at the historical/batch member ratio:
+// The batch is vectorized in the model's own training space (the frozen
+// DF table and dictionary, so each page lands exactly where Apply would
+// place it), assigned to the nearest current centroid, and each touched
+// centroid is blended with its batch mean at the historical/batch member
+// ratio:
 //
 //	c' = (N_c·c + n_b·mean(batch_c)) / (N_c + n_b)
 //
@@ -121,18 +120,16 @@ func (m *Model) Refine(pages []*corpus.Page) (*Model, error) {
 		return nil, fmt.Errorf("core: Refine on an empty batch")
 	}
 	if m.Baseline == nil || len(m.Baseline.Sizes) != len(m.Centroids) {
-		return nil, fmt.Errorf("core: Refine needs a drift baseline (format v3); rebuild the model")
+		return nil, fmt.Errorf("core: Refine needs a drift baseline; rebuild the model")
 	}
 
-	// Vectorize the batch in the model's training space.
-	acc := vector.NewAccumulator(m.Cfg.Approach.RawWeighted())
-	for _, p := range pages {
-		acc.Add(m.signatureCounts(p))
-	}
-	sparse := acc.FinishWith(m.DF, m.NDocs)
-	vecs := make([]vector.IDVec, len(sparse))
-	for i, v := range sparse {
-		vecs[i] = m.Dict.Intern(v)
+	// Weight the batch in the model's training space, exactly as Apply
+	// weights a fresh page, copying each vector out of the scratch.
+	weighting := m.applyWeighting()
+	var is vector.InternScratch
+	vecs := make([]vector.IDVec, len(pages))
+	for i, p := range pages {
+		vecs[i] = m.Dict.InternCounts(signatureOf(p, m.Cfg.Approach), weighting, &is).Clone()
 	}
 
 	// Anchored blend iterations: assignments move against the blended

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"thor/internal/vector"
 )
 
 // TestBuildModelComputesBaseline checks that every built model carries a
@@ -128,8 +130,37 @@ func TestRefineIsDeterministicAndVersioned(t *testing.T) {
 	}
 }
 
-// TestRefineRequiresBaseline: a model without a baseline (pre-v3 load)
-// cannot refine — the mini-batch weights need the per-cluster training
+// TestRefineWeightsBatchLikeApply pins the batch vectors Refine works
+// on to the reference apply-path vectorization: the histogram the
+// refined baseline gained must be exactly the batch's nearest-centroid
+// distances, with each page weighted by vectorizeRef against the refined
+// centroids — for both weighting branches.
+func TestRefineWeightsBatchLikeApply(t *testing.T) {
+	for _, a := range []Approach{TFIDFTags, RawTags} {
+		cfg := DefaultConfig()
+		cfg.Approach = a
+		m, err := NewExtractor(cfg).BuildModel(probeSite(t, 2, 1).Pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := probeSite(t, 2, 777).Pages[:8]
+		next, err := m.Refine(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append([]int64(nil), m.Baseline.Hist...)
+		for _, p := range batch {
+			_, sim := vector.AssignNearest(m.Dict.Intern(vectorizeRef(m, p)), next.Centroids)
+			want[DriftBucket(1-sim)]++
+		}
+		if !reflect.DeepEqual(next.Baseline.Hist, want) {
+			t.Errorf("%v: refined histogram %v, want %v", a, next.Baseline.Hist, want)
+		}
+	}
+}
+
+// TestRefineRequiresBaseline: a model without a baseline (one assembled
+// by hand) cannot refine — the mini-batch weights need the per-cluster training
 // counts.
 func TestRefineRequiresBaseline(t *testing.T) {
 	train := probeSite(t, 1, 1)
@@ -208,10 +239,10 @@ func TestModelV3RoundtripsBaseline(t *testing.T) {
 	}
 }
 
-// TestLoadModelAcceptsVersion2 writes a version-2 snapshot — no lifecycle
-// section — and checks it loads as a model with drift detection cleanly
-// disabled: nil baseline, revision 0, Refine refusing politely.
-func TestLoadModelAcceptsVersion2(t *testing.T) {
+// TestLoadModelRejectsVersion2 writes a version-2 snapshot — no lifecycle
+// section — and checks it is rejected with an error naming the version:
+// version-2 models must be rebuilt and re-saved.
+func TestLoadModelRejectsVersion2(t *testing.T) {
 	m, err := NewExtractor(DefaultConfig()).BuildModel(probeSite(t, 1, 1).Pages)
 	if err != nil {
 		t.Fatal(err)
@@ -234,20 +265,12 @@ func TestLoadModelAcceptsVersion2(t *testing.T) {
 	if err := gz.Close(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadModel(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("LoadModel rejected a version-2 snapshot: %v", err)
+	_, err = LoadModel(bytes.NewReader(buf.Bytes()))
+	if err == nil {
+		t.Fatal("LoadModel accepted a version-2 snapshot")
 	}
-	if loaded.Baseline != nil {
-		t.Error("version-2 model loaded with a baseline from nowhere")
-	}
-	if loaded.Rev != 0 {
-		t.Errorf("version-2 model at revision %d, want 0", loaded.Rev)
-	}
-	if _, err := loaded.Refine(probeSite(t, 1, 5).Pages[:2]); err == nil {
-		t.Fatal("a baseline-less model accepted a Refine")
-	} else if !strings.Contains(err.Error(), "baseline") {
-		t.Errorf("refusal %q should name the missing baseline", err)
+	if !strings.Contains(err.Error(), "version 2") {
+		t.Errorf("rejection %q should name the version", err)
 	}
 }
 
@@ -287,6 +310,7 @@ func TestLoadModelRejectsCorruptBaseline(t *testing.T) {
 		{"mass mismatch", func(s *modelSnapshot) {
 			s.Baseline = &DriftBaseline{Hist: okHist(), Sizes: []int64{5}}
 		}},
+		{"missing baseline", func(s *modelSnapshot) {}},
 		{"negative revision", func(s *modelSnapshot) {
 			s.Baseline = &DriftBaseline{Hist: okHist(), Sizes: []int64{4}}
 			s.Rev = -1

@@ -17,60 +17,44 @@ import (
 )
 
 // This file pins the interned-dictionary refactor to the pre-interning
-// behavior: every reference function below reproduces, verbatim, the
-// string-keyed pipeline as it stood before term IDs existed — building
-// cluster input with only the Sparse vector view (so the registry
-// adapters take their string branch), ranking subtree sets with string
+// behavior: every reference function below reproduces the string-keyed
+// pipeline as it stood before term IDs existed — clustering batch Sparse
+// vectors with the string K-Means reference, ranking subtree sets with string
 // TFIDF cosines, and assigning fresh pages with string-space cosine
 // against projected centroids. The production pipeline must match all
 // of it bit for bit, at one worker and at many.
 
-// stringPathPhase1 is Phase1 as it ran before interning: the clusterer
-// input offers no Interned view, so clustering runs entirely on the
-// string kernels.
+// stringPathPhase1 is Phase1 as it ran before interning: batch
+// string-keyed vectors over the page signatures, clustered by the string
+// K-Means reference, ranked from each page's tree.
 func stringPathPhase1(pages []*corpus.Page, cfg Config) Phase1Result {
+	if name := cfg.Approach.DefaultClusterer(); cfg.Clusterer != "" || name != "kmeans" {
+		panic("interned contract test: the string reference covers kmeans only")
+	}
 	a := cfg.Approach
-	sigs := cluster.Memo(func() []map[string]int {
-		if a.IsVector() && a.ContentBased() {
-			return ContentSignatures(pages)
-		}
-		return TagSignatures(pages)
-	})
-	in := cluster.Input{
-		N: len(pages),
-		Vecs: cluster.Memo(func() []vector.Sparse {
-			if a.IsVector() {
-				return SignatureVectors(sigs(), a)
-			}
-			return vector.TFIDF(sigs())
-		}),
-		Sizes: cluster.Memo(func() []int {
-			sizes := make([]int, len(pages))
-			for i, p := range pages {
-				sizes[i] = p.Size()
-			}
-			return sizes
-		}),
-		URLs: cluster.Memo(func() []string {
-			urls := make([]string, len(pages))
-			for i, p := range pages {
-				urls[i] = p.URL
-			}
-			return urls
-		}),
-		Trees: cluster.Memo(func() []*tagtree.Node {
-			trees := make([]*tagtree.Node, len(pages))
-			for i, p := range pages {
-				trees[i] = p.Tree()
-			}
-			return trees
-		}),
+	sigs := TagSignatures(pages)
+	if a.ContentBased() {
+		sigs = ContentSignatures(pages)
 	}
-	res, err := clusterPages(in, cfg)
-	if err != nil {
-		panic("interned contract test: " + err.Error())
+	var vecs []vector.Sparse
+	if a.RawWeighted() {
+		vecs = vector.RawFrequency(sigs)
+	} else {
+		vecs = vector.TFIDF(sigs)
 	}
+	res := cluster.KMeans(vecs, cluster.KMeansConfig{K: cfg.K, Restarts: cfg.Restarts, Seed: cfg.Seed, Workers: cfg.Workers})
 	return rankClusters(pages, res.Clustering, res.Similarity)
+}
+
+// rankClusters builds and ranks the per-cluster statistics of Section
+// 3.1.3 over an existing clustering, reading the per-page scalars from
+// the (lazily cached) page trees.
+func rankClusters(pages []*corpus.Page, cl cluster.Clustering, sim float64) Phase1Result {
+	stats := make([]pageStat, len(pages))
+	for i, p := range pages {
+		stats[i] = statOf(p)
+	}
+	return rankClustersFromStats(pages, stats, cl, sim)
 }
 
 // stringIntraSim is intraSetSimilarity before interning: string-keyed
@@ -178,9 +162,10 @@ func stringPathPhase2(pages []*corpus.Page, cfg Config, seed int64) *Phase2Resul
 // stringPathApply is Model.Apply before interning: the fresh page's
 // string-keyed vector against string-keyed centroids with the string
 // Cosine kernel (the interned centroids projected back, which the
-// vector-layer tests pin as an exact projection).
+// vector-layer tests pin as an exact projection), then the reference
+// wrapper scoring.
 func stringPathApply(m *Model, page *corpus.Page) []*Pagelet {
-	v := m.Vectorize(page)
+	v := vectorizeRef(m, page)
 	best, bestSim := 0, -1.0
 	for c, ctr := range m.Centroids {
 		if sim := vector.Cosine(v, m.Dict.ToSparse(ctr)); sim > bestSim {
@@ -191,7 +176,7 @@ func stringPathApply(m *Model, page *corpus.Page) []*Pagelet {
 	if w == nil {
 		return nil
 	}
-	node, _ := w.Extract(page.Tree())
+	node, _ := extractRef(w, page.Tree())
 	if node == nil {
 		return nil
 	}

@@ -46,8 +46,9 @@ type Model struct {
 	// Baseline summarizes the training pages' nearest-centroid distance
 	// distribution and per-cluster sizes — the reference a lifecycle
 	// observer detects drift against and the weights of the mini-batch
-	// Refine step. Nil for models loaded from pre-v3 snapshots, which
-	// disables drift detection for them.
+	// Refine step. Built, refined, and loaded models always carry one; a
+	// model assembled by hand without one serves with drift detection
+	// disabled and cannot Refine.
 	Baseline *DriftBaseline
 	// Rev is the model's lifecycle revision: 0 for a freshly built or
 	// loaded model, incremented by every Refine/RebuildFrom, persisted so
@@ -86,19 +87,19 @@ func (e *Extractor) BuildModel(pages []*corpus.Page) (*Model, error) {
 // no training pages).
 func (m *Model) Training() *Result { return m.training }
 
-// Apply extracts QA-Pagelets from one fresh page: the page is vectorized
-// in the model's assignment space, interned into the training
-// dictionary's ID space, assigned to the nearest centroid by cosine
-// similarity on the integer kernels (lowest cluster id on ties), and
-// only that cluster's wrapper runs — no clustering, no cross-page
-// analysis. A page assigned to a wrapperless cluster, or rejected by the
-// wrapper's distance bound, yields an empty extraction with no error:
-// that is the model's verdict that the page holds no QA-Pagelet.
+// Apply extracts QA-Pagelets from one fresh page: the page's signature
+// is weighted in the model's training space (the training document
+// frequencies, so the page lands where it would have landed had it been
+// part of the training run) straight into the training dictionary's ID
+// space, assigned to the nearest centroid by cosine similarity (lowest
+// cluster id on ties), and only that cluster's wrapper runs — no
+// clustering, no cross-page analysis. A page assigned to a wrapperless
+// cluster, or rejected by the wrapper's distance bound, yields an empty
+// extraction with no error: that is the model's verdict that the page
+// holds no QA-Pagelet.
 //
-// Interning drops terms outside the training vocabulary while keeping
-// them in the page vector's cached norm (Dict.Intern's contract), so the
-// similarities — and the chosen cluster — are bit-identical to running
-// the string kernels over Vectorize's output, unseen terms and all.
+// It is ApplyHTML over a page whose tree and signature are cached on the
+// page: the weighting, assignment, and wrapper scoring are the same code.
 func (m *Model) Apply(page *corpus.Page) ([]*Pagelet, error) {
 	return m.ApplyContext(context.Background(), page)
 }
@@ -119,56 +120,19 @@ func (m *Model) ApplyContext(ctx context.Context, page *corpus.Page) ([]*Pagelet
 	if len(m.Centroids) == 0 {
 		return nil, fmt.Errorf("core: model has no clusters to assign to")
 	}
-	v := m.Dict.Intern(m.Vectorize(page))
-	// AssignNearest is the old verbatim Cosine loop with a CosineUnit
-	// fast path where the cached norms prove it exact; best index and
-	// similarity bits are pinned equal by the regression tests.
+	s := applyPool.Get().(*applyScratch)
+	defer applyPool.Put(s)
+	v := m.Dict.InternCounts(signatureOf(page, m.Cfg.Approach), m.applyWeighting(), &s.intern)
 	best, _ := vector.AssignNearest(v, m.Centroids)
 	w := m.Wrappers[best]
 	if w == nil {
 		return nil, nil
 	}
-	node, _ := w.Extract(page.Tree())
+	node, _ := w.match(page.Tree(), s)
 	if node == nil {
 		return nil, nil
 	}
 	return []*Pagelet{{Page: page, Node: node, Path: node.Path()}}, nil
-}
-
-// Vectorize maps a page into the model's assignment space: the approach's
-// signature weighted with the *training* document frequencies, so a fresh
-// page lands where it would have landed had it been part of the training
-// run. Terms never seen in training carry no weight.
-func (m *Model) Vectorize(page *corpus.Page) vector.Sparse {
-	counts := m.signatureCounts(page)
-	if m.Cfg.Approach.RawWeighted() {
-		// Raw weighting never consults the DF table: every term of the
-		// page — in the training vocabulary or not — keeps its raw
-		// frequency, and FromCounts pre-sizes off the counts map. The
-		// branch runs before any weighting loop so no DF lookups are paid.
-		return vector.FromCounts(counts).Normalize()
-	}
-	weighted := make(map[string]float64, len(counts))
-	for term, tf := range counts {
-		df := m.DF[term]
-		if df == 0 {
-			continue
-		}
-		weighted[term] = vector.TFIDFWeight(tf, m.NDocs, df)
-	}
-	return vector.FromMap(weighted).Normalize()
-}
-
-// signatureCounts returns the page signature the model's approach clusters
-// on: stemmed content terms for the content approaches, tag frequencies
-// for everything else (the size/URL/random baselines cluster on other
-// criteria at build time but still assign fresh pages by tag signature).
-func (m *Model) signatureCounts(page *corpus.Page) map[string]int {
-	a := m.Cfg.Approach
-	if a.IsVector() && a.ContentBased() {
-		return page.ContentSignature()
-	}
-	return page.TagSignature()
 }
 
 // String summarizes the model.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"time"
 
 	"thor/internal/strdist"
@@ -46,31 +47,23 @@ type modelSnapshot struct {
 	Cfg     Config
 	NDocs   int
 	DF      map[string]int
-	// DictTerms is the dictionary section introduced in version 2: the
-	// training vocabulary in ID (= ascending term) order. Term i has ID
-	// int32(i).
+	// DictTerms is the training vocabulary in ID (= ascending term)
+	// order. Term i has ID int32(i).
 	DictTerms []string
 	Centroids []idVecSnapshot
 	Wrappers  []wrapperSnapshot
-	// Baseline and Rev are the lifecycle section introduced in version 3:
-	// the training-time drift baseline and the model's revision counter.
-	// Version-2 snapshots decode with a nil Baseline, which loads as a
-	// model with drift detection disabled.
+	// Baseline and Rev are the lifecycle section: the training-time
+	// drift baseline and the model's revision counter.
 	Baseline *DriftBaseline
 	Rev      int
 }
 
-// ModelVersion is the current on-disk model format version. Version 2
-// added the interned dictionary section and switched the centroids to ID
-// space; version 3 added the lifecycle section (drift baseline +
-// revision). Version-2 snapshots still load — their models simply carry
-// no baseline, so drift detection is disabled for them. Version-1
-// snapshots (string-keyed centroids, no dictionary) are rejected with a
-// clear error rather than silently misread.
+// ModelVersion is the on-disk model format version, the only one
+// LoadModel accepts. Version 2 added the interned dictionary section and
+// switched the centroids to ID space; version 3 added the lifecycle
+// section (drift baseline + revision). Older snapshots are rejected with
+// a clear error rather than silently misread: rebuild and re-save them.
 const ModelVersion = 3
-
-// minModelVersion is the oldest snapshot version LoadModel still accepts.
-const minModelVersion = 2
 
 // Save serializes the model to w as versioned gzipped gob.
 func (m *Model) Save(w io.Writer) error {
@@ -110,9 +103,8 @@ func (m *Model) Save(w io.Writer) error {
 
 // LoadModel deserializes a model written by Save, rebuilding each
 // wrapper's simplifier and every centroid's cached norm. It rejects
-// snapshots of any other format version — version-1 files predate the
-// dictionary section and must be regenerated — and validates the
-// dictionary and centroid tables (sorted vocabulary, in-range ascending
+// snapshots of any other format version and validates the dictionary,
+// centroid, and drift-baseline tables (sorted vocabulary, in-range ascending
 // IDs) so a corrupt snapshot cannot smuggle a broken assignment space
 // into a served model.
 func LoadModel(r io.Reader) (*Model, error) {
@@ -126,8 +118,8 @@ func LoadModel(r io.Reader) (*Model, error) {
 	if err := gob.NewDecoder(gz).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("core: decode model: %w", err)
 	}
-	if snap.Version < minModelVersion || snap.Version > ModelVersion {
-		return nil, fmt.Errorf("core: unsupported model format version %d (want %d-%d; version-1 models predate the term dictionary — rebuild and re-save)", snap.Version, minModelVersion, ModelVersion)
+	if snap.Version != ModelVersion {
+		return nil, fmt.Errorf("core: unsupported model format version %d (want %d; older snapshots predate the term dictionary or the drift baseline — rebuild and re-save)", snap.Version, ModelVersion)
 	}
 	for i := 1; i < len(snap.DictTerms); i++ {
 		if snap.DictTerms[i-1] >= snap.DictTerms[i] {
@@ -151,34 +143,37 @@ func LoadModel(r io.Reader) (*Model, error) {
 		}
 		centroids = append(centroids, vector.NewIDVec(c.IDs, c.Weights))
 	}
-	if b := snap.Baseline; b != nil {
-		// The lifecycle section is load-bearing for Refine's weighting, so
-		// a malformed baseline is rejected like any other corruption rather
-		// than silently degrading the maintenance policy.
-		if len(b.Hist) != DriftBuckets {
-			return nil, fmt.Errorf("core: corrupt model: drift baseline has %d histogram buckets (want %d)",
-				len(b.Hist), DriftBuckets)
+	// The lifecycle section is load-bearing for drift detection and
+	// Refine's weighting, so a missing or malformed baseline is rejected
+	// like any other corruption rather than silently degrading the
+	// maintenance policy.
+	b := snap.Baseline
+	if b == nil {
+		return nil, fmt.Errorf("core: corrupt model: no drift baseline")
+	}
+	if len(b.Hist) != DriftBuckets {
+		return nil, fmt.Errorf("core: corrupt model: drift baseline has %d histogram buckets (want %d)",
+			len(b.Hist), DriftBuckets)
+	}
+	if len(b.Sizes) != len(centroids) {
+		return nil, fmt.Errorf("core: corrupt model: drift baseline sizes %d clusters but model has %d centroids",
+			len(b.Sizes), len(centroids))
+	}
+	for i, c := range b.Hist {
+		if c < 0 {
+			return nil, fmt.Errorf("core: corrupt model: negative drift histogram count at bucket %d", i)
 		}
-		if len(b.Sizes) != len(centroids) {
-			return nil, fmt.Errorf("core: corrupt model: drift baseline sizes %d clusters but model has %d centroids",
-				len(b.Sizes), len(centroids))
+	}
+	var sized int64
+	for i, c := range b.Sizes {
+		if c < 0 {
+			return nil, fmt.Errorf("core: corrupt model: negative drift cluster size at cluster %d", i)
 		}
-		for i, c := range b.Hist {
-			if c < 0 {
-				return nil, fmt.Errorf("core: corrupt model: negative drift histogram count at bucket %d", i)
-			}
-		}
-		var sized int64
-		for i, c := range b.Sizes {
-			if c < 0 {
-				return nil, fmt.Errorf("core: corrupt model: negative drift cluster size at cluster %d", i)
-			}
-			sized += c
-		}
-		if sized != b.total() {
-			return nil, fmt.Errorf("core: corrupt model: drift baseline sizes sum to %d but histogram holds %d pages",
-				sized, b.total())
-		}
+		sized += c
+	}
+	if sized != b.total() {
+		return nil, fmt.Errorf("core: corrupt model: drift baseline sizes sum to %d but histogram holds %d pages",
+			sized, b.total())
 	}
 	if snap.Rev < 0 {
 		return nil, fmt.Errorf("core: corrupt model: negative revision %d", snap.Rev)
@@ -211,15 +206,36 @@ func LoadModel(r io.Reader) (*Model, error) {
 	return m, nil
 }
 
-// SaveFile writes the model to path (conventionally *.thor.model.gz).
+// SaveFile writes the model to path (conventionally *.thor.model.gz)
+// atomically: the snapshot goes to a temporary file in the same
+// directory, is synced, and is renamed over path. A concurrent reader —
+// a fleet's hot-swap check or a cold load — sees the old file or the new
+// one, never a half-written snapshot.
 func (m *Model) SaveFile(path string) error {
-	f, err := os.Create(path)
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
+	tmp := f.Name()
 	werr := m.Save(f)
+	if werr == nil {
+		if err := f.Chmod(0o644); err != nil {
+			werr = fmt.Errorf("core: %w", err)
+		} else if err := f.Sync(); err != nil {
+			werr = fmt.Errorf("core: %w", err)
+		}
+	}
 	if cerr := f.Close(); werr == nil && cerr != nil {
 		werr = fmt.Errorf("core: %w", cerr)
+	}
+	if werr == nil {
+		if err := os.Rename(tmp, path); err != nil {
+			werr = fmt.Errorf("core: %w", err)
+		}
+	}
+	if werr != nil {
+		//thorlint:allow no-unchecked-error best-effort cleanup; the write error is what the caller needs
+		os.Remove(tmp)
 	}
 	return werr
 }

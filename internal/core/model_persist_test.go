@@ -109,6 +109,64 @@ func TestModelSaveLoadFile(t *testing.T) {
 	}
 }
 
+// TestSaveFileIsAtomic loads the model file in a loop while SaveFile
+// keeps replacing it with two alternating models: every load must
+// succeed and return one of the two, never a torn snapshot.
+func TestSaveFileIsAtomic(t *testing.T) {
+	var models [2]*Model
+	for i := range models {
+		m, err := NewExtractor(DefaultConfig()).BuildModel(probeSite(t, i+1, 1).Pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[i] = m
+	}
+	if reflect.DeepEqual(models[0].Centroids, models[1].Centroids) {
+		t.Fatal("the two models must differ for the check to mean anything")
+	}
+	path := filepath.Join(t.TempDir(), "site.thor.model.gz")
+	if err := models[0].SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	writerDone := make(chan error, 1)
+	go func() {
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				writerDone <- nil
+				return
+			default:
+			}
+			if err := models[i%2].SaveFile(path); err != nil {
+				writerDone <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		m, err := LoadModelFile(path)
+		if err != nil {
+			t.Fatalf("load %d during rewrites: %v", i, err)
+		}
+		if !reflect.DeepEqual(m.Centroids, models[0].Centroids) && !reflect.DeepEqual(m.Centroids, models[1].Centroids) {
+			t.Fatalf("load %d returned neither saved model", i)
+		}
+	}
+	close(stop)
+	if err := <-writerDone; err != nil {
+		t.Fatalf("writer: %v", err)
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("SaveFile left %d files behind, want only the model", len(entries))
+	}
+}
+
 // TestLoadModelFileWithInfoFingerprint pins the registry's hot-swap
 // signal: the fingerprint matches a stat of the loaded file and stops
 // matching once the file is replaced (or its mtime touched).
@@ -211,7 +269,7 @@ func TestLoadModelRejectsLegacyVersion1(t *testing.T) {
 	}
 }
 
-// TestLoadModelRejectsCorruptDictTables feeds version-2 snapshots whose
+// TestLoadModelRejectsCorruptDictTables feeds snapshots whose
 // dictionary or centroid tables violate the format invariants; each must
 // be rejected rather than loaded into a broken assignment space.
 func TestLoadModelRejectsCorruptDictTables(t *testing.T) {
@@ -286,7 +344,8 @@ func TestLoadModelRejectsGarbage(t *testing.T) {
 func TestLoadModelRejectsInconsistentTables(t *testing.T) {
 	var buf bytes.Buffer
 	gz := gzip.NewWriter(&buf)
-	snap := modelSnapshot{Version: ModelVersion, Wrappers: []wrapperSnapshot{{ClusterID: 3, Q: 2}}}
+	snap := modelSnapshot{Version: ModelVersion, Wrappers: []wrapperSnapshot{{ClusterID: 3, Q: 2}},
+		Baseline: &DriftBaseline{Hist: make([]int64, DriftBuckets)}}
 	if err := gob.NewEncoder(gz).Encode(&snap); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"sort"
 
 	"thor/internal/cluster"
@@ -58,74 +59,25 @@ func ContentSignatures(pages []*corpus.Page) []map[string]int {
 	return out
 }
 
-// SignatureVectors weights per-document signature counts the way approach
-// a prescribes: raw frequencies for the Raw* baselines, the paper's TFIDF
-// variant otherwise.
-func SignatureVectors(docs []map[string]int, a Approach) []vector.Sparse {
-	if a.RawWeighted() {
-		return vector.RawFrequency(docs)
+// signatureOf returns the signature a page is vectorized by under
+// approach a: stemmed content terms for the content approaches, tag
+// frequencies for everything else (the size/URL/random baselines cluster
+// on other criteria but still assign fresh pages by tag signature).
+func signatureOf(p *corpus.Page, a Approach) map[string]int {
+	if a.IsVector() && a.ContentBased() {
+		return p.ContentSignature()
 	}
-	return vector.TFIDF(docs)
+	return p.TagSignature()
 }
 
-// SignatureVectorsInterned is SignatureVectors into ID space: one Dict
-// over the signature vocabulary, bit-identical weights to the string
-// path.
-func SignatureVectorsInterned(docs []map[string]int, a Approach) vector.Interned {
-	if a.RawWeighted() {
-		return vector.RawFrequencyInterned(docs)
-	}
-	return vector.TFIDFInterned(docs)
-}
-
-// PageVectors builds the page vectors for a vector-space approach. It
-// panics for the non-vector approaches (SizeBased, URLBased, RandomAssign).
-func PageVectors(pages []*corpus.Page, a Approach) []vector.Sparse {
-	switch a {
-	case TFIDFTags, RawTags:
-		return SignatureVectors(TagSignatures(pages), a)
-	case TFIDFContent, RawContent:
-		return SignatureVectors(ContentSignatures(pages), a)
-	default:
-		//thorlint:allow no-panic-in-lib programmer-error guard; documented to panic for non-vector approaches
-		panic("core: PageVectors called for non-vector approach " + a.String())
-	}
-}
-
-// pageInput assembles the lazy multi-representation clusterer input for a
-// page set, together with the memoized signature and vector accessors the
-// model builder shares with the clustering call — each page's signature
-// and vector is computed at most once per extraction, no matter how many
-// stages consume it. The interned view is the primary one: the
-// vector-space clusterers consume it directly, and the string-keyed Vecs
-// view is its (bit-identical) projection, so requesting both never
-// weights the signatures twice.
-//
-// For the non-vector approaches the vector view is the TFIDF tag space:
-// their clusterers never request it, but it remains available both for
-// centroid-based assignment in a Model and for selecting a vector-space
-// clusterer by name on top of any approach.
-func pageInput(pages []*corpus.Page, cfg Config) (in cluster.Input, sigs func() []map[string]int, vecs func() []vector.Sparse) {
-	a := cfg.Approach
-	sigs = cluster.Memo(func() []map[string]int {
-		if a.IsVector() && a.ContentBased() {
-			return ContentSignatures(pages)
-		}
-		return TagSignatures(pages)
-	})
-	interned := cluster.Memo(func() vector.Interned {
-		if a.IsVector() {
-			return SignatureVectorsInterned(sigs(), a)
-		}
-		return vector.TFIDFInterned(sigs())
-	})
-	vecs = cluster.Memo(func() []vector.Sparse {
-		return interned().ToSparse()
-	})
-	in = cluster.Input{
+// newInput assembles the multi-representation clusterer input over pages
+// around their vector view. The size, URL, and tag-tree views read the
+// pages lazily, each at most once, so a clusterer pays only for the view
+// it consumes.
+func newInput(pages []*corpus.Page, interned func() vector.Interned) cluster.Input {
+	return cluster.Input{
 		N:        len(pages),
 		Interned: interned,
-		Vecs:     vecs,
 		Sizes: cluster.Memo(func() []int {
 			sizes := make([]int, len(pages))
 			for i, p := range pages {
@@ -148,7 +100,6 @@ func pageInput(pages []*corpus.Page, cfg Config) (in cluster.Input, sigs func() 
 			return trees
 		}),
 	}
-	return in, sigs, vecs
 }
 
 // clustererFor resolves the clusterer a configuration selects: the named
@@ -177,9 +128,22 @@ func clusterPages(in cluster.Input, cfg Config) (cluster.Result, error) {
 
 // ClusterPages partitions pages into cfg.K clusters using the configured
 // approach (and clusterer, when one is named) and returns the clustering
-// plus its internal similarity (for centroid-based approaches).
+// plus its internal similarity (for centroid-based approaches). Unlike
+// Phase1 it is lazy: the vector view is weighted only if the clusterer
+// asks for it, so the size, URL, and random baselines run without
+// parsing a page (Figure 5 times them that way).
 func ClusterPages(pages []*corpus.Page, cfg Config) (cluster.Clustering, float64) {
-	in, _, _ := pageInput(pages, cfg)
+	a := cfg.Approach
+	in := newInput(pages, cluster.Memo(func() vector.Interned {
+		sigs := make([]map[string]int, len(pages))
+		for i, p := range pages {
+			sigs[i] = signatureOf(p, a)
+		}
+		if a.RawWeighted() {
+			return vector.RawFrequencyInterned(sigs)
+		}
+		return vector.TFIDFInterned(sigs)
+	}))
 	res, err := clusterPages(in, cfg)
 	if err != nil {
 		//thorlint:allow no-panic-in-lib programmer-error guard; preserved behavior of the pre-registry closed-enum dispatch
@@ -191,10 +155,69 @@ func ClusterPages(pages []*corpus.Page, cfg Config) (cluster.Clustering, float64
 // Phase1 runs the page clustering phase: cluster the sampled pages, then
 // rank the clusters by likelihood of containing QA-Pagelets using the
 // linear combination of average distinct terms, average fanout, and
-// average page size (Section 3.1.3).
+// average page size (Section 3.1.3). It is BuildModel's own phase-one
+// step, so its clusters and ranking are the ones a model is built on.
 func Phase1(pages []*corpus.Page, cfg Config) Phase1Result {
-	cl, sim := ClusterPages(pages, cfg)
-	return rankClusters(pages, cl, sim)
+	p1, err := phase1(corpus.NewSliceSource(pages), cfg, false)
+	if err != nil {
+		//thorlint:allow no-panic-in-lib programmer-error guard; a slice source never errors, so only an unknown clusterer name reaches here
+		panic("core: " + err.Error())
+	}
+	return p1.res
+}
+
+// phaseOne is the outcome of a build's phase-one step: the pages with
+// their interned training vectors and document frequencies, the
+// clusterer's result, and the ranked clusters.
+type phaseOne struct {
+	pages    []*corpus.Page
+	df       map[string]int
+	interned vector.Interned
+	cres     cluster.Result
+	res      Phase1Result
+}
+
+// phase1 is the phase-one step of a build. Pass 1 streams the pages,
+// folding each into its raw count vector, its ranking scalars, and the
+// DF table; with release set, each page's derived views are dropped
+// before the next is drawn. Pass 2 DF-weights, normalizes, and interns
+// the vectors: one Dict over the training vocabulary is the clustering
+// space and — stored on the Model — the assignment space for fresh
+// pages. The pages are then clustered and the clusters ranked from the
+// scalars captured in pass 1. A non-EOF error from the source aborts the
+// step and is returned.
+func phase1(src corpus.Source, cfg Config, release bool) (*phaseOne, error) {
+	a := cfg.Approach
+	acc := vector.NewAccumulator(a.RawWeighted())
+	var pages []*corpus.Page
+	var stats []pageStat
+	for {
+		p, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		acc.Add(signatureOf(p, a))
+		stats = append(stats, statOf(p))
+		if release {
+			p.ReleaseDerived()
+		}
+		pages = append(pages, p)
+	}
+	interned := acc.FinishInterned()
+	cres, err := clusterPages(newInput(pages, func() vector.Interned { return interned }), cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &phaseOne{
+		pages:    pages,
+		df:       acc.DF(),
+		interned: interned,
+		cres:     cres,
+		res:      rankClustersFromStats(pages, stats, cres.Clustering, cres.Similarity),
+	}, nil
 }
 
 // pageStat holds the per-page scalars the cluster ranking consumes —
@@ -213,20 +236,9 @@ func statOf(p *corpus.Page) pageStat {
 	return pageStat{distinctTerms: t.DistinctTerms(), maxFanout: t.MaxFanout(), size: p.Size()}
 }
 
-// rankClusters builds and ranks the per-cluster statistics of Section
-// 3.1.3 over an existing clustering, reading the per-page scalars from
-// the (lazily cached) page trees.
-func rankClusters(pages []*corpus.Page, cl cluster.Clustering, sim float64) Phase1Result {
-	stats := make([]pageStat, len(pages))
-	for i, p := range pages {
-		stats[i] = statOf(p)
-	}
-	return rankClustersFromStats(pages, stats, cl, sim)
-}
-
-// rankClustersFromStats is rankClusters over precomputed per-page stats:
-// the accumulation order and arithmetic are identical, so the streaming
-// and eager builds rank bit-identically.
+// rankClustersFromStats builds and ranks the per-cluster statistics of
+// Section 3.1.3 over an existing clustering, reading the per-page
+// scalars from stats (indexed like pages).
 func rankClustersFromStats(pages []*corpus.Page, stats []pageStat, cl cluster.Clustering, sim float64) Phase1Result {
 	res := Phase1Result{Clustering: cl, InternalSimilarity: sim}
 	for id, members := range cl.Clusters {

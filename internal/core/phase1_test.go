@@ -68,16 +68,6 @@ func TestClusterPagesAllApproachesPartition(t *testing.T) {
 	}
 }
 
-func TestPageVectorsPanicsForNonVectorApproach(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("PageVectors(SizeBased) did not panic")
-		}
-	}()
-	pages, _ := miniCorpus()
-	PageVectors(pages, SizeBased)
-}
-
 func TestPhase1RankingFavorsContentRichClusters(t *testing.T) {
 	pages, _ := miniCorpus()
 	cfg := DefaultConfig()

@@ -18,8 +18,8 @@ import (
 // the arena-backed parser (the page's entire tag tree lives in its arena
 // and is released wholesale when the scratch returns to the pool), the
 // signature scratch that replaces the per-request count map, the interning
-// scratch that replaces Vectorize's weight map and string-keyed Sparse,
-// and the candidate-scoring buffers of the wrapper pass. One scratch
+// scratch the page vector is weighted into, and the candidate-scoring
+// buffers of the wrapper pass. One scratch
 // serves one request at a time; concurrent requests each Get their own.
 type applyScratch struct {
 	parser *htmlx.Parser
@@ -62,12 +62,10 @@ func (m *Model) applyWeighting() vector.Weighting {
 
 // ApplyHTML extracts the QA-Pagelet path from one fresh page given its raw
 // HTML — the pooled serve path. It is Apply with the page-cache layers cut
-// out: the HTML is parsed into a pooled arena (no garbage-collected tree),
-// the signature is counted into pooled scratch (no fresh map), the vector
-// is interned directly in ID space (no intermediate weight map or
-// string-keyed Sparse), the nearest centroid is chosen with the same
-// AssignNearest kernel, and the chosen wrapper scores candidates with
-// scratch-backed path simplification and edit distance. Only the winning
+// out: the HTML is parsed into a pooled arena (no garbage-collected tree)
+// and the signature is counted into pooled scratch (no fresh map); the
+// weighting, the nearest-centroid assignment, and the wrapper's
+// scratch-backed candidate scoring are Apply's own. Only the winning
 // node's indexed path is materialized; every node and buffer behind it is
 // released wholesale when the scratch returns to the pool — safe because
 // the returned path is a fresh string and shares nothing with the arena.

@@ -27,10 +27,10 @@ func benchModel(b *testing.B) (*Model, []string) {
 	return m, htmls
 }
 
-// BenchmarkApplyLegacy measures serving one request through the
-// pre-pipeline path: wrap the bytes in a corpus.Page (heap parse, cached
-// tree and signature maps, string-space vectorize) and Apply.
-func BenchmarkApplyLegacy(b *testing.B) {
+// BenchmarkApplyPage measures serving one request through Apply: wrap
+// the bytes in a corpus.Page (heap parse, cached tree and signature map),
+// then the weighting, assignment, and wrapper scoring ApplyHTML shares.
+func BenchmarkApplyPage(b *testing.B) {
 	m, htmls := benchModel(b)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -43,7 +43,7 @@ func BenchmarkApplyLegacy(b *testing.B) {
 }
 
 // BenchmarkApplyHTML measures the same requests through the pooled
-// pipeline — arena parse, scratch signature, ID-space interning,
+// pipeline — arena parse, scratch signature, ID-space weighting,
 // CosineUnit assignment, scratch extraction. allocs/op is the headline:
 // ~0 in steady state.
 func BenchmarkApplyHTML(b *testing.B) {

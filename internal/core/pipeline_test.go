@@ -17,7 +17,8 @@ type applyVerdict struct {
 }
 
 // buildModelForApproach builds a model over one probed site with the
-// given approach.
+// given approach and returns the reference path's verdicts on fresh
+// pages, after checking that Apply reproduces them.
 func buildModelForApproach(t *testing.T, a Approach) (*Model, []applyVerdict, []string) {
 	t.Helper()
 	col := probeSite(t, 4, 11)
@@ -33,12 +34,16 @@ func buildModelForApproach(t *testing.T, a Approach) (*Model, []applyVerdict, []
 	verdicts := make([]applyVerdict, len(fresh.Pages))
 	htmls := make([]string, len(fresh.Pages))
 	for i, p := range fresh.Pages {
+		want := applyRef(m, p)
 		pls, err := m.Apply(p)
 		if err != nil {
 			t.Fatalf("%v: Apply: %v", a, err)
 		}
-		if len(pls) > 0 {
-			verdicts[i] = applyVerdict{Path: pls[0].Path, Found: true}
+		if !reflect.DeepEqual(pls, want) {
+			t.Fatalf("%v page %d: Apply differs from the reference path", a, i)
+		}
+		if len(want) > 0 {
+			verdicts[i] = applyVerdict{Path: want[0].Path, Found: true}
 		}
 		htmls[i] = p.HTML
 	}
@@ -47,7 +52,7 @@ func buildModelForApproach(t *testing.T, a Approach) (*Model, []applyVerdict, []
 
 // TestApplyHTMLMatchesApplyAllApproaches pins the pooled pipeline's
 // verdict — assigned wrapper and extracted pagelet path — bit-identical
-// to the legacy Apply on every approach that can build a model: the
+// to Apply and to the string-keyed reference path on every approach that can build a model: the
 // TFIDF/raw × tags/content grid plus a non-vector baseline, over fresh
 // pages the model never saw (match and no-match pages alike).
 func TestApplyHTMLMatchesApplyAllApproaches(t *testing.T) {
@@ -164,7 +169,7 @@ func TestAssignNearestMatchesCosineLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, page := range fresh.Pages {
-		v := m.Dict.Intern(m.Vectorize(page))
+		v := m.Dict.Intern(vectorizeRef(m, page))
 		wantBest, wantSim := 0, -1.0
 		for c, ctr := range m.Centroids {
 			if sim := v.Cosine(ctr); sim > wantSim {
@@ -182,7 +187,7 @@ func TestAssignNearestMatchesCosineLoop(t *testing.T) {
 // TestInternCountsMatchesVectorizeIntern pins the fused serve-path
 // vectorization against the composition it replaces, on real pages with
 // unseen vocabulary: Dict.InternCounts(signature counts) must equal
-// Dict.Intern(Vectorize(page)) bit for bit — IDs, weights, and cached
+// Dict.Intern(vectorizeRef(page)) bit for bit — IDs, weights, and cached
 // norm — for both weighting branches.
 func TestInternCountsMatchesVectorizeIntern(t *testing.T) {
 	for _, a := range []Approach{TFIDFTags, RawTags, TFIDFContent, RawContent} {
@@ -198,11 +203,11 @@ func TestInternCountsMatchesVectorizeIntern(t *testing.T) {
 		}
 		var scratch vector.InternScratch
 		for _, page := range fresh.Pages {
-			want := m.Dict.Intern(m.Vectorize(page))
-			got := m.Dict.InternCounts(m.signatureCounts(page), m.applyWeighting(), &scratch)
+			want := m.Dict.Intern(vectorizeRef(m, page))
+			got := m.Dict.InternCounts(signatureOf(page, m.Cfg.Approach), m.applyWeighting(), &scratch)
 			if got.Norm() != want.Norm() || !reflect.DeepEqual(got.IDs, want.IDs) ||
 				!reflect.DeepEqual(got.Weights, want.Weights) {
-				t.Fatalf("%v page %s: InternCounts differs from Intern(Vectorize)", a, page.URL)
+				t.Fatalf("%v page %s: InternCounts differs from Intern(vectorizeRef)", a, page.URL)
 			}
 		}
 	}

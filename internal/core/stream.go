@@ -1,13 +1,9 @@
 package core
 
 import (
-	"io"
-
 	"thor/internal/cluster"
 	"thor/internal/corpus"
 	"thor/internal/parallel"
-	"thor/internal/tagtree"
-	"thor/internal/vector"
 )
 
 // BuildModelFromSource runs the two-phase analysis over a page stream
@@ -37,75 +33,15 @@ func (e *Extractor) BuildModelFromSource(src corpus.Source) (*Model, error) {
 // its node identities) with later scoring, so it must not.
 func (e *Extractor) buildModel(src corpus.Source, release bool) (*Model, error) {
 	cfg := e.cfg
-	a := cfg.Approach
-
-	// Pass 1: stream the pages, folding each into its raw count vector,
-	// its ranking scalars, and the DF table.
-	acc := vector.NewAccumulator(a.RawWeighted())
-	var pages []*corpus.Page
-	var stats []pageStat
-	for {
-		p, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if a.IsVector() && a.ContentBased() {
-			acc.Add(p.ContentSignature())
-		} else {
-			acc.Add(p.TagSignature())
-		}
-		stats = append(stats, statOf(p))
-		if release {
-			p.ReleaseDerived()
-		}
-		pages = append(pages, p)
-	}
-
-	// Pass 2: DF-weight, normalize, and intern. The interned vectors (one
-	// Dict over the training vocabulary, integer IDs, cached norms) are
-	// the clustering space, the centroid fallback space, and — via the
-	// dictionary stored on the Model — the assignment space for fresh
-	// pages. The string-keyed view is only materialized if a clusterer
-	// outside the vector-space family asks for it.
-	interned := acc.FinishInterned()
-	in := cluster.Input{
-		N:        len(pages),
-		Interned: func() vector.Interned { return interned },
-		Vecs:     cluster.Memo(func() []vector.Sparse { return interned.ToSparse() }),
-		Sizes: cluster.Memo(func() []int {
-			sizes := make([]int, len(stats))
-			for i, s := range stats {
-				sizes[i] = s.size
-			}
-			return sizes
-		}),
-		URLs: cluster.Memo(func() []string {
-			urls := make([]string, len(pages))
-			for i, p := range pages {
-				urls[i] = p.URL
-			}
-			return urls
-		}),
-		Trees: cluster.Memo(func() []*tagtree.Node {
-			trees := make([]*tagtree.Node, len(pages))
-			for i, p := range pages {
-				trees[i] = p.Tree()
-			}
-			return trees
-		}),
-	}
-	cres, err := clusterPages(in, cfg)
+	p1, err := phase1(src, cfg, release)
 	if err != nil {
 		return nil, err
 	}
 
 	// Training-set extraction, identical to the historical fused Extract:
-	// rank the clusters, run phase two over the top m concurrently, each
+	// run phase two over the top m ranked clusters concurrently, each
 	// cluster on its own derived seed.
-	res := &Result{Phase1: rankClustersFromStats(pages, stats, cres.Clustering, cres.Similarity)}
+	res := &Result{Phase1: p1.res}
 	m := cfg.TopClusters
 	if m > len(res.Phase1.Ranked) {
 		m = len(res.Phase1.Ranked)
@@ -118,36 +54,25 @@ func (e *Extractor) buildModel(src corpus.Source, release bool) (*Model, error) 
 		res.Pagelets = append(res.Pagelets, p2.Pagelets...)
 	}
 
+	interned := p1.interned
 	model := &Model{
 		Cfg:       cfg,
-		NDocs:     len(pages),
-		DF:        acc.DF(),
+		NDocs:     len(p1.pages),
+		DF:        p1.df,
 		Dict:      interned.Dict,
-		Centroids: cres.IDCentroids,
-		Wrappers:  make([]*Wrapper, cres.Clustering.K),
+		Centroids: p1.cres.Centroids,
+		Wrappers:  make([]*Wrapper, p1.cres.Clustering.K),
 		training:  res,
 	}
 	if model.Centroids == nil {
-		switch {
-		case cres.Centroids != nil:
-			// A clusterer that produced string-keyed centroids only (none
-			// of the built-ins do when handed interned input): intern them
-			// into the model's assignment space.
-			ids := make([]vector.IDVec, len(cres.Centroids))
-			for i, c := range cres.Centroids {
-				ids[i] = interned.Dict.Intern(c)
-			}
-			model.Centroids = ids
-		default:
-			// Non-centroid clusterers (size, URL, random, tree-edit):
-			// derive assignment centroids from the clustering in the
-			// shared vector space.
-			model.Centroids = cluster.ClusterCentroidsInterned(interned.Vecs, cres.Clustering, interned.Dict.Len())
-		}
+		// Non-centroid clusterers (size, URL, random, tree-edit): derive
+		// assignment centroids from the clustering in the shared vector
+		// space.
+		model.Centroids = cluster.ClusterCentroidsInterned(interned.Vecs, p1.cres.Clustering, interned.Dict.Len())
 	}
 	// The drift baseline is computed against the *final* assignment
-	// centroids (after any fallback above), so it describes exactly the
-	// geometry fresh pages will be assigned in.
+	// centroids, so it describes exactly the geometry fresh pages will be
+	// assigned in.
 	model.Baseline = computeBaseline(interned.Vecs, model.Centroids)
 	for ci, pc := range res.PassedClusters {
 		w, err := e.BuildWrapper(res.PerCluster[ci])

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"thor/internal/corpus"
@@ -10,15 +12,19 @@ import (
 // vectorizeModel builds a tiny model directly — trained vocabulary {a: p,
 // table, td} — so a page with unseen tags exercises the
 // out-of-vocabulary rules of both weighting branches deterministically.
-func vectorizeModel(a Approach) *Model {
+func vectorizeModel(a Approach, df map[string]int) *Model {
 	cfg := DefaultConfig()
 	cfg.Approach = a
 	return &Model{
 		Cfg:   cfg,
 		NDocs: 4,
-		DF:    map[string]int{"p": 4, "table": 2, "td": 1},
+		DF:    df,
+		Dict:  vector.NewDict([]string{"p", "table", "td"}),
 	}
 }
+
+// trainedDF is the tiny model's training document frequencies.
+func trainedDF() map[string]int { return map[string]int{"p": 4, "table": 2, "td": 1} }
 
 // oovPage holds trained tags (p, table, td) alongside tags no training
 // page had (blink, marquee).
@@ -29,45 +35,64 @@ func oovPage() *corpus.Page {
 	</body></html>`}
 }
 
-// TestVectorizeRawKeepsOOVTerms: the raw branch must normalize over
-// every term of the page — unseen vocabulary included — exactly as
-// FromCounts().Normalize() does, and never consult the DF table.
+// applyVector is the page vector the apply path assigns: the page's
+// signature weighted in the model's training space.
+func applyVector(m *Model, page *corpus.Page) vector.IDVec {
+	var s vector.InternScratch
+	return m.Dict.InternCounts(signatureOf(page, m.Cfg.Approach), m.applyWeighting(), &s).Clone()
+}
+
+// sameIDVec reports whether two interned vectors agree bit for bit:
+// IDs, weights, and cached norm.
+func sameIDVec(a, b vector.IDVec) bool {
+	return a.Norm() == b.Norm() && reflect.DeepEqual(a.IDs, b.IDs) && reflect.DeepEqual(a.Weights, b.Weights) //thorlint:allow no-float-eq bit-identity is the contract under test
+}
+
+// TestVectorizeRawKeepsOOVTerms: the raw branch of the apply path's
+// vectorization must normalize over every term of the page — unseen
+// vocabulary included — exactly as FromCounts().Normalize() does, and
+// never consult the DF table.
 func TestVectorizeRawKeepsOOVTerms(t *testing.T) {
-	m := vectorizeModel(RawTags)
+	m := vectorizeModel(RawTags, trainedDF())
 	page := oovPage()
-	got := m.Vectorize(page)
-	want := vector.FromCounts(page.TagSignature()).Normalize()
-	if !vector.Equal(got, want) {
-		t.Fatalf("raw Vectorize = %+v, want FromCounts.Normalize = %+v", got, want)
+	got := applyVector(m, page)
+	want := m.Dict.Intern(vector.FromCounts(page.TagSignature()).Normalize())
+	if !sameIDVec(got, want) {
+		t.Fatalf("raw vector = %+v, want Intern(FromCounts.Normalize) = %+v", got, want)
 	}
-	if got.Weight("blink") == 0 || got.Weight("marquee") == 0 {
-		t.Errorf("raw branch dropped out-of-vocabulary terms: %+v", got)
+	// Out-of-vocabulary terms leave the ID list but stay in the norm.
+	var inDict float64
+	for _, w := range got.Weights {
+		inDict += w * w
+	}
+	if math.Sqrt(inDict) >= got.Norm() {
+		t.Errorf("raw branch dropped out-of-vocabulary terms from the norm: %v ≥ %v", math.Sqrt(inDict), got.Norm())
 	}
 	// DF must not influence raw weighting: same page, emptied DF table.
-	m.DF = map[string]int{}
-	if !vector.Equal(m.Vectorize(page), want) {
+	if !sameIDVec(applyVector(vectorizeModel(RawTags, map[string]int{}), page), want) {
 		t.Error("raw branch consulted the DF table")
 	}
 }
 
-// TestVectorizeTFIDFDropsDFMisses: the TFIDF branch drops terms with no
-// document frequency before weighting and normalizes over the survivors,
-// matching the per-term TFIDFWeight composition.
+// TestVectorizeTFIDFDropsDFMisses: the TFIDF branch of the apply path's
+// vectorization drops terms with no document frequency before weighting
+// and normalizes over the survivors, matching the per-term TFIDFWeight
+// composition.
 func TestVectorizeTFIDFDropsDFMisses(t *testing.T) {
-	m := vectorizeModel(TFIDFTags)
+	m := vectorizeModel(TFIDFTags, trainedDF())
 	page := oovPage()
-	got := m.Vectorize(page)
-	if got.Weight("blink") != 0 || got.Weight("marquee") != 0 {
-		t.Errorf("TFIDF branch kept df-less terms: %+v", got)
-	}
+	got := applyVector(m, page)
 	weighted := make(map[string]float64)
 	for term, tf := range page.TagSignature() {
 		if df := m.DF[term]; df > 0 {
 			weighted[term] = vector.TFIDFWeight(tf, m.NDocs, df)
 		}
 	}
-	want := vector.FromMap(weighted).Normalize()
-	if !vector.Equal(got, want) {
-		t.Fatalf("TFIDF Vectorize = %+v, want weighted composition = %+v", got, want)
+	want := m.Dict.Intern(vector.FromMap(weighted).Normalize())
+	if !sameIDVec(got, want) {
+		t.Fatalf("TFIDF vector = %+v, want weighted composition = %+v", got, want)
+	}
+	if math.Abs(got.Norm()-1) > 1e-12 {
+		t.Errorf("TFIDF branch kept df-less terms in the norm: %v", got.Norm())
 	}
 }

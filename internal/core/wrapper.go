@@ -99,25 +99,30 @@ func (e *Extractor) BuildWrapper(res *Phase2Result) (*Wrapper, error) {
 // profile, or nil when no candidate comes close enough (e.g. the page is a
 // no-match or error page).
 func (w *Wrapper) Extract(tree *tagtree.Node) (*tagtree.Node, float64) {
-	best, bestD := (*tagtree.Node)(nil), math.Inf(1)
-	for _, cand := range SinglePageCandidates(tree, 0) {
-		if d := w.distance(cand); d < bestD {
-			best, bestD = cand.Node, d
-		}
-	}
-	if best == nil || bestD > w.MaxDistance {
-		return nil, bestD
-	}
-	return best, bestD
+	s := applyPool.Get().(*applyScratch)
+	defer applyPool.Put(s)
+	return w.match(tree, s)
 }
 
-// extractPath is Extract for the pooled apply pipeline: the same
-// traversal (hasToken/isMinimal pruning in document order), the same
-// distance arithmetic, and the same strict-less winner rule — but over an
-// arena-backed tree, with each candidate's simplified path and shape
-// metrics computed into scratch buffers instead of Candidate allocations,
-// and only the winning node's indexed path materialized as a string.
+// extractPath is Extract for the pooled apply pipeline: only the winning
+// node's indexed path is materialized, as a string that outlives the
+// arena-backed tree.
 func (w *Wrapper) extractPath(tree *tagtree.Node, s *applyScratch) (string, bool, error) {
+	n, _ := w.match(tree, s)
+	if n == nil {
+		return "", false, nil
+	}
+	return s.pathString(n), true, nil
+}
+
+// match walks the page's candidate subtrees — tag nodes carrying text,
+// minimal ones only (SinglePageCandidates' pruning, in document order) —
+// scores each against the profile, and returns the first strict-less
+// minimum and its distance. The node is nil when there is no candidate
+// or the best one is farther than MaxDistance. Each candidate's
+// simplified path and shape metrics are computed into scratch buffers,
+// with no per-candidate allocation.
+func (w *Wrapper) match(tree *tagtree.Node, s *applyScratch) (*tagtree.Node, float64) {
 	best, bestD := (*tagtree.Node)(nil), math.Inf(1)
 	tree.Walk(func(n *tagtree.Node) bool {
 		if n.Type != tagtree.TagNode {
@@ -129,23 +134,23 @@ func (w *Wrapper) extractPath(tree *tagtree.Node, s *applyScratch) (string, bool
 		if !isMinimal(n) {
 			return true
 		}
-		if d := w.distancePooled(n, s); d < bestD {
+		if d := w.nodeDistance(n, s); d < bestD {
 			best, bestD = n, d
 		}
 		return true
 	})
 	if best == nil || bestD > w.MaxDistance {
-		return "", false, nil
+		return nil, bestD
 	}
-	return s.pathString(best), true, nil
+	return best, bestD
 }
 
-// distancePooled is distance over a live node instead of a Candidate: the
-// path term compares the cached simplified profile path against the
-// candidate's simplified path built in scratch bytes, and the three shape
-// terms read the node's metrics directly. Term for term the arithmetic is
-// distance's, so the scores are bit-identical.
-func (w *Wrapper) distancePooled(n *tagtree.Node, s *applyScratch) float64 {
+// nodeDistance scores a candidate node against the wrapper profile using
+// the paper's four-term shape distance with averaged reference values:
+// the edit distance between the cached simplified profile path and the
+// candidate's simplified path (built in scratch bytes), then the three
+// shape terms read off the node.
+func (w *Wrapper) nodeDistance(n *tagtree.Node, s *applyScratch) float64 {
 	var d float64
 	if w.Weights[0] != 0 && len(w.Paths) > 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
 		d += w.Weights[0] * strdist.NormalizedBytes(w.topPath(), s.simplifiedPath(n, w.simp), &s.lev)
@@ -158,25 +163,6 @@ func (w *Wrapper) distancePooled(n *tagtree.Node, s *applyScratch) float64 {
 	}
 	if w.Weights[3] != 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
 		d += w.Weights[3] * ratioDiffF(w.Nodes, float64(n.NodeCount()))
-	}
-	return d
-}
-
-// distance scores a candidate against the wrapper profile using the
-// paper's four-term shape distance with averaged reference values.
-func (w *Wrapper) distance(c *Candidate) float64 {
-	var d float64
-	if w.Weights[0] != 0 && len(w.Paths) > 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
-		d += w.Weights[0] * strdist.Normalized(w.topPath(), w.simp.SimplifyPath(c.Path))
-	}
-	if w.Weights[1] != 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
-		d += w.Weights[1] * ratioDiffF(w.Fanout, float64(c.Fanout))
-	}
-	if w.Weights[2] != 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
-		d += w.Weights[2] * ratioDiffF(w.Depth, float64(c.Depth))
-	}
-	if w.Weights[3] != 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
-		d += w.Weights[3] * ratioDiffF(w.Nodes, float64(c.Nodes))
 	}
 	return d
 }

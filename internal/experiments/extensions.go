@@ -70,13 +70,11 @@ func BisectingAblation(o Options) *TableResult {
 		var entSum, purSum float64
 		for _, col := range corp.Collections {
 			pages := col.Pages
-			interned := cluster.Memo(func() vector.Interned {
-				return vector.TFIDFInterned(core.TagSignatures(pages))
-			})
 			in := cluster.Input{
-				N:        len(pages),
-				Interned: interned,
-				Vecs:     cluster.Memo(func() []vector.Sparse { return interned().ToSparse() }),
+				N: len(pages),
+				Interned: func() vector.Interned {
+					return vector.TFIDFInterned(core.TagSignatures(pages))
+				},
 			}
 			r, err := c.Cluster(in, cluster.Config{K: o.K, Restarts: o.KMRestarts, Seed: o.Seed + int64(col.SiteID)})
 			if err != nil {

@@ -172,11 +172,9 @@ func runFig67(o Options) (entropyFig, timeFig *Figure) {
 // the sparse vectors, not 110,000 signature maps.
 //
 // The entropies are bit-identical to clustering the eagerly collected
-// slice (Sample + SignatureVectors): the sampler yields the same pages,
-// the accumulator reproduces the batch weighting exactly, and the
-// interned integer kernels the production run clusters on are
-// bit-identical to the string kernels the eager reference uses; the
-// fig6_7 contract test pins the string-vs-interned equivalence
+// slice (Sample + batch weighting): the sampler yields the same pages
+// and the accumulator reproduces the batch weighting exactly; the
+// fig6_7 contract test pins the streaming-vs-eager equivalence
 // end-to-end. Restarts are reduced at large scales, and the timed
 // region — the TFIDF finishing-and-interning pass plus a single
 // clustering run with Workers pinned to 1 — keeps charging each

@@ -18,16 +18,20 @@ import (
 // implementation of the Figure 6/7 inner loop, preserved verbatim here so
 // the contract test genuinely cross-checks two codepaths: the production
 // sweep streams pages through a Sampler and a vector.Accumulator; this
-// reference materializes the whole collection and builds batch vectors.
+// reference materializes the whole collection and weights it in one
+// batch.
 func eagerSynthInput(pages []synth.Page, a core.Approach) cluster.Input {
 	return cluster.Input{
 		N: len(pages),
-		Vecs: cluster.Memo(func() []vector.Sparse {
+		Interned: cluster.Memo(func() vector.Interned {
 			docs := synth.TagSignatures(pages)
 			if a.ContentBased() {
 				docs = synth.ContentSignatures(pages)
 			}
-			return core.SignatureVectors(docs, a)
+			if a.RawWeighted() {
+				return vector.RawFrequencyInterned(docs)
+			}
+			return vector.TFIDFInterned(docs)
 		}),
 		Sizes: cluster.Memo(func() []int { return synth.Sizes(pages) }),
 	}

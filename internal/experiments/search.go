@@ -31,10 +31,10 @@ const searchTopK = 10
 // searchShards is the segment count of the sharded engine under test.
 const searchShards = 8
 
-// SearchResult is the machine-readable outcome of SearchBenchmark: the
-// same query stream over the same synthetic QA-object corpus served by
-// the legacy exhaustive index and by the sharded block-max engine, with
-// a bit-identical cross-check between the two. The embedded table is the
+// SearchResult is the machine-readable outcome of SearchBenchmark: a
+// query stream over a synthetic QA-object corpus served by the sharded
+// block-max engine, with every distinct query cross-checked bit-identical
+// against the exhaustive BM25 reference. The embedded table is the
 // human-readable rendering.
 type SearchResult struct {
 	*TableResult
@@ -43,20 +43,15 @@ type SearchResult struct {
 	Docs   int
 	Shards int
 	// Queries is the distinct-query pool; Requests the timed stream
-	// length per engine (Queries × Reps).
+	// length (Queries × Reps).
 	Queries  int
 	Requests int
-	// LegacyBuildSeconds and ShardedBuildSeconds are the index
-	// construction walls (legacy is inherently serial; sharded builds
-	// segments with o.Workers builders).
-	LegacyBuildSeconds  float64
+	// ShardedBuildSeconds is the index construction wall (segments built
+	// with o.Workers builders).
 	ShardedBuildSeconds float64
-	// Per-engine serving measurements at o.Workers concurrent clients.
-	LegacyQPS, ShardedQPS              float64
-	LegacyP50Millis, LegacyP99Millis   float64
+	// Serving measurements at o.Workers concurrent clients.
+	ShardedQPS                         float64
 	ShardedP50Millis, ShardedP99Millis float64
-	// Speedup is ShardedQPS / LegacyQPS.
-	Speedup float64
 	// Mismatches counts queries whose sharded top-k differed from the
 	// exhaustive scan in any hit URL or score bit — the contract says 0.
 	Mismatches int
@@ -151,10 +146,11 @@ func timedSearchPass(ix qaindex.Searcher, stream []string, workers int) (secs, q
 }
 
 // SearchBenchmark measures QA-object retrieval at scale: a synthetic
-// Zipf corpus (1M objects unless o.SynthCap caps it) indexed by both the
-// legacy exhaustive index and the sharded block-max engine, every
-// distinct query cross-checked bit-identical between the two, then the
-// same stream timed against each at o.Workers concurrent clients.
+// Zipf corpus (1M objects unless o.SynthCap caps it) indexed by the
+// sharded block-max engine, every distinct query cross-checked
+// bit-identical against the exhaustive BM25 reference (qaindex.Index,
+// built untimed for the purpose), then the query stream timed at
+// o.Workers concurrent clients.
 //
 // Timings are load-dependent; the corpus, the query pool, the
 // cross-check verdict, and the result digest are deterministic and
@@ -171,15 +167,13 @@ func SearchBenchmark(o Options) *SearchResult {
 	corpus := synthSearchDocs(docs, sites, o.Seed+4000, o.Workers)
 
 	start := time.Now()
-	legacy := &qaindex.Index{}
-	for _, d := range corpus {
-		legacy.AddText(d.SiteID, d.SiteName, d.ProbeQuery, d.PageURL, d.Text)
-	}
-	out.LegacyBuildSeconds = time.Since(start).Seconds()
-
-	start = time.Now()
 	sharded := qaindex.BuildSharded(corpus, searchShards, o.Workers)
 	out.ShardedBuildSeconds = time.Since(start).Seconds()
+
+	reference := &qaindex.Index{}
+	for _, d := range corpus {
+		reference.AddText(d.SiteID, d.SiteName, d.ProbeQuery, d.PageURL, d.Text)
+	}
 
 	// Cross-check every distinct query: the sharded top-k must be
 	// bit-identical to the exhaustive scan. The digest fingerprints the
@@ -188,7 +182,7 @@ func SearchBenchmark(o Options) *SearchResult {
 	h := sha256.New()
 	var scoreBits [8]byte
 	for _, q := range queries {
-		want := legacy.Search(q, searchTopK)
+		want := reference.Search(q, searchTopK)
 		got := sharded.Search(q, searchTopK)
 		ok := len(want) == len(got)
 		for i := 0; ok && i < len(want); i++ {
@@ -214,17 +208,11 @@ func SearchBenchmark(o Options) *SearchResult {
 	}
 	out.Requests = len(stream)
 
-	// Warm both engines' pools, then time each on the identical stream.
-	legacy.Search(queries[0], searchTopK)
+	// Warm the engine's pools, then time the stream.
 	sharded.Search(queries[0], searchTopK)
-	var legacySecs, shardedSecs float64
-	legacySecs, out.LegacyQPS, out.LegacyP50Millis, out.LegacyP99Millis =
-		timedSearchPass(legacy, stream, o.Workers)
+	var shardedSecs float64
 	shardedSecs, out.ShardedQPS, out.ShardedP50Millis, out.ShardedP99Millis =
 		timedSearchPass(sharded, stream, o.Workers)
-	if out.LegacyQPS > 0 {
-		out.Speedup = out.ShardedQPS / out.LegacyQPS
-	}
 
 	res := &TableResult{
 		Title: fmt.Sprintf("QA-object search: %d objects, %d queries ×%d reps, top-%d, %d shards",
@@ -232,15 +220,12 @@ func SearchBenchmark(o Options) *SearchResult {
 		Header: []string{"seconds", "qps", "p50-ms", "p99-ms"},
 	}
 	res.Rows = append(res.Rows,
-		Row{Label: "legacy scan", Values: []float64{legacySecs, out.LegacyQPS, out.LegacyP50Millis, out.LegacyP99Millis}},
 		Row{Label: "sharded", Values: []float64{shardedSecs, out.ShardedQPS, out.ShardedP50Millis, out.ShardedP99Millis}},
 	)
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("builds: legacy %.1fs serial, sharded %.1fs at %d workers",
-			out.LegacyBuildSeconds, out.ShardedBuildSeconds, parallel.Workers(o.Workers)),
+		fmt.Sprintf("build: %.1fs at %d workers", out.ShardedBuildSeconds, parallel.Workers(o.Workers)),
 		fmt.Sprintf("cross-check: %d/%d queries bit-identical to exhaustive BM25 (contract: all), digest %.12s…",
 			out.Queries-out.Mismatches, out.Queries, out.Digest),
-		fmt.Sprintf("sharded speedup: %.1fx queries/sec over the exhaustive scan", out.Speedup),
 	)
 	out.TableResult = res
 	return out

@@ -35,24 +35,23 @@ func buildServeModel(o Options, siteID int, pages []*corpus.Page) *core.Model {
 }
 
 // ServeResult is the machine-readable outcome of ServeBenchmark: the
-// one-time model-build cost against both per-page apply paths — the
-// legacy Apply over cached corpus pages and the pooled ApplyHTML that
-// serves raw request bytes — plus the serving quality the latency buys.
-// The embedded table is the human-readable rendering.
+// one-time model-build cost against the per-page cost of serving raw
+// request bytes through ApplyHTML, plus the serving quality the latency
+// buys. The embedded table is the human-readable rendering.
 type ServeResult struct {
 	*TableResult
 
-	// Pages is the number of fresh pages served per path.
+	// Pages is the number of fresh pages served.
 	Pages int
 	// BuildSeconds is the serial model-build total across sites.
 	BuildSeconds float64
-	// LegacyApplySeconds and PooledApplySeconds are the serial per-page
-	// apply totals of the two paths over the same fresh pages.
-	LegacyApplySeconds float64
-	PooledApplySeconds float64
-	// Mismatches counts pages where the pooled path's verdict differed
-	// from Apply's — always 0; the paths are contract-tested
-	// bit-identical, and the benchmark cross-checks anyway.
+	// ApplySeconds is the serial per-page ApplyHTML total over the fresh
+	// pages.
+	ApplySeconds float64
+	// Mismatches counts pages where ApplyHTML's verdict differed from
+	// Apply's over the cached page — always 0; the paths are
+	// contract-tested bit-identical, and the benchmark cross-checks
+	// anyway.
 	Mismatches int
 	// Precision and Recall score the served extractions against ground
 	// truth.
@@ -62,13 +61,13 @@ type ServeResult struct {
 // ServeBenchmark measures the staged engine's train-once/serve-many
 // split: for each site, the one-time cost of BuildModel over the probed
 // sample versus the per-page cost of serving a second, fresh probe round
-// the model never saw — once through the legacy Model.Apply (parse into a
-// cached tree, map-built signature, string-space vectorize) and once
-// through the pooled Model.ApplyHTML pipeline (arena parse, scratch
-// signature, direct ID-space interning). Timing is serial (one site, one
-// page at a time), like the paper's timing figures; the fresh pages are
-// also scored against ground truth so the table shows what serving
-// quality the latency buys.
+// the model never saw through Model.ApplyHTML (arena parse, scratch
+// signature, direct ID-space interning) — the path a server runs on
+// request bytes. Timing is serial (one site, one page at a time), like
+// the paper's timing figures. Outside the timed region the fresh pages
+// are also run through Model.Apply, whose verdicts must match and whose
+// pagelets are scored against ground truth, so the table shows what
+// serving quality the latency buys.
 func ServeBenchmark(o Options) *ServeResult {
 	sites := deepweb.NewSites(o.Sites, o.Seed)
 	trainProber := &probe.Prober{Plan: probe.NewPlan(o.DictWords, o.Nonsense, o.Seed+1000), Labeler: deepweb.Labeler()}
@@ -88,24 +87,9 @@ func ServeBenchmark(o Options) *ServeResult {
 
 		fresh := serveProber.ProbeSite(s)
 
-		// Legacy path: Apply over the corpus pages (each page caches its
-		// parsed tree and signature on first touch, inside the timed
-		// region, exactly as before).
-		var pagelets []*core.Pagelet
-		start = time.Now()
-		for _, p := range fresh.Pages {
-			pls, err := m.Apply(p)
-			if err != nil {
-				//thorlint:allow no-panic-in-lib programmer-error guard; Apply errors only on nil pages or empty models
-				panic("experiments: " + err.Error())
-			}
-			pagelets = append(pagelets, pls...)
-		}
-		out.LegacyApplySeconds += time.Since(start).Seconds()
-
-		// Pooled path: ApplyHTML over the raw bytes a server would see.
-		// The timed loop keeps only the returned path strings; trees,
-		// signatures, and vectors live in pooled scratch.
+		// ApplyHTML over the raw bytes a server would see. The timed loop
+		// keeps only the returned path strings; trees, signatures, and
+		// vectors live in pooled scratch.
 		paths := make([]string, 0, len(fresh.Pages))
 		start = time.Now()
 		for _, p := range fresh.Pages {
@@ -118,11 +102,21 @@ func ServeBenchmark(o Options) *ServeResult {
 				paths = append(paths, path)
 			}
 		}
-		out.PooledApplySeconds += time.Since(start).Seconds()
+		out.ApplySeconds += time.Since(start).Seconds()
 		out.Pages += len(fresh.Pages)
 
-		// Cross-check the two paths' verdicts page for page (outside the
-		// timed regions).
+		// Apply over the corpus pages yields pagelets with their nodes for
+		// scoring; its verdicts are cross-checked against ApplyHTML's page
+		// for page.
+		var pagelets []*core.Pagelet
+		for _, p := range fresh.Pages {
+			pls, err := m.Apply(p)
+			if err != nil {
+				//thorlint:allow no-panic-in-lib programmer-error guard; Apply errors only on nil pages or empty models
+				panic("experiments: " + err.Error())
+			}
+			pagelets = append(pagelets, pls...)
+		}
 		if len(paths) != len(pagelets) {
 			out.Mismatches += diffAbs(len(paths), len(pagelets))
 		} else {
@@ -155,23 +149,14 @@ func ServeBenchmark(o Options) *ServeResult {
 	res.Rows = append(res.Rows, Row{
 		Label: "apply/page",
 		Values: []float64{
-			out.LegacyApplySeconds,
-			1000 * out.LegacyApplySeconds / float64(out.Pages),
-			float64(out.Pages) / out.LegacyApplySeconds,
-		},
-	})
-	res.Rows = append(res.Rows, Row{
-		Label: "pooled/page",
-		Values: []float64{
-			out.PooledApplySeconds,
-			1000 * out.PooledApplySeconds / float64(out.Pages),
-			float64(out.Pages) / out.PooledApplySeconds,
+			out.ApplySeconds,
+			1000 * out.ApplySeconds / float64(out.Pages),
+			float64(out.Pages) / out.ApplySeconds,
 		},
 	})
 	res.Notes = append(res.Notes,
-		"unit = site for the build row, page for the apply rows; seconds are serial totals",
-		fmt.Sprintf("pooled ApplyHTML is %.1fx the legacy Apply row (%d verdict mismatches; contract says 0)",
-			out.LegacyApplySeconds/out.PooledApplySeconds, out.Mismatches),
+		"unit = site for the build row, page for the apply row; seconds are serial totals",
+		fmt.Sprintf("ApplyHTML verdicts vs Apply: %d mismatches (contract says 0)", out.Mismatches),
 		fmt.Sprintf("served %d fresh pages: precision %.3f, recall %.3f", out.Pages, pr.Precision, pr.Recall),
 	)
 	out.TableResult = res

@@ -7,12 +7,12 @@ import (
 
 func TestServeBenchmark(t *testing.T) {
 	res := ServeBenchmark(tinyOptions())
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d, want build and the two apply paths", len(res.Rows))
+	if len(res.Rows) != 2 {
+		t.Fatalf("rows = %d, want build and apply", len(res.Rows))
 	}
-	build, apply, pooled := res.Rows[0], res.Rows[1], res.Rows[2]
-	if build.Label != "build/site" || apply.Label != "apply/page" || pooled.Label != "pooled/page" {
-		t.Fatalf("row labels %q, %q, %q", build.Label, apply.Label, pooled.Label)
+	build, apply := res.Rows[0], res.Rows[1]
+	if build.Label != "build/site" || apply.Label != "apply/page" {
+		t.Fatalf("row labels %q, %q", build.Label, apply.Label)
 	}
 	for _, r := range res.Rows {
 		for i, v := range r.Values {
@@ -27,14 +27,13 @@ func TestServeBenchmark(t *testing.T) {
 	if buildMS, applyMS := build.Values[1], apply.Values[1]; buildMS < 10*applyMS {
 		t.Errorf("build %vms/site vs apply %vms/page: per-page serving is not clearly cheaper", buildMS, applyMS)
 	}
-	// The pooled pipeline serves the same verdicts (contract-tested
+	// ApplyHTML serves the same verdicts as Apply (contract-tested
 	// bit-identical; the benchmark cross-checks page by page).
 	if res.Mismatches != 0 {
-		t.Errorf("pooled path disagreed with Apply on %d pages", res.Mismatches)
+		t.Errorf("ApplyHTML disagreed with Apply on %d pages", res.Mismatches)
 	}
-	if res.Pages <= 0 || res.PooledApplySeconds <= 0 || res.LegacyApplySeconds <= 0 {
-		t.Errorf("throughput fields not populated: pages=%d legacy=%v pooled=%v",
-			res.Pages, res.LegacyApplySeconds, res.PooledApplySeconds)
+	if res.Pages <= 0 || res.ApplySeconds <= 0 {
+		t.Errorf("throughput fields not populated: pages=%d apply=%v", res.Pages, res.ApplySeconds)
 	}
 	var quality string
 	for _, n := range res.Notes {

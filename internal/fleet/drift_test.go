@@ -75,8 +75,8 @@ func TestDriftDisabledIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestDriftInertWithoutBaseline serves a pre-v3 model (no training
-// baseline) through a drift-enabled fleet: the observer must be nil,
+// TestDriftInertWithoutBaseline serves a model assembled without a
+// training baseline through a drift-enabled fleet: the observer must be nil,
 // requests must serve normally, and the stats snapshot must show an
 // all-zero drift block.
 func TestDriftInertWithoutBaseline(t *testing.T) {
@@ -85,7 +85,7 @@ func TestDriftInertWithoutBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Baseline = nil // what a v2 snapshot loads as
+	m.Baseline = nil
 
 	f := New(Config{Drift: &lifecycle.Config{Window: 2}})
 	defer f.Close()

@@ -76,7 +76,7 @@ func (e *LoadError) Unwrap() error { return e.Err }
 // (only Register/SetDefault entries resolve).
 type Config struct {
 	// Dir is the model directory. Site <name> loads lazily from
-	// <Dir>/<name>.thor.model.gz (falling back to <name>.model.gz).
+	// <Dir>/<name>.thor.model.gz.
 	Dir string
 	// MaxModels bounds how many loaded models the registry retains;
 	// beyond it the least-recently-served unpinned entry is evicted.
@@ -105,12 +105,12 @@ type Config struct {
 	// any stream itself.
 	Logf func(format string, args ...any)
 	// Drift, when non-nil, enables lifecycle drift detection: every
-	// served entry whose model carries a training baseline (format v3)
-	// gets an observer watching its assignment distances, and a window
-	// that closes drifted triggers an in-process rebuild — mini-batch
+	// served entry whose model carries a training baseline gets an
+	// observer watching its assignment distances, and a window that
+	// closes drifted triggers an in-process rebuild — mini-batch
 	// refinement for mild drift, full retrain from the drifted pages for
 	// severe — hot-swapped in through the entry's atomic pointer. Sites
-	// whose models predate the baseline serve exactly as before. Nil
+	// whose models carry no baseline serve exactly as before. Nil
 	// (the default) disables all of it: the serving path is bit-identical
 	// to the drift-free fleet.
 	Drift *lifecycle.Config
@@ -199,20 +199,18 @@ func validSiteName(name string) bool {
 	return !strings.ContainsAny(name, "/\\")
 }
 
-// modelPath resolves the file a site loads from: the first existing
-// candidate of <site>.thor.model.gz and <site>.model.gz under Dir. When
-// neither exists it returns the primary candidate's path and fs.ErrNotExist.
+// modelPath resolves the file a site loads from: <site>.thor.model.gz
+// under Dir. When it does not exist it returns that path and
+// fs.ErrNotExist.
 func (f *Fleet) modelPath(site string) (string, error) {
 	if f.cfg.Dir == "" {
 		return "", fs.ErrNotExist
 	}
-	primary := filepath.Join(f.cfg.Dir, site+".thor.model.gz")
-	for _, p := range []string{primary, filepath.Join(f.cfg.Dir, site+".model.gz")} {
-		if _, err := os.Stat(p); err == nil {
-			return p, nil
-		}
+	p := filepath.Join(f.cfg.Dir, site+".thor.model.gz")
+	if _, err := os.Stat(p); err != nil {
+		return p, fs.ErrNotExist
 	}
-	return primary, fs.ErrNotExist
+	return p, nil
 }
 
 // Register pins a pre-loaded model under site: it resolves like a
@@ -311,9 +309,9 @@ func (f *Fleet) getEntry(ctx context.Context, site string) (*core.Model, *entry,
 }
 
 // newObserver builds the lifecycle observer for a freshly published
-/// model: nil when drift detection is off or the model carries no
-// training baseline (pre-v3 snapshot) — and a nil observer is inert, so
-// the serving path needs no branches either way.
+// model: nil when drift detection is off or the model carries no
+// training baseline (one assembled by hand) — and a nil observer is
+// inert, so the serving path needs no branches either way.
 func (f *Fleet) newObserver(m *core.Model) *lifecycle.Observer {
 	if f.cfg.Drift == nil || m == nil || m.Baseline == nil {
 		return nil

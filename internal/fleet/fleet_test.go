@@ -48,7 +48,10 @@ func TestGetLazyLoadCacheAndUnknown(t *testing.T) {
 	}
 }
 
-func TestGetAcceptsLegacyFilenameSuffix(t *testing.T) {
+// TestGetIgnoresLegacyFilenameSuffix: a site loads only from
+// <site>.thor.model.gz; a file under the retired <site>.model.gz name is
+// not a model of the fleet.
+func TestGetIgnoresLegacyFilenameSuffix(t *testing.T) {
 	fixtures(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "legacy.model.gz")
@@ -57,8 +60,8 @@ func TestGetAcceptsLegacyFilenameSuffix(t *testing.T) {
 	}
 	f := New(Config{Dir: dir})
 	defer f.Close()
-	if _, err := f.Get(context.Background(), "legacy"); err != nil {
-		t.Fatalf("Get over a .model.gz file: %v", err)
+	if _, err := f.Get(context.Background(), "legacy"); !errors.Is(err, ErrUnknownSite) {
+		t.Fatalf("Get over a .model.gz file = %v, want ErrUnknownSite", err)
 	}
 }
 

@@ -182,6 +182,13 @@ func TestHandlerHotSwapRace(t *testing.T) {
 	okA := wantBody(t, modelA, html)
 	okB := wantBody(t, modelB, html)
 
+	// Load the entry before the writer starts: the swap checks under test
+	// only run on a loaded entry, and a cold load racing the in-place
+	// writer could read a torn file.
+	if rec := post(h, "/extract/books", html, nil); rec.Code != http.StatusOK || rec.Body.String() != okA {
+		t.Fatalf("cold load: %d %q, want 200 %q", rec.Code, rec.Body, okA)
+	}
+
 	stop := make(chan struct{})
 	var writerDone sync.WaitGroup
 	writerDone.Add(1)

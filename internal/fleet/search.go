@@ -10,8 +10,8 @@ import (
 )
 
 // The fleet's retrieval surface: GET /search and GET /sites over a
-// qaindex.Searcher (the sharded segment index in production, the legacy
-// single index for small deployments). Both routes pass through the same
+// qaindex.Searcher (the sharded segment index; the interface lets tests
+// substitute a fake). Both routes pass through the same
 // admission gate as /extract, so search traffic and extraction traffic
 // share one overload budget and one 429 behavior.
 

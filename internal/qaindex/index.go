@@ -6,16 +6,13 @@
 // supporting BLAST queries"). THOR feeds it: every QA-Object extracted in
 // stage three becomes one indexed document.
 //
-// Two index shapes share one scoring contract:
-//
-//   - Index (this file) is the original single in-memory index: exhaustive
-//     BM25 over every posting of every query term. It remains the
-//     reference implementation — and the one-shard view the sharded
-//     engine is contract-tested against.
-//   - Sharded (sharded.go / segment.go / topk.go) partitions documents
-//     across immutable segments and serves top-k queries with
-//     max-score/block-max early termination, bit-identical to the
-//     exhaustive scan.
+// Sharded (sharded.go / segment.go / topk.go) is the search engine: it
+// partitions documents across immutable segments and serves top-k
+// queries with max-score/block-max early termination. Index (this file)
+// is the exhaustive reference it is checked against: a single in-memory
+// index scoring BM25 over every posting of every query term. Sharded is
+// bit-identical to it; the qaindex contract tests and the search
+// benchmark's cross-check hold it to that, and Index has no other use.
 package qaindex
 
 import (
@@ -51,10 +48,10 @@ type Hit struct {
 	Score float64
 }
 
-// Searcher is the query surface both index shapes serve: free-text top-k
-// search, its per-site restriction, and the search-by-sites discovery
-// feature. *Index and *Sharded both implement it; the HTTP serving layer
-// accepts either.
+// Searcher is the query surface the HTTP serving layer accepts:
+// free-text top-k search, its per-site restriction, and the
+// search-by-sites discovery feature. *Sharded implements it (and so does
+// the reference *Index).
 type Searcher interface {
 	Search(query string, k int) []Hit
 	SearchSite(query string, k, siteID int) []Hit
@@ -62,17 +59,17 @@ type Searcher interface {
 	Len() int
 }
 
-// Index is an inverted index over QA-Object documents with BM25 ranking.
-// The zero value is ready to use; it is not safe for concurrent mutation,
-// but concurrent searches over a quiescent index are safe — per-query
-// state lives in a pooled scratch.
+// Index is the exhaustive-BM25 test reference of Sharded: an inverted
+// index over QA-Object documents, scoring every posting of every query
+// term. Its only users are the contract tests and the search benchmark's
+// bit-identity cross-check. The zero value is ready to use; it is not
+// safe for concurrent mutation, but concurrent searches over a quiescent
+// index are safe — per-query state lives in a pooled scratch.
 //
 // The postings vocabulary is interned: each term gets a dense int32 ID at
 // first sight (in deterministic first-token order) and posting lists live
 // in an ID-indexed table, so the per-term storage and the query lookup
-// carry one map probe per term instead of string-keyed list storage. The
-// on-disk format is unaffected — persistence snapshots documents and
-// rebuilds the postings on load.
+// carry one map probe per term instead of string-keyed list storage.
 type Index struct {
 	docs     []*Document
 	termIDs  map[string]int32 // term → dense ID, assigned in first-occurrence order
@@ -141,27 +138,6 @@ func (ix *Index) Len() int { return len(ix.docs) }
 
 // Terms returns the vocabulary size.
 func (ix *Index) Terms() int { return len(ix.termIDs) }
-
-// Docs returns the indexed documents as ingest specs in document order —
-// the stream a Sharded index is built from, so converting an Index is
-// exact: BuildSharded(ix.Docs(), ...) scores bit-identically to ix.
-func (ix *Index) Docs() []Doc {
-	out := make([]Doc, len(ix.docs))
-	for i, d := range ix.docs {
-		out[i] = Doc{
-			SiteID: d.SiteID, SiteName: d.SiteName,
-			ProbeQuery: d.ProbeQuery, PageURL: d.PageURL, Text: d.Text,
-		}
-	}
-	return out
-}
-
-// Sharded rebuilds this index as a sharded segment index over the same
-// documents — the migration path from the legacy single-index snapshot
-// format to the segmented one.
-func (ix *Index) Sharded(shards, workers int) *Sharded {
-	return BuildSharded(ix.Docs(), shards, workers)
-}
 
 // Search returns the top-k documents for a free-text query under BM25.
 // Query terms are stemmed like document terms.

@@ -111,23 +111,24 @@ func TestAddFromSubtree(t *testing.T) {
 	}
 }
 
-// TestIngestEndToEnd: THOR extraction feeding the index, then fine-grained
-// search across sites — the deep-web search engine loop.
+// TestIngestEndToEnd: THOR extraction feeding a sharded index, then
+// fine-grained search across sites — the deep-web search engine loop.
 func TestIngestEndToEnd(t *testing.T) {
-	ix := &Index{}
 	pt := objects.NewPartitioner(objects.Config{})
 	prober := &probe.Prober{Plan: probe.NewPlan(60, 6, 4), Labeler: deepweb.Labeler()}
-	totalDocs := 0
+	var docs []Doc
 	for id := 0; id < 3; id++ {
 		site := deepweb.NewSite(deepweb.SiteConfig{ID: id, Seed: 42})
 		col := prober.ProbeSite(site)
 		res := core.NewExtractor(core.DefaultConfig()).Extract(col.Pages)
-		added := ix.IngestPagelets(site.ID(), site.Name(), res.Pagelets, pt)
-		if added == 0 {
+		added := DocsFromPagelets(site.ID(), site.Name(), res.Pagelets, pt)
+		if len(added) == 0 {
 			t.Fatalf("site %d contributed no objects", id)
 		}
-		totalDocs += added
+		docs = append(docs, added...)
 	}
+	totalDocs := len(docs)
+	ix := BuildSharded(docs, 2, 1)
 	if ix.Len() != totalDocs {
 		t.Errorf("index len %d != ingested %d", ix.Len(), totalDocs)
 	}
@@ -145,12 +146,11 @@ func TestIngestEndToEnd(t *testing.T) {
 }
 
 func TestIngestNilPartitioner(t *testing.T) {
-	ix := &Index{}
 	site := deepweb.NewSite(deepweb.SiteConfig{ID: 0, Seed: 42})
 	prober := &probe.Prober{Plan: probe.NewPlan(30, 3, 4), Labeler: deepweb.Labeler()}
 	col := prober.ProbeSite(site)
 	res := core.NewExtractor(core.DefaultConfig()).Extract(col.Pages)
-	if added := ix.IngestPagelets(0, "x", res.Pagelets, nil); added == 0 {
+	if added := DocsFromPagelets(0, "x", res.Pagelets, nil); len(added) == 0 {
 		t.Error("nil partitioner should default, not drop objects")
 	}
 }

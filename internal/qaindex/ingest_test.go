@@ -12,8 +12,8 @@ import (
 // TestIngestFromModelApply closes the serving loop: a model trained on
 // one probe round serves pagelets from fresh pages one at a time, and
 // those pagelets — which carry no phase-two object recommendations —
-// still ingest into the index through the partitioner's structural
-// fallback and come back out of search.
+// still ingest into a sharded index through the partitioner's
+// structural fallback and come back out of search.
 func TestIngestFromModelApply(t *testing.T) {
 	site := deepweb.NewSite(deepweb.SiteConfig{ID: 2, Seed: 42})
 	train := (&probe.Prober{Plan: probe.NewPlan(60, 6, 4), Labeler: deepweb.Labeler()}).ProbeSite(site)
@@ -23,15 +23,16 @@ func TestIngestFromModelApply(t *testing.T) {
 	}
 
 	fresh := (&probe.Prober{Plan: probe.NewPlan(30, 3, 808), Labeler: deepweb.Labeler()}).ProbeSite(site)
-	ix := &Index{}
-	added := 0
+	var docs []Doc
 	for _, page := range fresh.Pages {
 		pagelets, err := m.Apply(page)
 		if err != nil {
 			t.Fatal(err)
 		}
-		added += ix.IngestPagelets(site.ID(), site.Name(), pagelets, nil)
+		docs = append(docs, DocsFromPagelets(site.ID(), site.Name(), pagelets, nil)...)
 	}
+	added := len(docs)
+	ix := BuildSharded(docs, 2, 1)
 	if added == 0 {
 		t.Fatal("served pagelets contributed no QA-Objects")
 	}

@@ -11,9 +11,9 @@ import (
 )
 
 // Segment-file persistence: a Sharded index is written as a directory of
-// versioned per-segment files plus a JSON manifest. Unlike the legacy
-// single-file snapshot (persist.go), segment files store the posting
-// lists directly — loading skips tokenization/stemming entirely, and a
+// versioned per-segment files plus a JSON manifest. Segment files store
+// the posting lists directly — loading skips tokenization/stemming
+// entirely, and a
 // reader can stream one segment at a time (ForEachSegment) instead of
 // holding the whole index, which is what makes indexes larger than RAM
 // tractable. Block-max metadata is re-derived on load: it is a pure
@@ -34,6 +34,15 @@ type Manifest struct {
 	Segments int `json:"segments"`
 	Docs     int `json:"docs"`
 	TotalLen int `json:"total_len"`
+}
+
+// docSnapshot is one document of a segment file.
+type docSnapshot struct {
+	SiteID     int
+	SiteName   string
+	ProbeQuery string
+	PageURL    string
+	Text       string
 }
 
 type segSnapshot struct {
@@ -152,7 +161,7 @@ func ReadSegment(r io.Reader) (*Segment, error) {
 
 // WriteDir persists the sharded index as dir/seg-*.qaseg.gz plus the
 // manifest. The manifest is written last, so a crashed write leaves no
-// directory that OpenDir would accept.
+// directory that Open would accept.
 func (s *Sharded) WriteDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("qaindex: %w", err)
@@ -235,9 +244,9 @@ func readSegFile(path string) (*Segment, error) {
 	return ReadSegment(f)
 }
 
-// OpenDir loads a complete sharded index from a directory written by
-// WriteDir, cross-checking the manifest's document count.
-func OpenDir(dir string) (*Sharded, error) {
+// Open loads a complete sharded index from a segment directory written
+// by WriteDir, cross-checking the manifest's document count.
+func Open(dir string) (*Sharded, error) {
 	s := &Sharded{}
 	err := ForEachSegment(dir, func(_ int, seg *Segment) error {
 		s.segs = append(s.segs, seg)
@@ -257,24 +266,4 @@ func OpenDir(dir string) (*Sharded, error) {
 			m.Docs, s.n, m.TotalLen, s.totalLen)
 	}
 	return s, nil
-}
-
-// Open loads a search index from path in either on-disk format: a
-// segment directory (WriteDir) loads directly; a legacy single-file gob
-// snapshot (Index.WriteFile) is read and resharded into `shards`
-// segments with `workers` builders — the migration path that keeps old
-// snapshots serving.
-func Open(path string, shards, workers int) (*Sharded, error) {
-	info, err := os.Stat(path)
-	if err != nil {
-		return nil, fmt.Errorf("qaindex: %w", err)
-	}
-	if info.IsDir() {
-		return OpenDir(path)
-	}
-	ix, err := ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ix.Sharded(shards, workers), nil
 }

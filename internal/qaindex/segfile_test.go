@@ -16,7 +16,7 @@ func TestSegmentDirRoundTrip(t *testing.T) {
 	if err := sh.WriteDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	got, err := OpenDir(dir)
+	got, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestSegmentCorruptionRejected(t *testing.T) {
 	t.Run("missing manifest", func(t *testing.T) {
 		dir := write(t)
 		os.Remove(filepath.Join(dir, ManifestName))
-		if _, err := OpenDir(dir); err == nil {
+		if _, err := Open(dir); err == nil {
 			t.Fatal("no error for missing manifest")
 		}
 	})
@@ -79,7 +79,7 @@ func TestSegmentCorruptionRejected(t *testing.T) {
 		dir := write(t)
 		os.WriteFile(filepath.Join(dir, ManifestName),
 			[]byte(`{"version":99,"segments":2,"docs":40,"total_len":1}`), 0o644)
-		if _, err := OpenDir(dir); err == nil || !strings.Contains(err.Error(), "version") {
+		if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "version") {
 			t.Fatalf("want version error, got %v", err)
 		}
 	})
@@ -87,7 +87,7 @@ func TestSegmentCorruptionRejected(t *testing.T) {
 		dir := write(t)
 		os.WriteFile(filepath.Join(dir, ManifestName),
 			[]byte(`{"version":1,"segments":2,"docs":9999,"total_len":1}`), 0o644)
-		if _, err := OpenDir(dir); err == nil || !strings.Contains(err.Error(), "mismatch") {
+		if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "mismatch") {
 			t.Fatalf("want mismatch error, got %v", err)
 		}
 	})
@@ -99,56 +99,51 @@ func TestSegmentCorruptionRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		os.WriteFile(path, data[:len(data)/2], 0o644)
-		if _, err := OpenDir(dir); err == nil {
+		if _, err := Open(dir); err == nil {
 			t.Fatal("no error for truncated segment")
 		}
 	})
 	t.Run("garbage segment", func(t *testing.T) {
 		dir := write(t)
 		os.WriteFile(filepath.Join(dir, segFileName(1)), []byte("not gzip"), 0o644)
-		if _, err := OpenDir(dir); err == nil {
+		if _, err := Open(dir); err == nil {
 			t.Fatal("no error for garbage segment")
 		}
 	})
 }
 
-// TestOpenSniffsFormat: Open loads both on-disk shapes — a segment
-// directory directly, and a legacy single-file snapshot resharded —
-// with identical search behavior.
-func TestOpenSniffsFormat(t *testing.T) {
+// TestOpenLoadsOnlySegmentDirs: Open loads a segment directory with its
+// stored shard shape and search behavior, and rejects any other path — a
+// single file (the retired whole-index snapshot format) or nothing at
+// all.
+func TestOpenLoadsOnlySegmentDirs(t *testing.T) {
 	docs := synthCorpus(80, 31)
 	ix := legacyFromDocs(docs)
 	tmp := t.TempDir()
 
-	legacyPath := filepath.Join(tmp, "legacy.qaindex.gz")
-	if err := ix.WriteFile(legacyPath); err != nil {
-		t.Fatal(err)
-	}
-	fromLegacy, err := Open(legacyPath, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromLegacy.Len() != 80 || fromLegacy.Shards() != 3 {
-		t.Fatalf("legacy open: %d docs / %d shards", fromLegacy.Len(), fromLegacy.Shards())
-	}
-
 	dirPath := filepath.Join(tmp, "segdir")
-	if err := fromLegacy.WriteDir(dirPath); err != nil {
+	if err := BuildSharded(docs, 3, 2).WriteDir(dirPath); err != nil {
 		t.Fatal(err)
 	}
-	fromDir, err := Open(dirPath, 99, 1) // shard hint ignored for directories
+	fromDir, err := Open(dirPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromDir.Shards() != 3 {
-		t.Fatalf("dir open ignored stored shape: %d shards", fromDir.Shards())
+	if fromDir.Len() != 80 || fromDir.Shards() != 3 {
+		t.Fatalf("dir open: %d docs / %d shards", fromDir.Len(), fromDir.Shards())
 	}
 	for _, q := range contractQueries {
-		requireSameHits(t, "q="+q, ix.Search(q, 10), fromLegacy.Search(q, 10))
-		requireSameHits(t, "q="+q, fromLegacy.Search(q, 10), fromDir.Search(q, 10))
+		requireSameHits(t, "q="+q, ix.Search(q, 10), fromDir.Search(q, 10))
 	}
 
-	if _, err := Open(filepath.Join(tmp, "nope"), 1, 1); err == nil {
+	filePath := filepath.Join(tmp, "index.qaindex.gz")
+	if err := os.WriteFile(filePath, []byte("not a segment directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(filePath); err == nil {
+		t.Fatal("no error for a single-file path")
+	}
+	if _, err := Open(filepath.Join(tmp, "nope")); err == nil {
 		t.Fatal("no error for missing path")
 	}
 }

@@ -120,8 +120,8 @@ func Categorize(profiles []*Profile, cfg Config) []*Category {
 	for i, p := range profiles {
 		docs[i] = p.Terms
 	}
-	vecs := vector.TFIDF(docs)
-	res := cluster.KMeans(vecs, cluster.KMeansConfig{
+	iv := vector.TFIDFInterned(docs)
+	res := cluster.KMeansInterned(iv.Vecs, iv.Dict.Len(), cluster.KMeansConfig{
 		K: cfg.K, Restarts: cfg.Restarts, Seed: cfg.Seed,
 	})
 	var cats []*Category
@@ -133,7 +133,7 @@ func Categorize(profiles []*Profile, cfg Config) []*Category {
 		for _, i := range members {
 			cat.Members = append(cat.Members, profiles[i])
 		}
-		cat.Label = centroidLabel(res.Centroids[c], cfg.LabelTerms)
+		cat.Label = centroidLabel(iv.Dict.ToSparse(res.Centroids[c]), cfg.LabelTerms)
 		cats = append(cats, cat)
 	}
 	// Deterministic output order: largest first, then by first member.

@@ -22,9 +22,7 @@ import "math"
 // accumulator to its empty state so one allocation serves a stream of
 // mini-batches, and Merge folds another accumulator's documents in, so
 // shards accumulated independently can be combined before the finishing
-// pass. For mini-batches weighted against an existing model's frozen
-// statistics, FinishWith weights with an external DF table instead of
-// the accumulated one.
+// pass.
 type Accumulator struct {
 	raw  bool
 	vecs []Sparse
@@ -133,44 +131,6 @@ func (a *Accumulator) FinishInterned() Interned {
 	}
 	a.vecs = nil
 	return Interned{Dict: d, Vecs: out}
-}
-
-// FinishWith applies the second pass against an *external* document
-// frequency table — a trained model's frozen DF over nDocs training
-// documents — instead of the accumulated one: terms absent from df are
-// dropped before weighting (the model's DF-miss rule), the survivors are
-// weighted with TFIDFWeight's exact arithmetic, and each vector is
-// normalized over the kept terms only. Per document, the result is
-// bit-identical to the model-side Vectorize composition
-// (FromMap(tfidf-weighted counts).Normalize()): both visit terms in
-// ascending order and normalize over the same surviving weights. In raw
-// mode df is not consulted — the vectors are already normalized raw
-// frequencies, exactly Finish's answer. The accumulator is spent
-// afterwards until Reset.
-//
-// This is the mini-batch entry point: a model refining itself on fresh
-// pages weights them in its own training space, not the batch's.
-func (a *Accumulator) FinishWith(df map[string]int, nDocs int) []Sparse {
-	if a.raw {
-		return a.vecs
-	}
-	for i := range a.vecs {
-		v := &a.vecs[i]
-		kept := 0
-		for j, term := range v.Terms {
-			n := df[term]
-			if n == 0 {
-				continue // outside the model's training vocabulary
-			}
-			v.Terms[kept] = term
-			v.Weights[kept] = TFIDFWeight(int(v.Weights[j]), nDocs, n)
-			kept++
-		}
-		v.Terms = v.Terms[:kept]
-		v.Weights = v.Weights[:kept]
-		normalizeInPlace(v)
-	}
-	return a.vecs
 }
 
 // normalizeInPlace scales v to unit L2 norm without allocating, matching

@@ -101,63 +101,6 @@ func TestAccumulatorMergeMatchesConcat(t *testing.T) {
 	}
 }
 
-// TestFinishWithMatchesModelWeighting pins FinishWith against the
-// model-side composition it must reproduce: drop terms missing from the
-// external DF table, weight survivors with TFIDFWeight, normalize over
-// the kept terms — FromMap(weighted).Normalize() bit for bit.
-func TestFinishWithMatchesModelWeighting(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	// An external DF table over a vocabulary that only partially overlaps
-	// the batch's: t0..t7 known with varying frequencies, t8..t11 unseen.
-	df := map[string]int{}
-	for i := 0; i < 8; i++ {
-		df[term(i)] = 1 + rng.Intn(40)
-	}
-	const nDocs = 50
-
-	docs := randomDocs(rng, 12)
-	acc := NewAccumulator(false)
-	for _, d := range docs {
-		acc.Add(d)
-	}
-	got := acc.FinishWith(df, nDocs)
-
-	for i, d := range docs {
-		weighted := make(map[string]float64, len(d))
-		for tm, tf := range d {
-			if df[tm] == 0 {
-				continue
-			}
-			weighted[tm] = TFIDFWeight(tf, nDocs, df[tm])
-		}
-		want := FromMap(weighted).Normalize()
-		if !reflect.DeepEqual(got[i].Terms, want.Terms) {
-			t.Fatalf("doc %d: terms %v, want %v", i, got[i].Terms, want.Terms)
-		}
-		for j := range got[i].Weights {
-			if got[i].Weights[j] != want.Weights[j] { //thorlint:allow no-float-eq bit-identity is the contract under test
-				t.Fatalf("doc %d term %q: weight %v, want %v",
-					i, got[i].Terms[j], got[i].Weights[j], want.Weights[j])
-			}
-		}
-	}
-
-	// Raw mode ignores the external table entirely: FinishWith ≡ Finish.
-	raw := NewAccumulator(true)
-	for _, d := range docs {
-		raw.Add(d)
-	}
-	rawGot := raw.FinishWith(df, nDocs)
-	raw2 := NewAccumulator(true)
-	for _, d := range docs {
-		raw2.Add(d)
-	}
-	sparseEqual(t, "raw FinishWith-vs-Finish", rawGot, raw2.Finish())
-}
-
-// term mirrors randomDocs' vocabulary naming.
-func term(i int) string { return "t" + string(rune('0'+i)) }
-
 // TestBlendIDVec checks the weighted-merge kernel: disjoint, overlapping,
 // and empty operands, plus the centroid-absorption identity — blending an
 // N-member centroid with an n-member batch mean at weights N/(N+n) and
@@ -211,11 +154,11 @@ func TestBlendIDVec(t *testing.T) {
 	for i := range batch {
 		batch[i] = mk()
 	}
-	oldC := CentroidInterned(old, 12)
-	batchC := CentroidInterned(batch, 12)
+	oldC := centroidOnce(old, 12)
+	batchC := centroidOnce(batch, 12)
 	n, m := float64(len(old)), float64(len(batch))
 	blended := BlendIDVec(oldC, n/(n+m), batchC, m/(n+m))
-	combined := CentroidInterned(append(append([]IDVec{}, old...), batch...), 12)
+	combined := centroidOnce(append(append([]IDVec{}, old...), batch...), 12)
 	if !reflect.DeepEqual(blended.IDs, combined.IDs) {
 		t.Fatalf("blended IDs %v, combined %v", blended.IDs, combined.IDs)
 	}

@@ -86,12 +86,6 @@ func (s *CentroidScratch) Centroid(vs []IDVec) IDVec {
 	return IDVec{IDs: ids, Weights: weights, norm: math.Sqrt(norm)}
 }
 
-// CentroidInterned is the one-shot convenience over a fresh scratch, for
-// callers outside the iterated K-Means loop.
-func CentroidInterned(vs []IDVec, dim int) IDVec {
-	return NewCentroidScratch(dim).Centroid(vs)
-}
-
 // BlendIDVec returns wa·a + wb·b over the union of the two ID sets — the
 // weighted-mean kernel of mini-batch centroid maintenance: a centroid of
 // N historical members absorbs a batch mean of n fresh members as

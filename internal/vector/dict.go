@@ -148,6 +148,13 @@ func NewIDVec(ids []int32, weights []float64) IDVec {
 	return IDVec{IDs: ids, Weights: weights, norm: math.Sqrt(s)}
 }
 
+// Clone returns a copy of v that owns its storage, cached norm included
+// — how a vector InternCounts built in scratch outlives the scratch's
+// next use.
+func (v IDVec) Clone() IDVec {
+	return IDVec{IDs: append([]int32(nil), v.IDs...), Weights: append([]float64(nil), v.Weights...), norm: v.norm}
+}
+
 // Len returns the number of non-zero entries.
 func (v IDVec) Len() int { return len(v.IDs) }
 
@@ -219,8 +226,9 @@ type Interned struct {
 	Vecs []IDVec
 }
 
-// ToSparse converts every vector back to string-keyed form (debug and
-// registry-compatibility surface).
+// ToSparse converts every vector back to string-keyed form — the debug
+// surface, and how tests hand interned input to the string-keyed
+// references. It has no production caller.
 func (iv Interned) ToSparse() []Sparse {
 	out := make([]Sparse, len(iv.Vecs))
 	for i, v := range iv.Vecs {

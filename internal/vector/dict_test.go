@@ -239,8 +239,13 @@ func TestCentroidScratchGrowsAndResets(t *testing.T) {
 	if empty := scratch.Centroid(nil); empty.Len() != 0 || empty.Norm() != 0 {
 		t.Fatalf("empty centroid = %v", empty)
 	}
-	one := CentroidInterned([]IDVec{a}, 8)
+	one := centroidOnce([]IDVec{a}, 8)
 	if !reflect.DeepEqual(one, a) {
 		t.Fatalf("singleton centroid changed vector: %+v vs %+v", one, a)
 	}
+}
+
+// centroidOnce is the centroid of vs over a fresh scratch.
+func centroidOnce(vs []IDVec, dim int) IDVec {
+	return NewCentroidScratch(dim).Centroid(vs)
 }

@@ -68,9 +68,9 @@ type rawTerm struct {
 	inDict bool
 }
 
-// InternCounts builds the IDVec that Intern(Vectorize-style weighting of
-// counts) would produce, straight in ID space: no intermediate count or
-// weight maps, no string-keyed Sparse. It is the serve-path fusion of
+// InternCounts weights one page's term counts in a trained model's space
+// and builds the IDVec straight in ID space: no intermediate weight map,
+// no string-keyed Sparse. It is the fusion of
 //
 //	TFIDF:  FromMap(tfidf-weighted counts).Normalize() → d.Intern(·)
 //	raw:    FromCounts(counts).Normalize()             → d.Intern(·)

@@ -130,8 +130,9 @@ func DocumentFrequencies(docs []map[string]int) map[string]int {
 	return df
 }
 
-// TFIDFWeight exposes the paper's single-term weight formula for callers
-// that weight incrementally: log(tf+1) · log((n+1)/df).
+// TFIDFWeight is the paper's single-term weight formula, log(tf+1) ·
+// log((n+1)/df), kept as the test reference the per-ID weighting tables
+// (DFWeighting) are checked against. It has no production caller.
 func TFIDFWeight(tf, n, df int) float64 {
 	if tf <= 0 || df <= 0 || n < df {
 		if tf <= 0 || df <= 0 {
