@@ -11,6 +11,7 @@ import (
 	"thor/internal/cluster"
 	"thor/internal/corpus"
 	"thor/internal/parallel"
+	"thor/internal/stem"
 	"thor/internal/strdist"
 	"thor/internal/tagtree"
 	"thor/internal/vector"
@@ -67,7 +68,7 @@ func stringIntraSim(s *SubtreeSet, cfg Config) float64 {
 	docs := make([]map[string]int, n)
 	empty := true
 	for i, m := range s.Members {
-		docs[i] = m.termCounts()
+		docs[i] = m.termCounts(stem.Stem)
 		if len(docs[i]) > 0 {
 			empty = false
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"thor/internal/corpus"
@@ -29,10 +30,12 @@ type Candidate struct {
 }
 
 // termCounts returns (computing once) the stemmed content term counts of
-// the candidate subtree, used by the cross-page content analysis.
-func (c *Candidate) termCounts() map[string]int {
+// the candidate subtree, used by the cross-page content analysis. stem
+// must map each token to its Porter stem — stem.Stem itself, or a memo
+// over it.
+func (c *Candidate) termCounts(stem func(string) string) map[string]int {
 	if c.content == nil {
-		c.content = c.Node.TermCounts(stem.Stem)
+		c.content = c.Node.TermCounts(stem)
 	}
 	return c.content
 }
@@ -157,9 +160,20 @@ func isMinimal(n *tagtree.Node) bool {
 //
 // Each term ranges over [0,1]; with weights summing to 1 so does d.
 func ShapeDistance(a, b *Candidate, w ShapeWeights, simp *strdist.Simplifier) float64 {
+	var path float64
+	if w[0] != 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
+		path = simp.PathDistance(a.Path, b.Path)
+	}
+	return shapeDistance(a, b, w, path)
+}
+
+// shapeDistance sums the four weighted terms of ShapeDistance given the
+// path term's normalized edit distance (read only when w[0] is non-zero),
+// in a fixed order, so every caller gets the same bits for the same pair.
+func shapeDistance(a, b *Candidate, w ShapeWeights, path float64) float64 {
 	var d float64
 	if w[0] != 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
-		d += w[0] * simp.PathDistance(a.Path, b.Path)
+		d += w[0] * path
 	}
 	if w[1] != 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
 		d += w[1] * ratioDiff(a.Fanout, b.Fanout)
@@ -220,50 +234,151 @@ func FindCommonSubtreeSets(perPage [][]*Candidate, cfg Config, rng *rand.Rand, s
 	// greedily in ascending distance order, a one-to-one matching that
 	// stops a prototype subtree from poaching a page subtree some other
 	// prototype resembles far more closely.
-	type pairing struct {
-		set  int
-		cand int
-		dist float64
+	//
+	// Every path is simplified at most once per call: a prototype's when
+	// its set first meets a page, a page's candidates' right after the
+	// first prototype's. That is the first-sight order a per-pair
+	// simplification presents tags to simp in, so each tag gets the same
+	// identifier — which matters, since an identifier can be a digit (q=1
+	// gives "h1" the "1" of "[1]") and the edit distances depend on it.
+	usePath := cfg.ShapeWeights[0] != 0 //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
+	protoPaths := make([]string, len(protos))
+	protoPath := func(si int) string {
+		// An empty result is re-simplified on the next call, which is
+		// harmless: a path with no steps assigns no identifier.
+		if protoPaths[si] == "" {
+			protoPaths[si] = simp.SimplifyPath(protos[si].Path)
+		}
+		return protoPaths[si]
 	}
+	var (
+		lev       strdist.LevScratch
+		candPaths []byte // the page's simplified candidate paths, back to back
+		candOff   []int  // candidate ci's is candPaths[candOff[ci]:candOff[ci+1]]
+		pairs     []pairing
+		setTaken  = make([]bool, len(protos))
+		candTaken []bool
+	)
 	for l, cands := range perPage {
 		if l == protoIdx || len(cands) == 0 {
 			continue
 		}
-		pairs := make([]pairing, 0, len(protos)*len(cands))
+		if usePath {
+			protoPath(0)
+			candPaths, candOff = candPaths[:0], append(candOff[:0], 0)
+			for _, c := range cands {
+				candPaths = simp.AppendPath(candPaths, c.Path)
+				candOff = append(candOff, len(candPaths))
+			}
+		}
+		pairs = pairs[:0]
 		for si, proto := range protos {
+			var pp string
+			if usePath {
+				pp = protoPath(si)
+			}
 			for ci, c := range cands {
-				d := ShapeDistance(proto, c, cfg.ShapeWeights, simp)
-				if d <= cfg.MaxMatchDistance {
-					pairs = append(pairs, pairing{set: si, cand: ci, dist: d})
+				var path float64
+				if usePath {
+					path = strdist.NormalizedBytes(pp, candPaths[candOff[ci]:candOff[ci+1]], &lev)
+				}
+				if d := shapeDistance(proto, c, cfg.ShapeWeights, path); d <= cfg.MaxMatchDistance {
+					pairs = append(pairs, newPairing(d, si, ci))
 				}
 			}
 		}
-		sort.Slice(pairs, func(i, j int) bool {
-			//thorlint:allow no-float-eq deterministic sort tie-break on equal distances
-			if pairs[i].dist != pairs[j].dist {
-				return pairs[i].dist < pairs[j].dist
-			}
-			if pairs[i].set != pairs[j].set {
-				return pairs[i].set < pairs[j].set
-			}
-			return pairs[i].cand < pairs[j].cand
-		})
-		setTaken := make([]bool, len(protos))
-		candTaken := make([]bool, len(cands))
+		clear(setTaken)
+		candTaken = slices.Grow(candTaken[:0], len(cands))[:len(cands)]
+		clear(candTaken)
 		assigned := 0
-		for _, p := range pairs {
-			if setTaken[p.set] || candTaken[p.cand] {
+		// The greedy pass stops once every set or every candidate is
+		// taken, typically after a small share of the pairs, so the pairs
+		// are heap-ordered and popped in (dist, set, cand) order rather
+		// than fully sorted. No two pairings are equal (sc differs), so
+		// the pop order is exactly the sorted order.
+		heapifyPairings(pairs)
+		for len(pairs) > 0 {
+			var p pairing
+			p, pairs = popPairing(pairs)
+			si, ci := p.set(), p.cand()
+			if setTaken[si] || candTaken[ci] {
 				continue
 			}
-			setTaken[p.set] = true
-			candTaken[p.cand] = true
-			sets[p.set].Members = append(sets[p.set].Members, cands[p.cand])
+			setTaken[si] = true
+			candTaken[ci] = true
+			sets[si].Members = append(sets[si].Members, cands[ci])
 			if assigned++; assigned == len(protos) || assigned == len(cands) {
 				break
 			}
 		}
 	}
 	return sets
+}
+
+// pairing is one (set, page candidate) pair within MaxMatchDistance,
+// packed so that sorting by (dist, sc) as two unsigned integers is the
+// greedy matching's total order — ascending distance, ties to the lower
+// set index, then to the lower candidate index.
+type pairing struct {
+	// dist is the distance's bits mapped to an unsigned integer of the
+	// same order. NaN never gets here (it fails the d <= MaxMatchDistance
+	// filter) and neither does −0 (the term sum starts at +0), so integer
+	// order is exactly float order, equality included.
+	dist uint64
+	// sc is the set index in the high half, the candidate index in the
+	// low half.
+	sc uint64
+}
+
+func newPairing(dist float64, set, cand int) pairing {
+	b := math.Float64bits(dist)
+	if b>>63 != 0 {
+		b = ^b // negative: flipping every bit reverses their order
+	} else {
+		b |= 1 << 63 // non-negative: above every negative
+	}
+	return pairing{dist: b, sc: uint64(set)<<32 | uint64(uint32(cand))}
+}
+
+func (p pairing) set() int  { return int(p.sc >> 32) }
+func (p pairing) cand() int { return int(uint32(p.sc)) }
+
+// less orders pairings by (dist, set, cand).
+func (p pairing) less(q pairing) bool {
+	return p.dist < q.dist || (p.dist == q.dist && p.sc < q.sc)
+}
+
+// heapifyPairings arranges h as a binary min-heap under less.
+func heapifyPairings(h []pairing) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDownPairing(h, i)
+	}
+}
+
+// popPairing removes and returns the least pairing of heap h.
+func popPairing(h []pairing) (pairing, []pairing) {
+	top, n := h[0], len(h)-1
+	h[0] = h[n]
+	h = h[:n]
+	siftDownPairing(h, 0)
+	return top, h
+}
+
+func siftDownPairing(h []pairing, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].less(h[c]) {
+			c = r
+		}
+		if !h[c].less(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // RankSubtreeSets performs step two of cross-page analysis: each set's
@@ -294,10 +409,22 @@ func intraSetSimilarity(s *SubtreeSet, cfg Config) float64 {
 	if n < 2 {
 		return 1
 	}
+	// Porter stemming is pure, so one token→stem memo per set stems each
+	// distinct token once; the memo is local to this set's work unit, so
+	// the fan-out in RankSubtreeSets still shares nothing.
+	stems := make(map[string]string)
+	memoStem := func(tok string) string {
+		st, ok := stems[tok]
+		if !ok {
+			st = stem.Stem(tok)
+			stems[tok] = st
+		}
+		return st
+	}
 	docs := make([]map[string]int, n)
 	empty := true
 	for i, m := range s.Members {
-		docs[i] = m.termCounts()
+		docs[i] = m.termCounts(memoStem)
 		if len(docs[i]) > 0 {
 			empty = false
 		}

@@ -1,0 +1,295 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"thor/internal/corpus"
+	"thor/internal/strdist"
+	"thor/internal/tagtree"
+)
+
+// headingPage renders an answer page whose regions are headed by h1–h6.
+// With q=1 the simplifier hands html "h", so every hN falls back to its
+// digit — the same character as a positional index — and the path edit
+// distances depend on which tags were seen first.
+func headingPage(i int) string {
+	var b strings.Builder
+	b.WriteString(`<html><head><title>Results</title></head><body>`)
+	fmt.Fprintf(&b, `<div><h1>Results for q%d</h1><h2>page %d</h2></div>`, i, i)
+	b.WriteString(`<div class="res">`)
+	for j := 0; j < 2+i%4; j++ {
+		fmt.Fprintf(&b, `<div><h3>item q%d-%d</h3><h4>by author%d</h4><p>text%d about q%d</p></div>`, i, j, j, j, i)
+	}
+	b.WriteString(`</div>`)
+	if i%2 == 0 {
+		b.WriteString(`<div><h5>Related</h5><h6>more like this</h6></div>`)
+	}
+	b.WriteString(`<div><p>About us: a fine store.</p></div></body></html>`)
+	return b.String()
+}
+
+// phase2Clusters returns the page clusters the matcher contract runs on:
+// the first 12 pages of the top-ranked cluster phase one finds on each
+// of two probed sites (12 keeps the per-pair reference affordable under
+// the race detector), a cluster of heading pages, and a two-page cluster
+// whose identifiers depend on which path is simplified first.
+func phase2Clusters(t *testing.T) [][]*corpus.Page {
+	t.Helper()
+	var clusters [][]*corpus.Page
+	for _, site := range []int{2, 4} {
+		col := probeSite(t, site, 11)
+		cfg := DefaultConfig()
+		cfg.Workers = 1
+		pages := Phase1(col.Pages, cfg).Ranked[0].Pages
+		clusters = append(clusters, pages[:min(12, len(pages))])
+	}
+	var headings []*corpus.Page
+	for i := 0; i < 9; i++ {
+		headings = append(headings, &corpus.Page{HTML: headingPage(i), Class: corpus.MultiMatch})
+	}
+	// The prototype page's first subtree is a <main>, the other page's a
+	// <menu>: both want the identifier "m", so it goes to whichever path
+	// is simplified first — the prototype's, in the per-pair order.
+	order := []*corpus.Page{
+		{HTML: `<html><body><main><p>a</p><p>b</p><p>c</p></main></body></html>`},
+		{HTML: `<html><body><menu><p>x</p><p>y</p></menu></body></html>`},
+	}
+	return append(clusters, headings, order)
+}
+
+func candidatesPerPage(pages []*corpus.Page) [][]*Candidate {
+	perPage := make([][]*Candidate, len(pages))
+	for i, p := range pages {
+		perPage[i] = SinglePageCandidates(p.Tree(), i)
+	}
+	return perPage
+}
+
+// pageTags lists every tag name on the pages, sorted.
+func pageTags(pages []*corpus.Page) []string {
+	seen := make(map[string]bool)
+	for _, p := range pages {
+		p.Tree().Walk(func(n *tagtree.Node) bool {
+			if n.Type == tagtree.TagNode {
+				seen[n.Tag] = true
+			}
+			return true
+		})
+	}
+	tags := make([]string, 0, len(seen))
+	for tag := range seen { //thorlint:allow no-map-range-order sorted below
+		tags = append(tags, tag)
+	}
+	slices.Sort(tags)
+	return tags
+}
+
+// TestFindCommonSubtreeSetsMatchesPerPairReference pins the matcher to
+// the per-pair loop it replaced (findCommonSubtreeSetsRef): the same
+// sets with the same members, by pointer and in order, and the same
+// simplifier state afterwards, across the weightings, both q values, and
+// a MaxMatchDistance that rejects pairs.
+func TestFindCommonSubtreeSetsMatchesPerPairReference(t *testing.T) {
+	weightings := map[string]ShapeWeights{"all": WeightsAll, "path": WeightsPathOnly, "fanout": WeightsFanoutOnly}
+	digitIDs, filtered := false, false
+	for ci, pages := range phase2Clusters(t) {
+		perPage := candidatesPerPage(pages)
+		tags := pageTags(pages)
+		for _, wname := range []string{"all", "path", "fanout"} {
+			for _, q := range []int{1, 2} {
+				members := make(map[float64]int)
+				for _, maxD := range []float64{1.0, 0.3} {
+					name := fmt.Sprintf("cluster %d/%s/q=%d/max=%.1f", ci, wname, q, maxD)
+					cfg := DefaultConfig()
+					cfg.ShapeWeights = weightings[wname]
+					cfg.PathSimplifyQ = q
+					cfg.MaxMatchDistance = maxD
+					seed := int64(17 + ci)
+					gotSimp, wantSimp := strdist.NewSimplifier(q), strdist.NewSimplifier(q)
+					got := FindCommonSubtreeSets(perPage, cfg, rand.New(rand.NewSource(seed)), gotSimp)
+					want := findCommonSubtreeSetsRef(perPage, cfg, rand.New(rand.NewSource(seed)), wantSimp)
+					assertSameSets(t, name, got, want)
+					for _, set := range got {
+						members[maxD] += len(set.Members)
+					}
+					// The simplifiers must hold the same assignments: asked
+					// for every tag in the same order, they answer alike.
+					for _, tag := range tags {
+						if g, w := gotSimp.ID(tag), wantSimp.ID(tag); g != w {
+							t.Fatalf("%s: tag %q simplified to %q, reference %q", name, tag, g, w)
+						}
+						if q == 1 && len(tag) == 2 && tag[0] == 'h' && tag[1] >= '1' && tag[1] <= '6' && gotSimp.ID(tag) == tag[1:] {
+							digitIDs = true
+						}
+					}
+				}
+				filtered = filtered || members[0.3] < members[1.0]
+			}
+		}
+	}
+	if !digitIDs {
+		t.Fatal("no heading tag fell back to a digit identifier; the collision case is not covered")
+	}
+	if !filtered {
+		t.Fatal("MaxMatchDistance 0.3 rejected no pair; the filter is not covered")
+	}
+}
+
+func assertSameSets(t *testing.T, name string, got, want []*SubtreeSet) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d sets, reference %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Proto != want[i].Proto {
+			t.Fatalf("%s: set %d prototype differs", name, i)
+		}
+		if !slices.Equal(got[i].Members, want[i].Members) {
+			t.Fatalf("%s: set %d has %d members, reference %d (or a different member or order)",
+				name, i, len(got[i].Members), len(want[i].Members))
+		}
+	}
+}
+
+// TestRankSubtreeSetsIntraSimMatchesStemReference pins the per-set stem
+// memo: every set's IntraSim is bit-identical to the value computed with
+// stem.Stem on every token, under TFIDF and raw content vectors.
+func TestRankSubtreeSetsIntraSimMatchesStemReference(t *testing.T) {
+	for ci, pages := range phase2Clusters(t) {
+		for _, raw := range []bool{false, true} {
+			cfg := DefaultConfig()
+			cfg.Workers = 2
+			cfg.RawContentVectors = raw
+			sets := FindCommonSubtreeSets(candidatesPerPage(pages), cfg, rand.New(rand.NewSource(3)), strdist.NewSimplifier(cfg.PathSimplifyQ))
+			want := make(map[*SubtreeSet]float64, len(sets))
+			for _, s := range sets {
+				want[s] = intraSimRef(s, cfg)
+			}
+			RankSubtreeSets(sets, cfg)
+			for i, s := range sets {
+				if math.Float64bits(s.IntraSim) != math.Float64bits(want[s]) {
+					t.Fatalf("cluster %d raw=%v set %d: IntraSim %v, reference %v", ci, raw, i, s.IntraSim, want[s])
+				}
+			}
+		}
+	}
+}
+
+// TestGreedyPairingTieOrder pins the matcher's tie rule: among pairs at
+// equal distance the lower set index wins, then the lower candidate
+// index.
+func TestGreedyPairingTieOrder(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ShapeWeights = WeightsFanoutOnly
+	cfg.MaxMatchDistance = 0.1
+	cand := func(page, fanout int) *Candidate {
+		return &Candidate{PageIdx: page, Path: "html/body/div", Fanout: fanout, Depth: 2, Nodes: 3}
+	}
+	run := func(perPage [][]*Candidate) []*SubtreeSet {
+		return FindCommonSubtreeSets(perPage, cfg, rand.New(rand.NewSource(1)), strdist.NewSimplifier(1))
+	}
+
+	// Two prototypes tie for one page candidate: set 0 takes it.
+	proto := []*Candidate{cand(0, 4), cand(0, 4)}
+	other := []*Candidate{cand(1, 4)}
+	sets := run([][]*Candidate{proto, other})
+	if len(sets[0].Members) != 2 || sets[0].Members[1] != other[0] || len(sets[1].Members) != 1 {
+		t.Errorf("set tie: members %d/%d, want the candidate in set 0", len(sets[0].Members), len(sets[1].Members))
+	}
+
+	// One prototype ties between two page candidates: candidate 0 joins.
+	// The prototype page holds the most candidates (so it is the only
+	// prototype choice); its other subtrees match nothing within 0.1.
+	proto = []*Candidate{cand(0, 4), cand(0, 100), cand(0, 200)}
+	other = []*Candidate{cand(1, 4), cand(1, 4)}
+	sets = run([][]*Candidate{proto, other})
+	if len(sets[0].Members) != 2 || sets[0].Members[1] != other[0] {
+		t.Errorf("candidate tie: set 0 did not take candidate 0")
+	}
+	if len(sets[1].Members) != 1 || len(sets[2].Members) != 1 {
+		t.Errorf("far prototypes matched a candidate beyond MaxMatchDistance")
+	}
+}
+
+// TestWrapperMatchFirstMinimumWins pins Wrapper.match's tie rule: of two
+// candidates at equal distance from the profile, the first in document
+// order is extracted.
+func TestWrapperMatchFirstMinimumWins(t *testing.T) {
+	page := corpus.Page{HTML: `<html><body><div><p>a</p><p>b</p></div><div><p>c</p><p>d</p></div></body></html>`}
+	tree := page.Tree()
+	first, err := tagtree.Lookup(tree, "html/body/div[1]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := tagtree.Lookup(tree, "html/body/div[2]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The profile path has no index, so both divs are one edit away, and
+	// their fanout, depth and size are identical.
+	w := &Wrapper{
+		Paths:       []string{"html/body/div"},
+		Fanout:      2,
+		Depth:       2,
+		Nodes:       float64(first.NodeCount()),
+		Weights:     WeightsAll,
+		MaxDistance: 0.35,
+		simp:        strdist.NewSimplifier(1),
+	}
+	dFirst := w.nodeDistance(first, &applyScratch{})
+	if dSecond := w.nodeDistance(second, &applyScratch{}); dFirst != dSecond { //thorlint:allow no-float-eq the test needs an exact tie
+		t.Fatalf("divs not tied: %v vs %v", dFirst, dSecond)
+	}
+	got, d := w.Extract(tree)
+	if got != first {
+		t.Fatalf("extracted %v at %v, want the first div in document order", got, d)
+	}
+	if node, _ := extractRef(w, tree); node != first {
+		t.Fatalf("reference extracted %v, want the first div", node)
+	}
+}
+
+// TestFindCommonSubtreeSetsAllocs is phase two's allocation gate: one
+// FindCommonSubtreeSets call allocates a bounded number of times per
+// candidate — its sets, their member lists, and one simplified path per
+// prototype — never per (prototype, candidate) pair.
+func TestFindCommonSubtreeSetsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race CI step")
+	}
+	pages := probeSite(t, 4, 11).Pages
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	p1 := Phase1(pages, cfg)
+	perPage := candidatesPerPage(p1.Ranked[0].Pages)
+	cands, pairs := 0, 0
+	for _, pc := range perPage {
+		cands += len(pc)
+	}
+	for _, pc := range perPage {
+		pairs += len(pc) * len(perPage[0])
+	}
+	// Fresh simplifiers and sources are made outside the measured calls.
+	const runs = 5
+	simps := make([]*strdist.Simplifier, runs+1)
+	rngs := make([]*rand.Rand, runs+1)
+	for i := range simps {
+		simps[i] = strdist.NewSimplifier(cfg.PathSimplifyQ)
+		rngs[i] = rand.New(rand.NewSource(int64(i)))
+	}
+	call := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		FindCommonSubtreeSets(perPage, cfg, rngs[call], simps[call])
+		call++
+	})
+	budget := 2*cands + 64
+	t.Logf("%d pages, %d candidates, ~%d pairs: %.0f allocs per call, budget %d", len(perPage), cands, pairs, allocs, budget)
+	if allocs > float64(budget) {
+		t.Errorf("%.0f allocs per FindCommonSubtreeSets call, budget %d (2 per candidate + 64)", allocs, budget)
+	}
+}

@@ -2,8 +2,11 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 
 	"thor/internal/corpus"
+	"thor/internal/stem"
 	"thor/internal/strdist"
 	"thor/internal/tagtree"
 	"thor/internal/vector"
@@ -15,6 +18,10 @@ import (
 // plain cosine loop, and scored by a wrapper over SinglePageCandidates
 // with the string edit distance. None of it shares code with
 // InternCounts, AssignNearest, or Wrapper.match.
+//
+// It also keeps phase two's per-pair subtree matcher and a memo-free
+// set similarity, the references the phase-two contract tests compare
+// FindCommonSubtreeSets and RankSubtreeSets against.
 
 // vectorizeRef maps a page into the model's assignment space: the
 // approach's signature weighted with the training document frequencies.
@@ -92,4 +99,112 @@ func applyRef(m *Model, page *corpus.Page) []*Pagelet {
 		return nil
 	}
 	return []*Pagelet{{Page: page, Node: node, Path: node.Path()}}
+}
+
+// findCommonSubtreeSetsRef is FindCommonSubtreeSets as it ran before the
+// per-call path memo: every prototype×candidate pair scored by
+// ShapeDistance (both paths re-simplified per pair), the pairs ordered by
+// sort.Slice on (dist, set, cand), then the same greedy one-to-one pass.
+func findCommonSubtreeSetsRef(perPage [][]*Candidate, cfg Config, rng *rand.Rand, simp *strdist.Simplifier) []*SubtreeSet {
+	if len(perPage) == 0 {
+		return nil
+	}
+	maxCands := 0
+	for _, cands := range perPage {
+		if len(cands) > maxCands {
+			maxCands = len(cands)
+		}
+	}
+	var richest []int
+	for i, cands := range perPage {
+		if len(cands) == maxCands {
+			richest = append(richest, i)
+		}
+	}
+	protoIdx := richest[rng.Intn(len(richest))]
+	protos := perPage[protoIdx]
+	sets := make([]*SubtreeSet, len(protos))
+	for i, proto := range protos {
+		sets[i] = &SubtreeSet{Proto: proto, Members: []*Candidate{proto}}
+	}
+	type pairing struct {
+		set  int
+		cand int
+		dist float64
+	}
+	for l, cands := range perPage {
+		if l == protoIdx || len(cands) == 0 {
+			continue
+		}
+		pairs := make([]pairing, 0, len(protos)*len(cands))
+		for si, proto := range protos {
+			for ci, c := range cands {
+				d := ShapeDistance(proto, c, cfg.ShapeWeights, simp)
+				if d <= cfg.MaxMatchDistance {
+					pairs = append(pairs, pairing{set: si, cand: ci, dist: d})
+				}
+			}
+		}
+		sort.Slice(pairs, func(i, j int) bool {
+			//thorlint:allow no-float-eq deterministic sort tie-break on equal distances
+			if pairs[i].dist != pairs[j].dist {
+				return pairs[i].dist < pairs[j].dist
+			}
+			if pairs[i].set != pairs[j].set {
+				return pairs[i].set < pairs[j].set
+			}
+			return pairs[i].cand < pairs[j].cand
+		})
+		setTaken := make([]bool, len(protos))
+		candTaken := make([]bool, len(cands))
+		assigned := 0
+		for _, p := range pairs {
+			if setTaken[p.set] || candTaken[p.cand] {
+				continue
+			}
+			setTaken[p.set] = true
+			candTaken[p.cand] = true
+			sets[p.set].Members = append(sets[p.set].Members, cands[p.cand])
+			if assigned++; assigned == len(protos) || assigned == len(cands) {
+				break
+			}
+		}
+	}
+	return sets
+}
+
+// intraSimRef is intraSetSimilarity without the per-set stem memo or the
+// candidates' term-count memo: every member's tokens stemmed afresh by
+// stem.Stem, weighted and compared exactly as production does.
+func intraSimRef(s *SubtreeSet, cfg Config) float64 {
+	n := len(s.Members)
+	if n < 2 {
+		return 1
+	}
+	docs := make([]map[string]int, n)
+	empty := true
+	for i, m := range s.Members {
+		docs[i] = m.Node.TermCounts(stem.Stem)
+		if len(docs[i]) > 0 {
+			empty = false
+		}
+	}
+	if empty {
+		return 1
+	}
+	var iv vector.Interned
+	if cfg.RawContentVectors {
+		iv = vector.RawFrequencyInterned(docs)
+	} else {
+		iv = vector.TFIDFInterned(docs)
+	}
+	var sum float64
+	pairs := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			sum += iv.Vecs[i].Cosine(iv.Vecs[j])
+			pairs++
+		}
+	}
+	return sum / float64(pairs)
 }

@@ -106,20 +106,34 @@ func counterID(n, q int) string {
 // different positions — say a navigation div and a results div — remain
 // distinguishable to the edit distance while costing only one edit.
 func (s *Simplifier) SimplifyPath(path string) string {
-	var b strings.Builder
-	for _, stepStr := range strings.Split(path, "/") {
-		if stepStr == "" {
+	return string(s.AppendPath(nil, path))
+}
+
+// AppendPath appends the simplified form of path (what SimplifyPath
+// returns) to dst and returns the extended slice: the scratch form a
+// caller simplifying many paths uses to build them into one reused
+// buffer. Identifiers are resolved step by step in path order, so a
+// first-seen tag gets the same identifier either way.
+func (s *Simplifier) AppendPath(dst []byte, path string) []byte {
+	for len(path) > 0 {
+		step := path
+		if i := strings.IndexByte(path, '/'); i >= 0 {
+			step, path = path[:i], path[i+1:]
+		} else {
+			path = ""
+		}
+		if step == "" {
 			continue
 		}
 		idx := ""
-		if i := strings.IndexByte(stepStr, '['); i >= 0 {
-			idx = strings.TrimSuffix(stepStr[i+1:], "]")
-			stepStr = stepStr[:i]
+		if i := strings.IndexByte(step, '['); i >= 0 {
+			idx = strings.TrimSuffix(step[i+1:], "]")
+			step = step[:i]
 		}
-		b.WriteString(s.ID(stepStr))
-		b.WriteString(idx)
+		dst = append(dst, s.ID(step)...)
+		dst = append(dst, idx...)
 	}
-	return b.String()
+	return dst
 }
 
 // PathDistance returns the normalized edit distance between two simplified

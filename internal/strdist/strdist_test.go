@@ -1,6 +1,7 @@
 package strdist
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -165,6 +166,50 @@ func TestSimplifyPathKeepsIndexDigits(t *testing.T) {
 	c := s.SimplifyPath("html/body/table")
 	if Levenshtein(a, c) != 1 {
 		t.Errorf("dropping an index should cost one edit: %q vs %q", a, c)
+	}
+}
+
+// simplifyPathRef is SimplifyPath as it was written before AppendPath:
+// strings.Split over the path, identifiers and index digits joined in a
+// strings.Builder.
+func simplifyPathRef(s *Simplifier, path string) string {
+	var b strings.Builder
+	for _, stepStr := range strings.Split(path, "/") {
+		if stepStr == "" {
+			continue
+		}
+		idx := ""
+		if i := strings.IndexByte(stepStr, '['); i >= 0 {
+			idx = strings.TrimSuffix(stepStr[i+1:], "]")
+			stepStr = stepStr[:i]
+		}
+		b.WriteString(s.ID(stepStr))
+		b.WriteString(idx)
+	}
+	return b.String()
+}
+
+// TestAppendPathMatchesSplitReference pins AppendPath (and SimplifyPath
+// over it) to the split-based form, on the same paths in the same order
+// so first-sight identifiers are assigned alike — empty steps, leading
+// and trailing separators, bracketed indexes and heading tags included.
+func TestAppendPathMatchesSplitReference(t *testing.T) {
+	paths := []string{
+		"html/head/title", "html/body/h1", "html/body/div[2]/h2[1]", "",
+		"/html//body/", "html/body/table[3]/tr[10]/td", "h3/h4[2]", "a[", "b]", "x/[4]",
+	}
+	for _, q := range []int{1, 2} {
+		got, want := NewSimplifier(q), NewSimplifier(q)
+		var buf []byte
+		for _, p := range paths {
+			buf = got.AppendPath(buf[:0], p)
+			if ref := simplifyPathRef(want, p); string(buf) != ref {
+				t.Fatalf("q=%d AppendPath(%q) = %q, reference %q", q, p, buf, ref)
+			}
+			if s, ref := got.SimplifyPath(p), simplifyPathRef(want, p); s != ref {
+				t.Fatalf("q=%d SimplifyPath(%q) = %q, reference %q", q, p, s, ref)
+			}
+		}
 	}
 }
 

@@ -82,9 +82,7 @@ func (n *Node) DistinctTerms() int {
 	seen := make(map[string]struct{})
 	n.Walk(func(m *Node) bool {
 		if m.Type == ContentNode {
-			for _, tok := range Tokenize(m.Content) {
-				seen[tok] = struct{}{}
-			}
+			EachToken(m.Content, func(tok string) { seen[tok] = struct{}{} })
 		}
 		return true
 	})

@@ -1,19 +1,23 @@
 package vector
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // Accumulator builds the weighted document vectors of a collection
 // incrementally, one document at a time — the streaming counterpart of
 // TFIDF and RawFrequency. A streaming pipeline feeds each page's count
 // signature to Add and may then discard the page; the accumulator keeps
-// only the compact sparse vector and the running document-frequency
-// table, so peak residency is O(vectors) rather than O(pages + count
-// maps + vectors).
+// only the compact (term ID, count) entries and the running
+// document-frequency table, so peak residency is O(vectors) rather than
+// O(pages + count maps + vectors).
 //
 // TFIDF weighting needs the whole collection's document frequencies, so
-// it is necessarily two-pass: Add records the raw term-count vector
-// (pass 1) and Finish applies the DF weighting and normalization in
-// place (pass 2). The finished vectors are bit-identical to
+// it is necessarily two-pass: Add records the raw term counts (pass 1)
+// and FinishInterned applies the DF weighting and normalization
+// (pass 2). The finished vectors are bit-identical to
 // TFIDF(docs) — same term order, same per-term arithmetic, same
 // normalization order — and, in raw mode, to RawFrequency(docs); the
 // equivalence is pinned by TestAccumulatorMatchesBatch.
@@ -24,9 +28,21 @@ import "math"
 // shards accumulated independently can be combined before the finishing
 // pass.
 type Accumulator struct {
-	raw  bool
-	vecs []Sparse
-	df   map[string]int
+	raw bool
+	// ids maps each term seen so far to its first-sight local ID; terms
+	// and df are indexed by local ID.
+	ids   map[string]int32
+	terms []string
+	df    []int
+	// docs holds each added document's (local ID, count) entries, in no
+	// particular order until the finishing pass sorts them.
+	docs [][]termCount
+}
+
+// termCount is one term occurrence of an added document.
+type termCount struct {
+	id int32
+	tf int
 }
 
 // NewAccumulator returns an empty accumulator. In raw mode the vectors
@@ -34,24 +50,39 @@ type Accumulator struct {
 // the paper's TFIDF weighting at Finish. Document frequencies are
 // tallied in both modes.
 func NewAccumulator(raw bool) *Accumulator {
-	return &Accumulator{raw: raw, df: make(map[string]int)}
+	return &Accumulator{raw: raw, ids: make(map[string]int32)}
 }
 
-// Add appends one document's term counts. The counts map is read, never
-// retained: the caller may reuse or drop it immediately.
+// Add appends one document's term counts, counted straight into the
+// accumulator's local ID space: one map lookup per term, no string-keyed
+// vector and no string sort. The counts map is read, never retained: the
+// caller may reuse or drop it immediately.
 func (a *Accumulator) Add(counts map[string]int) {
-	v := FromCounts(counts)
-	if a.raw {
-		v = v.Normalize()
+	doc := make([]termCount, 0, len(counts))
+	//thorlint:allow no-map-range-order entries are sorted into term order at finish; local IDs never reach an output
+	for term, tf := range counts {
+		id := a.intern(term)
+		a.df[id]++
+		doc = append(doc, termCount{id: id, tf: tf})
 	}
-	a.vecs = append(a.vecs, v)
-	for term := range counts {
-		a.df[term]++
+	a.docs = append(a.docs, doc)
+}
+
+// intern returns term's local ID, assigning the next one (with a zero
+// document frequency) on first sight.
+func (a *Accumulator) intern(term string) int32 {
+	id, ok := a.ids[term]
+	if !ok {
+		id = int32(len(a.terms))
+		a.ids[term] = id
+		a.terms = append(a.terms, term)
+		a.df = append(a.df, 0)
 	}
+	return id
 }
 
 // Len returns how many documents have been added.
-func (a *Accumulator) Len() int { return len(a.vecs) }
+func (a *Accumulator) Len() int { return len(a.docs) }
 
 // DF returns a copy of the document-frequency table accumulated so far —
 // after Finish, exactly DocumentFrequencies over the added documents.
@@ -59,9 +90,9 @@ func (a *Accumulator) Len() int { return len(a.vecs) }
 // mutating the result mid-stream can no longer corrupt the weighting of
 // documents still to be finished.
 func (a *Accumulator) DF() map[string]int {
-	out := make(map[string]int, len(a.df))
-	for term, n := range a.df {
-		out[term] = n
+	out := make(map[string]int, len(a.terms))
+	for id, term := range a.terms {
+		out[term] = a.df[id]
 	}
 	return out
 }
@@ -69,83 +100,90 @@ func (a *Accumulator) DF() map[string]int {
 // Reset returns the accumulator to its empty state — no documents, an
 // empty DF table, the same weighting mode — so it can accumulate a fresh
 // batch after a finishing call spent it. The previously returned vectors
-// are unaffected: Reset drops the accumulator's references instead of
-// recycling their storage.
+// are unaffected: they never share storage with the accumulator.
 func (a *Accumulator) Reset() {
-	a.vecs = nil
-	a.df = make(map[string]int)
+	a.ids = make(map[string]int32)
+	a.terms, a.df, a.docs = nil, nil, nil
 }
 
-// Merge folds b's accumulated documents into a: b's vectors are appended
-// in their Add order after a's, and the DF tables are summed. Both
+// Merge folds b's accumulated documents into a: b's documents are
+// appended in their Add order after a's, and the DF tables are summed. Both
 // accumulators must be unfinished and share the same weighting mode; b
-// is spent by the merge (a takes ownership of its vectors) and must be
+// is spent by the merge (a takes ownership of its documents) and must be
 // Reset before reuse. Merging two accumulators and finishing is
 // bit-identical to adding both streams to one accumulator in
 // concatenation order (pinned by TestAccumulatorMergeMatchesConcat).
 func (a *Accumulator) Merge(b *Accumulator) {
-	a.vecs = append(a.vecs, b.vecs...)
-	for term, n := range b.df {
-		a.df[term] += n
+	remap := make([]int32, len(b.terms))
+	for bid, term := range b.terms {
+		id := a.intern(term)
+		a.df[id] += b.df[bid]
+		remap[bid] = id
 	}
-	b.vecs = nil
+	for _, doc := range b.docs {
+		for j := range doc {
+			doc[j].id = remap[doc[j].id]
+		}
+		a.docs = append(a.docs, doc)
+	}
+	b.docs = nil
 }
 
-// Finish applies the second pass — TFIDF weighting and L2 normalization
-// in place — and returns the finished vectors. In raw mode the vectors
-// are already normalized and are returned as they stand. The accumulator
-// is spent afterwards: call Reset before adding again, or the already
-// weighted vectors would be weighted a second time.
+// Finish applies the second pass — TFIDF weighting (raw frequencies in
+// raw mode) and L2 normalization — and returns the finished vectors in
+// string-keyed form: FinishInterned's vectors with their IDs turned back
+// into terms. The accumulator is spent afterwards: call Reset before
+// adding again.
 func (a *Accumulator) Finish() []Sparse {
-	if a.raw {
-		return a.vecs
+	return a.FinishInterned().ToSparse()
+}
+
+// FinishInterned is the second pass into ID space. The dictionary is
+// built over the accumulated vocabulary (DictFromDF's terms and order),
+// each local ID is remapped to its dictionary ID once, and every
+// document's entries are sorted by dictionary ID — ascending-term order —
+// before they are weighted and normalized. The arithmetic and its order
+// are TFIDF's (RawFrequency's in raw mode), so the vectors are
+// bit-identical to TFIDFInterned and RawFrequencyInterned over the same
+// documents. It spends the accumulator until Reset; the DF table stays
+// readable.
+func (a *Accumulator) FinishInterned() Interned {
+	d := NewDict(a.terms)
+	remap := make([]int32, len(a.terms))
+	var idf []float64
+	if !a.raw {
+		idf = make([]float64, len(a.terms))
 	}
-	n := float64(len(a.vecs))
-	for i := range a.vecs {
-		v := &a.vecs[i]
-		for j, term := range v.Terms {
+	n := float64(len(a.docs))
+	for local, term := range a.terms {
+		id := d.ids[term]
+		remap[local] = id
+		if idf != nil {
 			// Identical arithmetic to TFIDF: idf computed from the
 			// quotient, then multiplied by log(tf+1).
-			idf := math.Log((n + 1) / float64(a.df[term]))
-			v.Weights[j] = math.Log(v.Weights[j]+1) * idf
+			idf[id] = math.Log((n + 1) / float64(a.df[local]))
 		}
-		normalizeInPlace(v)
 	}
-	return a.vecs
-}
-
-// FinishInterned is Finish into ID space: the second pass runs as usual,
-// then every finished vector is interned against a dictionary built over
-// the accumulated DF table and the string-keyed form is released. The
-// interned weights are bit-identical to Finish's (interning only renames
-// terms to IDs; no term of a training vector can miss the dictionary,
-// since both grew from the same Adds). Like Finish, it spends the
-// accumulator until Reset.
-func (a *Accumulator) FinishInterned() Interned {
-	vecs := a.Finish()
-	d := DictFromDF(a.df)
-	out := make([]IDVec, len(vecs))
-	for i := range vecs {
-		out[i] = d.Intern(vecs[i])
-		vecs[i] = Sparse{} // drop the string-keyed form as we go
+	vecs := make([]IDVec, len(a.docs))
+	for i, doc := range a.docs {
+		for j := range doc {
+			doc[j].id = remap[doc[j].id]
+		}
+		slices.SortFunc(doc, func(x, y termCount) int { return cmp.Compare(x.id, y.id) })
+		ids := make([]int32, len(doc))
+		weights := make([]float64, len(doc))
+		for j, e := range doc {
+			ids[j] = e.id
+			if idf != nil {
+				weights[j] = math.Log(float64(e.tf)+1) * idf[e.id]
+			} else {
+				weights[j] = float64(e.tf)
+			}
+		}
+		normalizeWeights(weights)
+		vecs[i] = NewIDVec(ids, weights)
+		a.docs[i] = nil // drop the count entries as we go
 	}
-	a.vecs = nil
-	return Interned{Dict: d, Vecs: out}
-}
-
-// normalizeInPlace scales v to unit L2 norm without allocating, matching
-// Normalize bit for bit (same summation and division order; the zero
-// vector is left unchanged).
-func normalizeInPlace(v *Sparse) {
-	var s float64
-	for _, w := range v.Weights {
-		s += w * w
-	}
-	n := math.Sqrt(s)
-	if n == 0 { //thorlint:allow no-float-eq the zero vector has an exactly zero norm
-		return
-	}
-	for i, w := range v.Weights {
-		v.Weights[i] = w / n
-	}
+	a.docs = nil
+	return Interned{Dict: d, Vecs: vecs}
 }
