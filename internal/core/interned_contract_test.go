@@ -53,7 +53,7 @@ func stringPathPhase1(pages []*corpus.Page, cfg Config) Phase1Result {
 func rankClusters(pages []*corpus.Page, cl cluster.Clustering, sim float64) Phase1Result {
 	stats := make([]pageStat, len(pages))
 	for i, p := range pages {
-		stats[i] = statOf(p)
+		stats[i] = statOf(p, make(map[string]struct{}))
 	}
 	return rankClustersFromStats(pages, stats, cl, sim)
 }
@@ -68,7 +68,7 @@ func stringIntraSim(s *SubtreeSet, cfg Config) float64 {
 	docs := make([]map[string]int, n)
 	empty := true
 	for i, m := range s.Members {
-		docs[i] = m.termCounts(stem.Stem)
+		docs[i] = m.Node.TermCounts(stem.Stem)
 		if len(docs[i]) > 0 {
 			empty = false
 		}

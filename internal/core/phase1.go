@@ -191,6 +191,7 @@ func phase1(src corpus.Source, cfg Config, release bool) (*phaseOne, error) {
 	acc := vector.NewAccumulator(a.RawWeighted())
 	var pages []*corpus.Page
 	var stats []pageStat
+	seen := make(map[string]struct{}) // statOf's distinct-term scratch, cleared per page
 	for {
 		p, err := src.Next()
 		if err == io.EOF {
@@ -200,7 +201,7 @@ func phase1(src corpus.Source, cfg Config, release bool) (*phaseOne, error) {
 			return nil, err
 		}
 		acc.Add(signatureOf(p, a))
-		stats = append(stats, statOf(p))
+		stats = append(stats, statOf(p, seen))
 		if release {
 			p.ReleaseDerived()
 		}
@@ -230,10 +231,10 @@ type pageStat struct {
 }
 
 // statOf reads the ranking scalars off a page (parsing its tree if it is
-// not already cached).
-func statOf(p *corpus.Page) pageStat {
+// not already cached), counting distinct terms in the scratch set seen.
+func statOf(p *corpus.Page, seen map[string]struct{}) pageStat {
 	t := p.Tree()
-	return pageStat{distinctTerms: t.DistinctTerms(), maxFanout: t.MaxFanout(), size: p.Size()}
+	return pageStat{distinctTerms: t.DistinctTermsIn(seen), maxFanout: t.MaxFanout(), size: p.Size()}
 }
 
 // rankClustersFromStats builds and ranks the per-cluster statistics of

@@ -24,20 +24,6 @@ type Candidate struct {
 	Fanout  int
 	Depth   int
 	Nodes   int
-
-	// content memoizes the subtree's stemmed term counts.
-	content map[string]int
-}
-
-// termCounts returns (computing once) the stemmed content term counts of
-// the candidate subtree, used by the cross-page content analysis. stem
-// must map each token to its Porter stem — stem.Stem itself, or a memo
-// over it.
-func (c *Candidate) termCounts(stem func(string) string) map[string]int {
-	if c.content == nil {
-		c.content = c.Node.TermCounts(stem)
-	}
-	return c.content
 }
 
 // SubtreeSet is a common subtree set: at most one shape-matched subtree
@@ -236,11 +222,19 @@ func FindCommonSubtreeSets(perPage [][]*Candidate, cfg Config, rng *rand.Rand, s
 	// prototype resembles far more closely.
 	//
 	// Every path is simplified at most once per call: a prototype's when
-	// its set first meets a page, a page's candidates' right after the
-	// first prototype's. That is the first-sight order a per-pair
-	// simplification presents tags to simp in, so each tag gets the same
-	// identifier — which matters, since an identifier can be a digit (q=1
-	// gives "h1" the "1" of "[1]") and the edit distances depend on it.
+	// its set first meets a page, a page candidate's raw path right after
+	// the first prototype's, the first time that raw path appears. That
+	// is the first-sight order a per-pair simplification presents tags to
+	// simp in — a path seen before holds no unseen tag — so each tag gets
+	// the same identifier, which matters, since an identifier can be a
+	// digit (q=1 gives "h1" the "1" of "[1]") and the edit distances
+	// depend on it.
+	//
+	// A cluster's pages share a template, so the same candidate paths
+	// return page after page: the path term, a function of the two
+	// simplified paths alone, is computed at most once per (set, path)
+	// and read from a table after that. The three shape terms vary per
+	// candidate and are summed per pair.
 	usePath := cfg.ShapeWeights[0] != 0 //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
 	protoPaths := make([]string, len(protos))
 	protoPath := func(si int) string {
@@ -253,22 +247,37 @@ func FindCommonSubtreeSets(perPage [][]*Candidate, cfg Config, rng *rand.Rand, s
 	}
 	var (
 		lev       strdist.LevScratch
-		candPaths []byte // the page's simplified candidate paths, back to back
-		candOff   []int  // candidate ci's is candPaths[candOff[ci]:candOff[ci+1]]
+		pathIDs   map[string]int32 // raw candidate path → call-local ID, in first-sight order
+		paths     []byte           // the simplified paths, back to back
+		pathOff   = []int{0}       // path ID p's is paths[pathOff[p]:pathOff[p+1]]
+		pathDist  []float64        // set si's path term with path ID p at p*len(protos)+si; −1 until computed
+		candIDs   []int32          // the page's candidates' path IDs
 		pairs     []pairing
 		setTaken  = make([]bool, len(protos))
 		candTaken []bool
 	)
+	if usePath {
+		pathIDs = make(map[string]int32)
+	}
 	for l, cands := range perPage {
 		if l == protoIdx || len(cands) == 0 {
 			continue
 		}
 		if usePath {
 			protoPath(0)
-			candPaths, candOff = candPaths[:0], append(candOff[:0], 0)
+			candIDs = candIDs[:0]
 			for _, c := range cands {
-				candPaths = simp.AppendPath(candPaths, c.Path)
-				candOff = append(candOff, len(candPaths))
+				id, ok := pathIDs[c.Path]
+				if !ok {
+					id = int32(len(pathOff) - 1)
+					pathIDs[c.Path] = id
+					paths = simp.AppendPath(paths, c.Path)
+					pathOff = append(pathOff, len(paths))
+					for range protos {
+						pathDist = append(pathDist, -1)
+					}
+				}
+				candIDs = append(candIDs, id)
 			}
 		}
 		pairs = pairs[:0]
@@ -280,7 +289,12 @@ func FindCommonSubtreeSets(perPage [][]*Candidate, cfg Config, rng *rand.Rand, s
 			for ci, c := range cands {
 				var path float64
 				if usePath {
-					path = strdist.NormalizedBytes(pp, candPaths[candOff[ci]:candOff[ci+1]], &lev)
+					id := candIDs[ci]
+					k := int(id)*len(protos) + si
+					if pathDist[k] < 0 {
+						pathDist[k] = strdist.NormalizedBytes(pp, paths[pathOff[id]:pathOff[id+1]], &lev)
+					}
+					path = pathDist[k]
 				}
 				if d := shapeDistance(proto, c, cfg.ShapeWeights, path); d <= cfg.MaxMatchDistance {
 					pairs = append(pairs, newPairing(d, si, ci))
@@ -409,23 +423,54 @@ func intraSetSimilarity(s *SubtreeSet, cfg Config) float64 {
 	if n < 2 {
 		return 1
 	}
-	// Porter stemming is pure, so one token→stem memo per set stems each
-	// distinct token once; the memo is local to this set's work unit, so
-	// the fan-out in RankSubtreeSets still shares nothing.
-	stems := make(map[string]string)
-	memoStem := func(tok string) string {
-		st, ok := stems[tok]
+	// The members' stemmed term counts go straight into the
+	// accumulator's local ID space, one stem per ID: each distinct token,
+	// as the text spells it, is stemmed once (Porter stemming is pure, so
+	// the memo is exact) and mapped to its stem's ID, −1 for a token whose
+	// stem is empty; each member is counted in a dense row by ID, and the
+	// IDs it touched are handed on with it. stem.Stem lowercases first and
+	// lowercasing is idempotent on word runes, so the stem of a spelling
+	// is the stem of EachToken's lowercase token, and a capitalized word
+	// costs no lowercase copy per occurrence. Everything is local to this
+	// set's work unit, so the fan-out in RankSubtreeSets still shares
+	// nothing.
+	acc := vector.NewAccumulator(cfg.RawContentVectors)
+	tokenIDs := make(map[string]int32)
+	var (
+		row     []int
+		touched []int32
+	)
+	count := func(tok string) {
+		id, ok := tokenIDs[tok]
 		if !ok {
-			st = stem.Stem(tok)
-			stems[tok] = st
+			id = -1
+			if st := stem.Stem(tok); st != "" {
+				id = acc.Intern(st)
+				if int(id) == len(row) {
+					row = append(row, 0)
+				}
+			}
+			tokenIDs[tok] = id
 		}
-		return st
+		if id < 0 {
+			return
+		}
+		if row[id] == 0 {
+			touched = append(touched, id)
+		}
+		row[id]++
 	}
-	docs := make([]map[string]int, n)
 	empty := true
-	for i, m := range s.Members {
-		docs[i] = m.termCounts(memoStem)
-		if len(docs[i]) > 0 {
+	for _, m := range s.Members {
+		touched = touched[:0]
+		m.Node.EachRawContentToken(count)
+		// An empty member is still a document: it counts toward the
+		// collection size the TFIDF weighting divides by.
+		acc.AddRow(touched, row)
+		for _, id := range touched {
+			row[id] = 0
+		}
+		if len(touched) > 0 {
 			empty = false
 		}
 	}
@@ -435,16 +480,11 @@ func intraSetSimilarity(s *SubtreeSet, cfg Config) float64 {
 		// query answers: treat as fully static.
 		return 1
 	}
-	// The members' content vectors are built straight in interned ID
-	// space (one throwaway Dict per set) so the O(n²) pairwise cosine —
-	// the dominant phase-two cost — runs on the integer kernels; the
-	// similarities are bit-identical to the string path.
-	var iv vector.Interned
-	if cfg.RawContentVectors {
-		iv = vector.RawFrequencyInterned(docs)
-	} else {
-		iv = vector.TFIDFInterned(docs)
-	}
+	// The vectors are weighted and interned over the set's own vocabulary,
+	// bit-identical to TFIDFInterned (RawFrequencyInterned) over the
+	// members' count maps, so the O(n²) pairwise cosine runs on the
+	// integer kernels.
+	iv := acc.FinishInterned()
 	var sum float64
 	pairs := 0
 	for i := 0; i < n; i++ {

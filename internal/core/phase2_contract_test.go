@@ -7,8 +7,10 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unicode"
 
 	"thor/internal/corpus"
+	"thor/internal/stem"
 	"thor/internal/strdist"
 	"thor/internal/tagtree"
 )
@@ -89,22 +91,103 @@ func pageTags(pages []*corpus.Page) []string {
 	return tags
 }
 
+// pathTags lists every tag name on the candidates' paths, sorted.
+func pathTags(perPage [][]*Candidate) []string {
+	var tags []string
+	for _, cands := range perPage {
+		for _, c := range cands {
+			for _, step := range strings.Split(c.Path, "/") {
+				if i := strings.IndexByte(step, '['); i >= 0 {
+					step = step[:i]
+				}
+				tags = append(tags, step)
+			}
+		}
+	}
+	slices.Sort(tags)
+	return slices.Compact(tags)
+}
+
+// memoCases are hand-built candidate clusters aimed at the matcher's
+// per-call path memo. Page 0 holds the most candidates in each, so it is
+// the prototype page.
+//
+//   - "late tag": the last page brings tags neither the prototype nor
+//     an earlier page has (aside, abbr, both wanting "a" at q=1), so
+//     identifiers are minted mid-stream, in candidate order, and its
+//     aside path is one step from the prototype's table path.
+//   - "same simplified": at q=1 html takes "h", so h1 becomes "1" and
+//     html/body/div/h1 simplifies to div[1]'s "hbd1": two raw paths, one
+//     simplified form, first met on a later page.
+//   - "repeated path": html/body/div[1] comes back on page 2 with the
+//     shape of the prototype's div[2], so only its path term may be
+//     reused; its fanout, depth and size terms are its own.
+func memoCases() map[string][][]*Candidate {
+	cand := func(page int, path string, fanout, depth, nodes int) *Candidate {
+		return &Candidate{PageIdx: page, Path: path, Fanout: fanout, Depth: depth, Nodes: nodes}
+	}
+	return map[string][][]*Candidate{
+		"late tag": {
+			{
+				cand(0, "html/body/div/table/tr/td", 2, 5, 5),
+				cand(0, "html/body/div/ul/li", 1, 4, 2),
+				cand(0, "html/body/div/p", 1, 3, 2),
+				cand(0, "html/body/div/span", 1, 3, 2),
+			},
+			{cand(1, "html/body/div/table/tr/td", 2, 5, 5), cand(1, "html/body/div/p", 1, 3, 2)},
+			{cand(2, "html/body/div/ul/li", 1, 4, 3), cand(2, "html/body/div/p", 1, 3, 3)},
+			{cand(3, "html/body/div/aside/tr/td", 2, 5, 5), cand(3, "html/body/div/abbr", 1, 3, 2), cand(3, "html/body/div/ul/li", 1, 4, 2)},
+		},
+		"same simplified": {
+			{
+				cand(0, "html/body/div[1]", 2, 2, 5),
+				cand(0, "html/body/div[2]", 3, 2, 7),
+				cand(0, "html/body/p", 1, 2, 2),
+			},
+			{cand(1, "html/body/div[1]", 2, 2, 5), cand(1, "html/body/p", 1, 2, 2)},
+			{cand(2, "html/body/div/h1", 2, 2, 5), cand(2, "html/body/div/h2", 3, 2, 7)},
+		},
+		"repeated path": {
+			{
+				cand(0, "html/body/div[1]", 2, 2, 5),
+				cand(0, "html/body/div[2]", 6, 2, 13),
+				cand(0, "html/body/p", 1, 2, 2),
+			},
+			{cand(1, "html/body/div[1]", 2, 2, 5), cand(1, "html/body/div[2]", 6, 2, 13)},
+			{cand(2, "html/body/div[1]", 6, 2, 13), cand(2, "html/body/div[3]", 2, 2, 5)},
+		},
+	}
+}
+
 // TestFindCommonSubtreeSetsMatchesPerPairReference pins the matcher to
 // the per-pair loop it replaced (findCommonSubtreeSetsRef): the same
 // sets with the same members, by pointer and in order, and the same
 // simplifier state afterwards, across the weightings, both q values, and
-// a MaxMatchDistance that rejects pairs.
+// a MaxMatchDistance that rejects pairs. It runs on the probed and
+// page-built clusters of phase2Clusters and on the memo cases.
 func TestFindCommonSubtreeSetsMatchesPerPairReference(t *testing.T) {
+	type matcherCase struct {
+		name    string
+		perPage [][]*Candidate
+		tags    []string
+	}
+	var cases []matcherCase
+	for ci, pages := range phase2Clusters(t) {
+		cases = append(cases, matcherCase{fmt.Sprintf("cluster %d", ci), candidatesPerPage(pages), pageTags(pages)})
+	}
+	memo := memoCases()
+	for _, name := range []string{"late tag", "same simplified", "repeated path"} {
+		cases = append(cases, matcherCase{name, memo[name], pathTags(memo[name])})
+	}
 	weightings := map[string]ShapeWeights{"all": WeightsAll, "path": WeightsPathOnly, "fanout": WeightsFanoutOnly}
 	digitIDs, filtered := false, false
-	for ci, pages := range phase2Clusters(t) {
-		perPage := candidatesPerPage(pages)
-		tags := pageTags(pages)
+	for ci, mc := range cases {
+		perPage, tags := mc.perPage, mc.tags
 		for _, wname := range []string{"all", "path", "fanout"} {
 			for _, q := range []int{1, 2} {
 				members := make(map[float64]int)
 				for _, maxD := range []float64{1.0, 0.3} {
-					name := fmt.Sprintf("cluster %d/%s/q=%d/max=%.1f", ci, wname, q, maxD)
+					name := fmt.Sprintf("%s/%s/q=%d/max=%.1f", mc.name, wname, q, maxD)
 					cfg := DefaultConfig()
 					cfg.ShapeWeights = weightings[wname]
 					cfg.PathSimplifyQ = q
@@ -291,5 +374,105 @@ func TestFindCommonSubtreeSetsAllocs(t *testing.T) {
 	t.Logf("%d pages, %d candidates, ~%d pairs: %.0f allocs per call, budget %d", len(perPage), cands, pairs, allocs, budget)
 	if allocs > float64(budget) {
 		t.Errorf("%.0f allocs per FindCommonSubtreeSets call, budget %d (2 per candidate + 64)", allocs, budget)
+	}
+}
+
+// TestRankSubtreeSetsEdgeCases pins IntraSim bit for bit against
+// intraSimRef, under TFIDF and raw content vectors, on sets built to
+// stress the ID-space counting: a punctuation-only member (an empty
+// document that still counts toward n) beside worded ones, tokens whose
+// Porter stems collide, and uppercase and non-ASCII tokens, which the
+// tokenizer lowercases before stemming.
+func TestRankSubtreeSetsEdgeCases(t *testing.T) {
+	if stem.Stem("running") != stem.Stem("runs") {
+		t.Fatal("running and runs no longer share a stem; the collision case is not covered")
+	}
+	set := func(bodies ...string) *SubtreeSet {
+		s := &SubtreeSet{}
+		for i, body := range bodies {
+			page := &corpus.Page{HTML: "<html><body><div>" + body + "</div></body></html>"}
+			s.Members = append(s.Members, &Candidate{Node: page.Tree(), PageIdx: i})
+		}
+		s.Proto = s.Members[0]
+		return s
+	}
+	cases := map[string]*SubtreeSet{
+		"punctuation member": set(`<p>red apple pie</p>`, `<p>| — | · |</p>`, `<p>green apple tart</p>`, `<p>red apple</p>`),
+		"punctuation only":   set(`<p>|</p>`, `<p>— · —</p>`),
+		"stem collision":     set(`<p>running runs</p>`, `<p>run runner</p>`, `<p>runs</p>`, `<p>walking walks run</p>`),
+		"case and non-ASCII": set(`<p>Café CAFÉ café</p>`, `<p>Straße STRASSE naïve İstanbul</p>`, `<p>RUNNING Über über</p>`, `<p>日本語 テスト running ǅemal</p>`),
+	}
+	for _, name := range []string{"punctuation member", "punctuation only", "stem collision", "case and non-ASCII"} {
+		for _, raw := range []bool{false, true} {
+			cfg := DefaultConfig()
+			cfg.RawContentVectors = raw
+			got, want := intraSetSimilarity(cases[name], cfg), intraSimRef(cases[name], cfg)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s raw=%v: IntraSim %v, reference %v", name, raw, got, want)
+			}
+		}
+	}
+}
+
+// TestStemOfSpellingIsStemOfToken pins what intraSetSimilarity relies on
+// to stem a token as the text spells it: stem.Stem lowercases its input
+// first, and strings.ToLower is idempotent on every letter and digit
+// rune — the only runes a word token holds — so the stem of a spelling
+// equals the stem of its lowercase token.
+func TestStemOfSpellingIsStemOfToken(t *testing.T) {
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+			continue
+		}
+		if l := strings.ToLower(string(r)); strings.ToLower(l) != l {
+			t.Fatalf("lowercasing %U is not idempotent: %q then %q", r, l, strings.ToLower(l))
+		}
+	}
+	for _, tok := range []string{"RUNNING", "Runs", "CAFÉ", "Straße", "ÜBER", "ǅemal", "İstanbul"} {
+		if got, want := stem.Stem(tok), stem.Stem(strings.ToLower(tok)); got != want {
+			t.Errorf("stem.Stem(%q) = %q, stem of the lowercase token %q", tok, got, want)
+		}
+	}
+}
+
+// TestRankSubtreeSetsAllocs is set ranking's allocation gate: one
+// RankSubtreeSets call allocates a bounded number of times per member
+// and per distinct token of a set — the member's count entries and
+// weighted vector, each distinct token's stem — never a term-count map
+// per member.
+func TestRankSubtreeSetsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race CI step")
+	}
+	pages := probeSite(t, 4, 11).Pages
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	cluster := Phase1(pages, cfg).Ranked[0].Pages
+	// Each run ranks its own freshly matched sets (new candidates over the
+	// same trees), made outside the measured calls, so nothing a run
+	// leaves on its candidates can serve the next.
+	const runs = 5
+	sets := make([][]*SubtreeSet, runs+1)
+	for i := range sets {
+		sets[i] = FindCommonSubtreeSets(candidatesPerPage(cluster), cfg, rand.New(rand.NewSource(1)), strdist.NewSimplifier(cfg.PathSimplifyQ))
+	}
+	members, distinct := 0, 0
+	for _, s := range sets[0] {
+		members += len(s.Members)
+		seen := make(map[string]bool)
+		for _, m := range s.Members {
+			m.Node.EachContentToken(func(tok string) { seen[tok] = true })
+		}
+		distinct += len(seen)
+	}
+	call := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		RankSubtreeSets(sets[call], cfg)
+		call++
+	})
+	budget := 3*members + 2*distinct + 16*len(sets[0]) + 64
+	t.Logf("%d sets, %d members, %d distinct tokens: %.0f allocs per call, budget %d", len(sets[0]), members, distinct, allocs, budget)
+	if allocs > float64(budget) {
+		t.Errorf("%.0f allocs per RankSubtreeSets call, budget %d (3 per member + 2 per distinct token + 16 per set + 64)", allocs, budget)
 	}
 }

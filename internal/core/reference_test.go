@@ -173,9 +173,10 @@ func findCommonSubtreeSetsRef(perPage [][]*Candidate, cfg Config, rng *rand.Rand
 	return sets
 }
 
-// intraSimRef is intraSetSimilarity without the per-set stem memo or the
-// candidates' term-count memo: every member's tokens stemmed afresh by
-// stem.Stem, weighted and compared exactly as production does.
+// intraSimRef is intraSetSimilarity as it ran before ID-space counting:
+// every member's lowercase tokens stemmed afresh by stem.Stem into a
+// string-keyed count map, weighted by the batch TFIDFInterned (or
+// RawFrequencyInterned) and compared by the same cosine.
 func intraSimRef(s *SubtreeSet, cfg Config) float64 {
 	n := len(s.Members)
 	if n < 2 {

@@ -60,16 +60,33 @@ func (n *Node) TermCounts(normalize func(string) string) map[string]int {
 // through EachToken, so no intermediate token slice is built. Existing
 // entries are added to, not replaced; clear the map between pages.
 func (n *Node) TermCountsInto(normalize func(string) string, counts map[string]int) {
+	n.EachContentToken(func(tok string) {
+		if normalize != nil {
+			tok = normalize(tok)
+		}
+		if tok != "" {
+			counts[tok]++
+		}
+	})
+}
+
+// EachContentToken calls fn with each lowercase word token of the
+// subtree's content nodes, in document order: EachToken over every
+// content node, the one token walk the counting helpers share.
+func (n *Node) EachContentToken(fn func(string)) { n.eachContentToken(true, fn) }
+
+// EachRawContentToken is EachContentToken without the lowercasing: each
+// token as the text spells it, a substring of a content node, whose
+// strings.ToLower is EachContentToken's token. A caller that memoizes
+// per distinct token lowercases once per spelling this way, instead of
+// allocating a lowercase copy for every occurrence of a capitalized
+// word.
+func (n *Node) EachRawContentToken(fn func(string)) { n.eachContentToken(false, fn) }
+
+func (n *Node) eachContentToken(lower bool, fn func(string)) {
 	n.Walk(func(m *Node) bool {
 		if m.Type == ContentNode {
-			EachToken(m.Content, func(tok string) {
-				if normalize != nil {
-					tok = normalize(tok)
-				}
-				if tok != "" {
-					counts[tok]++
-				}
-			})
+			eachToken(m.Content, lower, fn)
 		}
 		return true
 	})
@@ -79,13 +96,15 @@ func (n *Node) TermCountsInto(normalize func(string) string, counts map[string]i
 // subtree rooted at n. It implements the per-page statistic behind the
 // "average distinct terms" cluster ranking criterion (Section 3.1.3).
 func (n *Node) DistinctTerms() int {
-	seen := make(map[string]struct{})
-	n.Walk(func(m *Node) bool {
-		if m.Type == ContentNode {
-			EachToken(m.Content, func(tok string) { seen[tok] = struct{}{} })
-		}
-		return true
-	})
+	return n.DistinctTermsIn(make(map[string]struct{}))
+}
+
+// DistinctTermsIn is DistinctTerms counted in a caller's scratch set,
+// which it clears first: the form for a pass over many pages, where one
+// set grown once serves them all instead of a fresh set per page.
+func (n *Node) DistinctTermsIn(seen map[string]struct{}) int {
+	clear(seen)
+	n.EachContentToken(func(tok string) { seen[tok] = struct{}{} })
 	return len(seen)
 }
 
@@ -101,7 +120,18 @@ func Tokenize(text string) []string {
 // Tokenize without the token slice. When a token is already lowercase the
 // string handed to fn is a substring of text (strings.ToLower's no-change
 // fast path), so a pass over clean text allocates nothing.
-func EachToken(text string, fn func(string)) {
+func EachToken(text string, fn func(string)) { eachToken(text, true, fn) }
+
+// eachToken is EachToken, with the lowercasing optional: unlowered, each
+// token is the substring of text that spells it, and strings.ToLower of
+// it is exactly EachToken's token.
+func eachToken(text string, lower bool, fn func(string)) {
+	emit := func(tok string) {
+		if lower {
+			tok = strings.ToLower(tok)
+		}
+		fn(tok)
+	}
 	start := -1
 	for i, r := range text {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
@@ -111,12 +141,12 @@ func EachToken(text string, fn func(string)) {
 			continue
 		}
 		if start >= 0 {
-			fn(strings.ToLower(text[start:i]))
+			emit(text[start:i])
 			start = -1
 		}
 	}
 	if start >= 0 {
-		fn(strings.ToLower(text[start:]))
+		emit(text[start:])
 	}
 }
 

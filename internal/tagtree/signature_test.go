@@ -2,6 +2,7 @@ package tagtree
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -85,5 +86,38 @@ func TestDistinctTerms(t *testing.T) {
 	div.AppendChild(sub)
 	if got := div.DistinctTerms(); got != 4 {
 		t.Errorf("DistinctTerms = %d, want 4", got)
+	}
+	// A reused scratch set is cleared first: the previous tree's terms
+	// must not count toward the next one.
+	seen := map[string]struct{}{"stale": {}, "one": {}}
+	if got := div.DistinctTermsIn(seen); got != 4 {
+		t.Errorf("DistinctTermsIn (dirty scratch) = %d, want 4", got)
+	}
+	other := NewTag("p")
+	other.AppendChild(NewContent("Two FIVE"))
+	if got := other.DistinctTermsIn(seen); got != 2 {
+		t.Errorf("DistinctTermsIn (reused scratch) = %d, want 2", got)
+	}
+}
+
+// TestEachRawContentTokenLowersToEachContentToken pins the raw token
+// walk to the lowercasing one: the same token boundaries, and
+// strings.ToLower of each raw token is EachContentToken's token.
+func TestEachRawContentTokenLowersToEachContentToken(t *testing.T) {
+	for _, text := range []string{"", "Hello, World", "CAFÉ café|naïve—ÜBER", "h1 H2 x42y", "日本語 テスト", "İstanbul ǅemal", "a\xffb"} {
+		n := NewTag("p")
+		n.AppendChild(NewContent(text))
+		n.AppendChild(NewContent("Red APPLE"))
+		var raw, lower []string
+		n.EachRawContentToken(func(tok string) { raw = append(raw, strings.ToLower(tok)) })
+		n.EachContentToken(func(tok string) { lower = append(lower, tok) })
+		if !slices.Equal(raw, lower) {
+			t.Errorf("%q: lowered raw tokens %q, EachContentToken %q", text, raw, lower)
+		}
+	}
+	var got []string
+	NewContent("Red APPLE").EachRawContentToken(func(tok string) { got = append(got, tok) })
+	if !slices.Equal(got, []string{"Red", "APPLE"}) {
+		t.Errorf("EachRawContentToken = %q, want the spellings", got)
 	}
 }

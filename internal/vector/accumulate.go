@@ -61,16 +61,34 @@ func (a *Accumulator) Add(counts map[string]int) {
 	doc := make([]termCount, 0, len(counts))
 	//thorlint:allow no-map-range-order entries are sorted into term order at finish; local IDs never reach an output
 	for term, tf := range counts {
-		id := a.intern(term)
+		id := a.Intern(term)
 		a.df[id]++
 		doc = append(doc, termCount{id: id, tf: tf})
 	}
 	a.docs = append(a.docs, doc)
 }
 
-// intern returns term's local ID, assigning the next one (with a zero
-// document frequency) on first sight.
-func (a *Accumulator) intern(term string) int32 {
+// AddRow appends one document counted by the caller straight in the
+// accumulator's local ID space: ids lists the document's distinct local
+// IDs (each one Intern returned) and row[id] is each one's count — a
+// dense scratch row the caller may clear and reuse immediately. No term
+// string is hashed; the weighting at finish is Add's.
+func (a *Accumulator) AddRow(ids []int32, row []int) {
+	doc := make([]termCount, len(ids))
+	for j, id := range ids {
+		a.df[id]++
+		doc[j] = termCount{id: id, tf: row[id]}
+	}
+	a.docs = append(a.docs, doc)
+}
+
+// Intern returns term's local ID — the ID space AddRow takes — assigning
+// the next one (with a zero document frequency) on first sight. Local
+// IDs run densely from 0 in first-sight order, so a caller can index a
+// scratch row by them. Intern only terms an added document then counts:
+// an interned term no document holds would still enter the finished
+// dictionary.
+func (a *Accumulator) Intern(term string) int32 {
 	id, ok := a.ids[term]
 	if !ok {
 		id = int32(len(a.terms))
@@ -116,7 +134,7 @@ func (a *Accumulator) Reset() {
 func (a *Accumulator) Merge(b *Accumulator) {
 	remap := make([]int32, len(b.terms))
 	for bid, term := range b.terms {
-		id := a.intern(term)
+		id := a.Intern(term)
 		a.df[id] += b.df[bid]
 		remap[bid] = id
 	}
