@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"thor/internal/corpus"
 	"thor/internal/parallel"
@@ -77,66 +79,148 @@ type Phase2Result struct {
 // SinglePageCandidates performs single-page analysis on one page's tag
 // tree (Section 3.2.1): it keeps only subtrees that contain content and
 // that are minimal — a subtree whose entire content is carried by a single
-// tag-node child is discarded in favor of that child.
+// tag-node child is discarded in favor of that child. A subtree contains
+// content when some text in it holds a word token: punctuation-only text
+// (list separators like "|", decorative dashes) cannot answer a query.
+// The candidates come in document order, with Path, Depth and Nodes equal
+// to the node's Path, Depth and NodeCount.
+//
+// One iterative walk computes everything, so the cost is linear in the
+// tree plus the candidates' path bytes, whatever the nesting depth. On
+// the way down each tag node's path is its parent's prefix plus one step,
+// whose sibling index is counted once per parent; on the way up a node's
+// word and text flags and node count fold into its parent. Whether a
+// node qualifies is known only on the way up, so each tag node reserves
+// an output slot on the way down, which keeps document order.
 func SinglePageCandidates(tree *tagtree.Node, pageIdx int) []*Candidate {
-	var out []*Candidate
-	tree.Walk(func(n *tagtree.Node) bool {
-		if n.Type != tagtree.TagNode {
-			return false
+	if tree.Type != tagtree.TagNode {
+		return nil
+	}
+	type frame struct {
+		n        *tagtree.Node
+		next     int  // the next child to visit
+		pathLen  int  // path[:pathLen] is n's path
+		steps    int  // n's children's step indexes start at steps[steps]
+		slot     int  // n's slot in out
+		nodes    int  // n's subtree size so far
+		word     bool // some text below holds a word token
+		text     bool // some text below is not all white space
+		textKids int  // children holding text, counted up to 2
+		onlyTag  bool // the first child holding text is a tag node
+	}
+	var (
+		out   []*Candidate
+		stack []frame
+		steps []int32                  // the step indexes of every stacked node's children
+		tally = make(map[string]int32) // appendStepIndexes' scratch
+		path  = []byte(tree.Path())
+	)
+	depth := tree.Depth()
+	push := func(n *tagtree.Node) {
+		off := len(steps)
+		steps = appendStepIndexes(steps, n.Children, tally)
+		stack = append(stack, frame{n: n, pathLen: len(path), steps: off, slot: len(out), nodes: 1})
+		out = append(out, nil)
+	}
+	// hold folds a child's text flag into its parent's minimality count.
+	hold := func(f *frame, text, tag bool) {
+		if !text || f.textKids == 2 {
+			return
 		}
-		if !hasToken(n) {
-			return false // content-free subtrees cannot hold QA-Pagelets
-		}
-		if !isMinimal(n) {
-			return true // skip n but keep descending
-		}
-		out = append(out, &Candidate{
-			Node:    n,
-			PageIdx: pageIdx,
-			Path:    n.Path(),
-			Fanout:  n.Fanout(),
-			Depth:   n.Depth(),
-			Nodes:   n.NodeCount(),
-		})
-		return true
-	})
-	return out
-}
-
-// hasToken reports whether the subtree contains at least one word token.
-// Punctuation-only text (list separators like "|", decorative dashes) is
-// not content in the paper's sense: it cannot answer a query.
-func hasToken(n *tagtree.Node) bool {
-	found := false
-	n.Walk(func(m *tagtree.Node) bool {
-		if found {
-			return false
-		}
-		if m.Type == tagtree.ContentNode && tagtree.HasWordToken(m.Content) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// isMinimal reports whether n's content is not entirely contained in a
-// single tag-node child; if it is, n and the child have equivalent content
-// and only the smaller (deeper) subtree remains a candidate.
-func isMinimal(n *tagtree.Node) bool {
-	var textChildren int
-	var only *tagtree.Node
-	for _, c := range n.Children {
-		if c.HasText() {
-			textChildren++
-			only = c
+		if f.textKids++; f.textKids == 1 {
+			f.onlyTag = tag
 		}
 	}
-	if textChildren == 1 && only.Type == tagtree.TagNode {
-		return false
+	push(tree)
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		if k := f.next; k < len(f.n.Children) {
+			f.next++
+			c := f.n.Children[k]
+			if c.Type != tagtree.TagNode {
+				f.nodes++
+				word := tagtree.HasWordToken(c.Content)
+				text := word || strings.TrimSpace(c.Content) != ""
+				f.word = f.word || word
+				f.text = f.text || text
+				hold(f, text, false)
+				continue
+			}
+			path = append(append(path[:f.pathLen], '/'), c.Tag...)
+			if idx := steps[f.steps+k]; idx > 0 {
+				path = append(strconv.AppendInt(append(path, '['), int64(idx), 10), ']')
+			}
+			push(c)
+			continue
+		}
+		done := *f
+		stack = stack[:len(stack)-1]
+		steps = steps[:done.steps]
+		if done.word && !(done.textKids == 1 && done.onlyTag) {
+			out[done.slot] = &Candidate{
+				Node:    done.n,
+				PageIdx: pageIdx,
+				Path:    string(path[:done.pathLen]),
+				Fanout:  len(done.n.Children),
+				Depth:   depth + len(stack),
+				Nodes:   done.nodes,
+			}
+		}
+		if len(stack) > 0 {
+			p := &stack[len(stack)-1]
+			p.nodes += done.nodes
+			p.word = p.word || done.word
+			p.text = p.text || done.text
+			hold(p, done.text, true)
+		}
 	}
-	return true
+	kept := out[:0]
+	for _, c := range out {
+		if c != nil {
+			kept = append(kept, c)
+		}
+	}
+	if len(kept) == 0 {
+		return nil
+	}
+	return kept
+}
+
+// appendStepIndexes appends, for each of children, the positional index
+// its path step carries: its 1-based position among its same-tag
+// siblings when it has any (tagtree's Path rule), else 0. Content
+// children, which never head a tag path, get 0. tally is empty scratch,
+// left empty for the next call.
+func appendStepIndexes(steps []int32, children []*tagtree.Node, tally map[string]int32) []int32 {
+	if len(children) < 2 {
+		if len(children) == 1 {
+			steps = append(steps, 0)
+		}
+		return steps
+	}
+	for _, c := range children {
+		if c.Type == tagtree.TagNode {
+			tally[c.Tag]++
+		}
+	}
+	// A tag with several children holds their count until its first
+	// child is met, then minus the last position handed out.
+	for _, c := range children {
+		var idx int32
+		if c.Type == tagtree.TagNode {
+			switch t := tally[c.Tag]; {
+			case t > 1:
+				idx = 1
+				tally[c.Tag] = -1
+			case t < 0:
+				idx = 1 - t
+				tally[c.Tag] = t - 1
+			}
+		}
+		steps = append(steps, idx)
+	}
+	clear(tally)
+	return steps
 }
 
 // ShapeDistance is the subtree distance function of Section 3.2.1:
@@ -247,12 +331,13 @@ func FindCommonSubtreeSets(perPage [][]*Candidate, cfg Config, rng *rand.Rand, s
 	}
 	var (
 		lev       strdist.LevScratch
-		pathIDs   map[string]int32 // raw candidate path → call-local ID, in first-sight order
-		paths     []byte           // the simplified paths, back to back
-		pathOff   = []int{0}       // path ID p's is paths[pathOff[p]:pathOff[p+1]]
-		pathDist  []float64        // set si's path term with path ID p at p*len(protos)+si; −1 until computed
-		candIDs   []int32          // the page's candidates' path IDs
-		pairs     []pairing
+		pathIDs   map[string]int32           // raw candidate path → call-local ID, in first-sight order
+		paths     []byte                     // the simplified paths, back to back
+		pathOff   = []int{0}                 // path ID p's is paths[pathOff[p]:pathOff[p+1]]
+		pathDist  []float64                  // set si's path term with path ID p at p*len(protos)+si; −1 until computed
+		candIDs   []int32                    // the page's candidates' path IDs
+		keys      []uint64                   // the page's pair keys, set si's row at si*len(cands)
+		best      = make([]int, len(protos)) // set si's least free candidate, −1 when none is admissible
 		setTaken  = make([]bool, len(protos))
 		candTaken []bool
 	)
@@ -280,12 +365,14 @@ func FindCommonSubtreeSets(perPage [][]*Candidate, cfg Config, rng *rand.Rand, s
 				candIDs = append(candIDs, id)
 			}
 		}
-		pairs = pairs[:0]
+		nc := len(cands)
+		keys = slices.Grow(keys[:0], len(protos)*nc)[:len(protos)*nc]
 		for si, proto := range protos {
 			var pp string
 			if usePath {
 				pp = protoPath(si)
 			}
+			row := keys[si*nc : (si+1)*nc]
 			for ci, c := range cands {
 				var path float64
 				if usePath {
@@ -296,200 +383,294 @@ func FindCommonSubtreeSets(perPage [][]*Candidate, cfg Config, rng *rand.Rand, s
 					}
 					path = pathDist[k]
 				}
+				row[ci] = noPair
 				if d := shapeDistance(proto, c, cfg.ShapeWeights, path); d <= cfg.MaxMatchDistance {
-					pairs = append(pairs, newPairing(d, si, ci))
+					row[ci] = distKey(d)
 				}
 			}
 		}
 		clear(setTaken)
-		candTaken = slices.Grow(candTaken[:0], len(cands))[:len(cands)]
+		candTaken = slices.Grow(candTaken[:0], nc)[:nc]
 		clear(candTaken)
-		assigned := 0
-		// The greedy pass stops once every set or every candidate is
-		// taken, typically after a small share of the pairs, so the pairs
-		// are heap-ordered and popped in (dist, set, cand) order rather
-		// than fully sorted. No two pairings are equal (sc differs), so
-		// the pop order is exactly the sorted order.
-		heapifyPairings(pairs)
-		for len(pairs) > 0 {
-			var p pairing
-			p, pairs = popPairing(pairs)
-			si, ci := p.set(), p.cand()
-			if setTaken[si] || candTaken[ci] {
-				continue
+		// The greedy one-to-one pass takes the least free (dist, set,
+		// cand) pair until every set or every candidate is taken. That
+		// pair is the least, over the free sets, of each set's best free
+		// candidate, so each set keeps its row's argmin (ties to the
+		// lower candidate), a step takes the least argmin (ties to the
+		// lower set), and a set's row is scanned again only when the
+		// candidate it pointed at has just been taken.
+		for si := range protos {
+			best[si] = argminFree(keys[si*nc:(si+1)*nc], candTaken)
+		}
+		for assigned := 0; assigned < len(protos) && assigned < nc; assigned++ {
+			bs, bk := -1, noPair
+			for si, ci := range best {
+				if ci >= 0 && !setTaken[si] && keys[si*nc+ci] < bk {
+					bs, bk = si, keys[si*nc+ci]
+				}
 			}
-			setTaken[si] = true
+			if bs < 0 {
+				break // no free set has an admissible free candidate left
+			}
+			ci := best[bs]
+			setTaken[bs] = true
 			candTaken[ci] = true
-			sets[si].Members = append(sets[si].Members, cands[ci])
-			if assigned++; assigned == len(protos) || assigned == len(cands) {
-				break
+			sets[bs].Members = append(sets[bs].Members, cands[ci])
+			for si, b := range best {
+				if b == ci && !setTaken[si] {
+					best[si] = argminFree(keys[si*nc:(si+1)*nc], candTaken)
+				}
 			}
 		}
 	}
 	return sets
 }
 
-// pairing is one (set, page candidate) pair within MaxMatchDistance,
-// packed so that sorting by (dist, sc) as two unsigned integers is the
-// greedy matching's total order — ascending distance, ties to the lower
-// set index, then to the lower candidate index.
-type pairing struct {
-	// dist is the distance's bits mapped to an unsigned integer of the
-	// same order. NaN never gets here (it fails the d <= MaxMatchDistance
-	// filter) and neither does −0 (the term sum starts at +0), so integer
-	// order is exactly float order, equality included.
-	dist uint64
-	// sc is the set index in the high half, the candidate index in the
-	// low half.
-	sc uint64
-}
+// noPair is the key of a pair beyond MaxMatchDistance: above every
+// distance key, so no argmin ever picks it.
+const noPair uint64 = math.MaxUint64
 
-func newPairing(dist float64, set, cand int) pairing {
-	b := math.Float64bits(dist)
+// distKey maps a distance to an unsigned integer of the same order. NaN
+// never gets here (it fails the d <= MaxMatchDistance filter) and neither
+// does −0 (the term sum starts at +0), so integer order is exactly float
+// order, equality included, and every key is below noPair (NaN's bits
+// would be needed to reach it).
+func distKey(d float64) uint64 {
+	b := math.Float64bits(d)
 	if b>>63 != 0 {
-		b = ^b // negative: flipping every bit reverses their order
-	} else {
-		b |= 1 << 63 // non-negative: above every negative
+		return ^b // negative: flipping every bit reverses their order
 	}
-	return pairing{dist: b, sc: uint64(set)<<32 | uint64(uint32(cand))}
+	return b | 1<<63 // non-negative: above every negative
 }
 
-func (p pairing) set() int  { return int(p.sc >> 32) }
-func (p pairing) cand() int { return int(uint32(p.sc)) }
-
-// less orders pairings by (dist, set, cand).
-func (p pairing) less(q pairing) bool {
-	return p.dist < q.dist || (p.dist == q.dist && p.sc < q.sc)
-}
-
-// heapifyPairings arranges h as a binary min-heap under less.
-func heapifyPairings(h []pairing) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDownPairing(h, i)
+// argminFree returns the index of row's least key among the candidates
+// not yet taken, the lowest index on ties, or −1 when none is admissible.
+func argminFree(row []uint64, taken []bool) int {
+	best, bk := -1, noPair
+	for ci, k := range row {
+		if k < bk && !taken[ci] {
+			best, bk = ci, k
+		}
 	}
-}
-
-// popPairing removes and returns the least pairing of heap h.
-func popPairing(h []pairing) (pairing, []pairing) {
-	top, n := h[0], len(h)-1
-	h[0] = h[n]
-	h = h[:n]
-	siftDownPairing(h, 0)
-	return top, h
-}
-
-func siftDownPairing(h []pairing, i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if r := c + 1; r < len(h) && h[r].less(h[c]) {
-			c = r
-		}
-		if !h[c].less(h[i]) {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
+	return best
 }
 
 // RankSubtreeSets performs step two of cross-page analysis: each set's
 // members are represented as (optionally TFIDF-weighted) stemmed content
 // term vectors and the set's intra-similarity is the average pairwise
 // cosine. The pairwise computation — the dominant phase-two cost — fans
-// out across cfg.Workers, one unit per set; no candidate belongs to two
-// sets, so the units share nothing. Sets are returned in ascending
+// out across cfg.Workers, one unit per set; the units only read what the
+// token pass before the fan-out built. Sets are returned in ascending
 // IntraSim order — the most likely QA-Pagelet sets first — and Dynamic
 // is set for sets at or below the static/dynamic threshold.
 func RankSubtreeSets(sets []*SubtreeSet, cfg Config) {
+	toks := tokenizeMembers(sets)
+	// A unit takes a free scratch or makes one, and puts it back when it
+	// is done. At most one unit per worker runs at a time, so at most
+	// one scratch per worker is ever made, and that many always fit.
+	free := make(chan *rankScratch, parallel.Workers(cfg.Workers))
 	parallel.ForEach(len(sets), cfg.Workers, func(i int) {
+		var sc *rankScratch
+		select {
+		case sc = <-free:
+		default:
+			sc = newRankScratch(toks.stems)
+		}
 		s := sets[i]
-		s.IntraSim = intraSetSimilarity(s, cfg)
+		s.IntraSim = intraSetSimilarity(s, &toks, sc, cfg)
 		s.Dynamic = s.IntraSim <= cfg.SimThreshold
+		free <- sc
 	})
 	sort.SliceStable(sets, func(i, j int) bool {
 		return sets[i].IntraSim < sets[j].IntraSim
 	})
 }
 
+// memberTokens is the token pass set ranking makes once per call: the
+// members' stemmed content as stem IDs, walked once per page.
+type memberTokens struct {
+	// ids holds every walked page's stem IDs in document order, page
+	// after page; a member's tokens are ids[lo:hi] of its span.
+	ids  []int32
+	span map[*tagtree.Node]tokenSpan
+	// stems counts the call's distinct stems. A stem's ID is its rank
+	// among them in ascending term order, the order of the dictionary
+	// TFIDFInterned builds, so ID order is the cosine's merge order.
+	stems int
+}
+
+type tokenSpan struct{ lo, hi int }
+
+// tokenizeMembers walks each distinct page among the members of the sets
+// with a pair to compare once, in document order. A page is identified by
+// its tree's root, so hand-built sets whose pages share no page index
+// still resolve. Nested members share the walk: each records where its
+// subtree's tokens start and end. Each distinct spelling, as the text
+// spells it, is stemmed once per call: Porter stemming is pure, and
+// stem.Stem lowercases first, so the stem of a spelling is the stem of
+// its lowercase token (TestStemOfSpellingIsStemOfToken). A token whose
+// stem is empty counts for nothing.
+func tokenizeMembers(sets []*SubtreeSet) memberTokens {
+	t := memberTokens{span: make(map[*tagtree.Node]tokenSpan)}
+	var roots []*tagtree.Node
+	seen := make(map[*tagtree.Node]bool)
+	for _, s := range sets {
+		if len(s.Members) < 2 {
+			continue // a set with no pair reads no tokens
+		}
+		for _, m := range s.Members {
+			t.span[m.Node] = tokenSpan{}
+			if r := m.Node.Root(); !seen[r] {
+				seen[r] = true
+				roots = append(roots, r)
+			}
+		}
+	}
+	spelled := make(map[string]int32) // spelling → stem ID, −1 for an empty stem
+	stemIDs := make(map[string]int32) // stem → first-sight ID
+	var stems []string
+	count := func(tok string) {
+		id, ok := spelled[tok]
+		if !ok {
+			id = -1
+			if st := stem.Stem(tok); st != "" {
+				if id, ok = stemIDs[st]; !ok {
+					id = int32(len(stems))
+					stemIDs[st] = id
+					stems = append(stems, st)
+				}
+			}
+			spelled[tok] = id
+		}
+		if id >= 0 {
+			t.ids = append(t.ids, id)
+		}
+	}
+	type frame struct {
+		n        *tagtree.Node
+		next, lo int
+	}
+	var stack []frame
+	enter := func(n *tagtree.Node) {
+		stack = append(stack, frame{n: n, lo: len(t.ids)})
+		if n.Type == tagtree.ContentNode {
+			tagtree.EachRawToken(n.Content, count)
+		}
+	}
+	for _, r := range roots {
+		enter(r)
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			if f.next < len(f.n.Children) {
+				f.next++
+				enter(f.n.Children[f.next-1])
+				continue
+			}
+			if _, ok := t.span[f.n]; ok {
+				t.span[f.n] = tokenSpan{f.lo, len(t.ids)}
+			}
+			stack = stack[:len(stack)-1]
+		}
+	}
+	// Renumber from first-sight order to term order.
+	sorted := slices.Clone(stems)
+	slices.Sort(sorted)
+	rank := make([]int32, len(stems))
+	for r, st := range sorted {
+		rank[stemIDs[st]] = int32(r)
+	}
+	for i, id := range t.ids {
+		t.ids[i] = rank[id]
+	}
+	t.stems = len(stems)
+	return t
+}
+
+// rankScratch is one worker's set-ranking scratch: dense rows over the
+// call's stem IDs, all zero between sets, and buffers for one set's
+// member vectors.
+type rankScratch struct {
+	row, df []int     // a member's counts; the set's document frequencies
+	idf     []float64 // the set's IDF per stem it holds
+	ids     []int32   // the members' distinct stem IDs, member after member
+	counts  []float64 // their counts, weighted in place into the vectors
+	off     []int     // member j's entries are ids[off[j]:off[j+1]]
+	union   []int32   // the stems some member holds
+	vecs    []vector.IDVec
+}
+
+func newRankScratch(stems int) *rankScratch {
+	return &rankScratch{row: make([]int, stems), df: make([]int, stems), idf: make([]float64, stems)}
+}
+
 // intraSetSimilarity computes the average pairwise cosine similarity of
 // the set's member content vectors. Single-member sets have no pairs and
 // are deemed fully static (similarity 1): with no cross-page support, the
 // content analysis has no evidence of query-dependence.
-func intraSetSimilarity(s *SubtreeSet, cfg Config) float64 {
+//
+// Each member's tokens are counted over its span into a dense row, and
+// only the int32 IDs it touched are sorted: ascending ID is ascending
+// term, so the entries come out in the order TFIDFInterned
+// (RawFrequencyInterned) gives them. The weights come from the set's own
+// document frequencies and size through vector.Vector, the weighting the
+// accumulator finishes with, so the vectors and the cosines over them are
+// bit-identical to the batch weighting over the members' count maps.
+func intraSetSimilarity(s *SubtreeSet, t *memberTokens, sc *rankScratch, cfg Config) float64 {
 	n := len(s.Members)
 	if n < 2 {
 		return 1
 	}
-	// The members' stemmed term counts go straight into the
-	// accumulator's local ID space, one stem per ID: each distinct token,
-	// as the text spells it, is stemmed once (Porter stemming is pure, so
-	// the memo is exact) and mapped to its stem's ID, −1 for a token whose
-	// stem is empty; each member is counted in a dense row by ID, and the
-	// IDs it touched are handed on with it. stem.Stem lowercases first and
-	// lowercasing is idempotent on word runes, so the stem of a spelling
-	// is the stem of EachToken's lowercase token, and a capitalized word
-	// costs no lowercase copy per occurrence. Everything is local to this
-	// set's work unit, so the fan-out in RankSubtreeSets still shares
-	// nothing.
-	acc := vector.NewAccumulator(cfg.RawContentVectors)
-	tokenIDs := make(map[string]int32)
-	var (
-		row     []int
-		touched []int32
-	)
-	count := func(tok string) {
-		id, ok := tokenIDs[tok]
-		if !ok {
-			id = -1
-			if st := stem.Stem(tok); st != "" {
-				id = acc.Intern(st)
-				if int(id) == len(row) {
-					row = append(row, 0)
-				}
-			}
-			tokenIDs[tok] = id
-		}
-		if id < 0 {
-			return
-		}
-		if row[id] == 0 {
-			touched = append(touched, id)
-		}
-		row[id]++
-	}
-	empty := true
+	sc.ids, sc.counts, sc.off, sc.union = sc.ids[:0], sc.counts[:0], sc.off[:0], sc.union[:0]
 	for _, m := range s.Members {
-		touched = touched[:0]
-		m.Node.EachRawContentToken(count)
-		// An empty member is still a document: it counts toward the
-		// collection size the TFIDF weighting divides by.
-		acc.AddRow(touched, row)
-		for _, id := range touched {
-			row[id] = 0
+		sp := t.span[m.Node]
+		lo := len(sc.ids)
+		sc.off = append(sc.off, lo)
+		for _, id := range t.ids[sp.lo:sp.hi] {
+			if sc.row[id] == 0 {
+				sc.ids = append(sc.ids, id)
+			}
+			sc.row[id]++
 		}
-		if len(touched) > 0 {
-			empty = false
+		doc := sc.ids[lo:]
+		slices.Sort(doc)
+		for _, id := range doc {
+			sc.counts = append(sc.counts, float64(sc.row[id]))
+			sc.row[id] = 0
+			if sc.df[id] == 0 {
+				sc.union = append(sc.union, id)
+			}
+			sc.df[id]++
 		}
 	}
-	if empty {
+	if len(sc.ids) == 0 {
 		// Members with no word content at all (a belt-and-braces guard;
 		// single-page analysis already drops token-free subtrees) carry no
 		// query answers: treat as fully static.
 		return 1
 	}
-	// The vectors are weighted and interned over the set's own vocabulary,
-	// bit-identical to TFIDFInterned (RawFrequencyInterned) over the
-	// members' count maps, so the O(n²) pairwise cosine runs on the
-	// integer kernels.
-	iv := acc.FinishInterned()
+	sc.off = append(sc.off, len(sc.ids))
+	// An empty member is still a document: it counts toward the
+	// collection size the TFIDF weighting divides by.
+	var idf []float64
+	if !cfg.RawContentVectors {
+		idf = sc.idf
+		for _, id := range sc.union {
+			idf[id] = vector.IDF(n, sc.df[id])
+		}
+	}
+	for _, id := range sc.union {
+		sc.df[id] = 0
+	}
+	sc.vecs = sc.vecs[:0]
+	for j := 0; j < n; j++ {
+		lo, hi := sc.off[j], sc.off[j+1]
+		sc.vecs = append(sc.vecs, vector.Vector(sc.ids[lo:hi:hi], sc.counts[lo:hi:hi], idf))
+	}
 	var sum float64
 	pairs := 0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			sum += iv.Vecs[i].Cosine(iv.Vecs[j])
+			sum += sc.vecs[i].Cosine(sc.vecs[j])
 			pairs++
 		}
 	}
@@ -648,7 +829,7 @@ func Phase2(pages []*corpus.Page, cfg Config, seed int64) *Phase2Result {
 			pl := &Pagelet{
 				Page: pages[m.PageIdx],
 				Node: m.Node,
-				Path: m.Node.Path(),
+				Path: m.Path,
 			}
 			for _, d := range dynByPage[m.PageIdx] {
 				if m.Node.IsAncestorOf(d) {

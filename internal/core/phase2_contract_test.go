@@ -4,12 +4,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 	"unicode"
 
 	"thor/internal/corpus"
+	"thor/internal/htmlx"
 	"thor/internal/stem"
 	"thor/internal/strdist"
 	"thor/internal/tagtree"
@@ -406,7 +409,7 @@ func TestRankSubtreeSetsEdgeCases(t *testing.T) {
 		for _, raw := range []bool{false, true} {
 			cfg := DefaultConfig()
 			cfg.RawContentVectors = raw
-			got, want := intraSetSimilarity(cases[name], cfg), intraSimRef(cases[name], cfg)
+			got, want := rankedIntraSim(cases[name], cfg), intraSimRef(cases[name], cfg)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("%s raw=%v: IntraSim %v, reference %v", name, raw, got, want)
 			}
@@ -436,10 +439,11 @@ func TestStemOfSpellingIsStemOfToken(t *testing.T) {
 }
 
 // TestRankSubtreeSetsAllocs is set ranking's allocation gate: one
-// RankSubtreeSets call allocates a bounded number of times per member
-// and per distinct token of a set — the member's count entries and
-// weighted vector, each distinct token's stem — never a term-count map
-// per member.
+// RankSubtreeSets call allocates a bounded number of times per distinct
+// spelling among the members' pages — its stem, its lowercase copy —
+// plus its amortized scratch, and never per member or per set: the
+// members' vectors are weighted in per-worker scratch. A term-count map,
+// a vector or a Dict per member or set breaks the budget.
 func TestRankSubtreeSetsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs in the non-race CI step")
@@ -456,23 +460,252 @@ func TestRankSubtreeSetsAllocs(t *testing.T) {
 	for i := range sets {
 		sets[i] = FindCommonSubtreeSets(candidatesPerPage(cluster), cfg, rand.New(rand.NewSource(1)), strdist.NewSimplifier(cfg.PathSimplifyQ))
 	}
-	members, distinct := 0, 0
+	members := 0
+	spellings := make(map[string]bool)
 	for _, s := range sets[0] {
 		members += len(s.Members)
-		seen := make(map[string]bool)
 		for _, m := range s.Members {
-			m.Node.EachContentToken(func(tok string) { seen[tok] = true })
+			m.Node.Walk(func(n *tagtree.Node) bool {
+				if n.Type == tagtree.ContentNode {
+					tagtree.EachRawToken(n.Content, func(tok string) { spellings[tok] = true })
+				}
+				return true
+			})
 		}
-		distinct += len(seen)
 	}
 	call := 0
 	allocs := testing.AllocsPerRun(runs, func() {
 		RankSubtreeSets(sets[call], cfg)
 		call++
 	})
-	budget := 3*members + 2*distinct + 16*len(sets[0]) + 64
-	t.Logf("%d sets, %d members, %d distinct tokens: %.0f allocs per call, budget %d", len(sets[0]), members, distinct, allocs, budget)
+	budget := 2*len(spellings) + 64
+	t.Logf("%d sets, %d members, %d distinct spellings: %.0f allocs per call, budget %d", len(sets[0]), members, len(spellings), allocs, budget)
 	if allocs > float64(budget) {
-		t.Errorf("%.0f allocs per RankSubtreeSets call, budget %d (3 per member + 2 per distinct token + 16 per set + 64)", allocs, budget)
+		t.Errorf("%.0f allocs per RankSubtreeSets call, budget %d (2 per distinct spelling + 64)", allocs, budget)
+	}
+}
+
+// rankedIntraSim ranks s alone and returns its IntraSim.
+func rankedIntraSim(s *SubtreeSet, cfg Config) float64 {
+	RankSubtreeSets([]*SubtreeSet{s}, cfg)
+	return s.IntraSim
+}
+
+// TestFindCommonSubtreeSetsRandomTies pins the argmin matcher to the
+// sorted per-pair reference on random tie-heavy clusters: fanout-only
+// weights over fanouts 1–4, so most distances tie, matched within
+// MaxMatchDistance 1.0, 0.3 and 0.1. At 0.1 only equal fanouts match,
+// so some sets have no admissible candidate on a page. The prototype
+// page holds the most candidates, so a page never has more candidates
+// than there are sets; the cases cover pages with fewer (S > C) and as
+// many (S = C), and at 0.1 also pages with more admissible candidates
+// than sets that can still take one.
+func TestFindCommonSubtreeSetsRandomTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var sGreater, sEqual, noAdmissible bool
+	for trial := 0; trial < 400; trial++ {
+		pages := 2 + rng.Intn(4)
+		protos := 1 + rng.Intn(7)
+		perPage := make([][]*Candidate, pages)
+		for p := range perPage {
+			n := protos
+			if p > 0 {
+				n = rng.Intn(protos + 1)
+			}
+			for c := 0; c < n; c++ {
+				perPage[p] = append(perPage[p], &Candidate{PageIdx: p, Path: "html/body/div", Fanout: 1 + rng.Intn(4), Depth: 2, Nodes: 3})
+			}
+		}
+		for _, maxD := range []float64{1.0, 0.3, 0.1} {
+			cfg := DefaultConfig()
+			cfg.ShapeWeights = WeightsFanoutOnly
+			cfg.MaxMatchDistance = maxD
+			seed := int64(trial)
+			got := FindCommonSubtreeSets(perPage, cfg, rand.New(rand.NewSource(seed)), strdist.NewSimplifier(1))
+			want := findCommonSubtreeSetsRef(perPage, cfg, rand.New(rand.NewSource(seed)), strdist.NewSimplifier(1))
+			assertSameSets(t, fmt.Sprintf("trial %d max=%.1f", trial, maxD), got, want)
+			protoPage := got[0].Proto.PageIdx
+			for p, cands := range perPage {
+				if p == protoPage || len(cands) == 0 {
+					continue
+				}
+				sGreater = sGreater || len(perPage[protoPage]) > len(cands)
+				sEqual = sEqual || len(perPage[protoPage]) == len(cands)
+				if maxD == 0.1 { //thorlint:allow no-float-eq the loop's own literal
+					for _, proto := range perPage[protoPage] {
+						admissible := false
+						for _, c := range cands {
+							admissible = admissible || c.Fanout == proto.Fanout
+						}
+						noAdmissible = noAdmissible || !admissible
+					}
+				}
+			}
+		}
+	}
+	if !sGreater || !sEqual || !noAdmissible {
+		t.Fatalf("cases not covered: S>C %v, S=C %v, a set with no admissible candidate %v", sGreater, sEqual, noAdmissible)
+	}
+}
+
+// TestRankSubtreeSetsSharedPagesMatchReference pins IntraSim bit for bit
+// against intraSimRef, under both weightings, when the sets of one call
+// share their pages: one set's members nest inside another set's members
+// on the same pages, one set's members are whole page trees, one set's
+// members are bare text nodes, and one word is spelled in a different
+// case on each page. Every set is ranked in the same call, so they all
+// read the one token pass over those pages.
+func TestRankSubtreeSetsSharedPagesMatchReference(t *testing.T) {
+	spellings := []string{"Apple", "APPLE", "apple", "aPPLE"}
+	var outer, inner, whole, text, cased, single []*Candidate
+	for i, apple := range spellings {
+		page := &corpus.Page{HTML: fmt.Sprintf(`<html><body>`+
+			`<div><p>%s pie number %d</p><p>shared words here</p><p>Running runs</p></div>`+
+			`<div><span>%s tart</span></div>`+
+			`<p>footer · %d</p></body></html>`, apple, i, apple, i%2)}
+		root := page.Tree()
+		find := func(path string) *tagtree.Node {
+			n, err := tagtree.Lookup(root, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+		outer = append(outer, &Candidate{Node: find("html/body/div[1]"), PageIdx: i})
+		inner = append(inner, &Candidate{Node: find("html/body/div[1]/p[1]"), PageIdx: i})
+		whole = append(whole, &Candidate{Node: root, PageIdx: i})
+		text = append(text, &Candidate{Node: find("html/body/div[1]/p[1]").Children[0], PageIdx: i})
+		cased = append(cased, &Candidate{Node: find("html/body/div[2]/span"), PageIdx: i})
+		if i == 0 {
+			single = append(single, &Candidate{Node: find("html/body/p"), PageIdx: i})
+		}
+	}
+	for _, raw := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.Workers = 2
+		cfg.RawContentVectors = raw
+		var sets []*SubtreeSet
+		for _, members := range [][]*Candidate{outer, inner, whole, text, cased, single, outer[1:3]} {
+			sets = append(sets, &SubtreeSet{Proto: members[0], Members: members})
+		}
+		names := map[*SubtreeSet]string{sets[0]: "outer", sets[1]: "nested", sets[2]: "whole tree", sets[3]: "text node", sets[4]: "case", sets[5]: "single", sets[6]: "outer again"}
+		want := make(map[*SubtreeSet]float64, len(sets))
+		for _, s := range sets {
+			want[s] = intraSimRef(s, cfg)
+		}
+		RankSubtreeSets(sets, cfg)
+		for _, s := range sets {
+			if math.Float64bits(s.IntraSim) != math.Float64bits(want[s]) {
+				t.Errorf("raw=%v %s: IntraSim %v, reference %v", raw, names[s], s.IntraSim, want[s])
+			}
+		}
+	}
+}
+
+// chainPage builds a chain of levels nested <div>s under <html>. With
+// textAtEvery, each div also holds its own word and a same-tag leaf
+// sibling of the next level, so every level is a candidate and every
+// step past html carries a sibling index; otherwise the only text is
+// one word at the bottom.
+func chainPage(levels int, textAtEvery bool) (root, bottom *tagtree.Node) {
+	root = tagtree.NewTag("html")
+	cur := root
+	for i := 0; i < levels; i++ {
+		next := tagtree.NewTag("div")
+		if textAtEvery {
+			cur.AppendChild(tagtree.NewContent(fmt.Sprintf("w%d", i)))
+		}
+		cur.AppendChild(next)
+		if textAtEvery {
+			leaf := tagtree.NewTag("div")
+			leaf.AppendChild(tagtree.NewContent("leaf"))
+			cur.AppendChild(leaf)
+		}
+		cur = next
+	}
+	cur.AppendChild(tagtree.NewContent("word"))
+	return root, cur
+}
+
+// TestSinglePageCandidatesMatchesPerNodeReference pins the single walk
+// to the per-node walk it replaced: the same candidates, deep-equal and
+// in order, on the phase2Clusters pages, on chains, on a walk started
+// below the root, and on pages whose text is white space or punctuation
+// only in places.
+func TestSinglePageCandidatesMatchesPerNodeReference(t *testing.T) {
+	type tree struct {
+		name string
+		root *tagtree.Node
+	}
+	var trees []tree
+	for ci, pages := range phase2Clusters(t) {
+		for pi, p := range pages {
+			trees = append(trees, tree{fmt.Sprintf("cluster %d page %d", ci, pi), p.Tree()})
+		}
+	}
+	bare, _ := chainPage(40, false)
+	dense, _ := chainPage(40, true)
+	trees = append(trees, tree{"bare chain", bare}, tree{"dense chain", dense}, tree{"below the root", dense.Children[2].Children[0]})
+	for i, html := range []string{
+		`<html><body><div> </div><div>|</div><div><p>a</p> </div><ul><li>x</li><li> · </li><li>y</li></ul></body></html>`,
+		`<html><body><p>—</p><p>  </p><table><tr><td>1</td><td>2</td></tr><tr><td>3</td></tr></table></body></html>`,
+		`<html><head><title>t</title></head><body><div><div><span>s</span><b> </b></div></div>x</body></html>`,
+		`just text`,
+	} {
+		trees = append(trees, tree{fmt.Sprintf("page %d", i), htmlx.Parse(html)})
+	}
+	trees = append(trees, tree{"content root", tagtree.NewContent("loose text")})
+	for _, tr := range trees {
+		got, want := SinglePageCandidates(tr.root, 3), singlePageCandidatesRef(tr.root, 3)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %d candidates, reference %d (or a different candidate or order)", tr.name, len(got), len(want))
+		}
+	}
+}
+
+// TestSinglePageCandidatesDeepChain bounds single-page analysis on a
+// hostile nesting depth: a chain of 100,000 <div>s with one word at the
+// bottom has that bottom div as its only candidate, with the right
+// depth, size and path, in well under the 2 s budget. A walk that
+// re-reads each node's subtree is quadratic here and takes minutes.
+func TestSinglePageCandidatesDeepChain(t *testing.T) {
+	const levels = 100_000
+	root, bottom := chainPage(levels, false)
+	start := time.Now()
+	cands := SinglePageCandidates(root, 0)
+	elapsed := time.Since(start)
+	if len(cands) != 1 {
+		t.Fatalf("%d candidates, want 1", len(cands))
+	}
+	c := cands[0]
+	if c.Node != bottom || c.Depth != levels || c.Nodes != 2 || c.Fanout != 1 {
+		t.Errorf("candidate is the bottom div %v, depth %d, nodes %d, fanout %d; want true, %d, 2, 1", c.Node == bottom, c.Depth, c.Nodes, c.Fanout, levels)
+	}
+	if want := "html" + strings.Repeat("/div", levels); c.Path != want {
+		t.Errorf("path of %d bytes, want %d", len(c.Path), len(want))
+	}
+	if elapsed > 2*time.Second {
+		t.Errorf("SinglePageCandidates took %v on a %d-level chain, budget 2s", elapsed, levels)
+	}
+}
+
+// TestSinglePageCandidatesAllocs is single-page analysis' allocation
+// gate: a call allocates a bounded number of times per candidate (the
+// candidate and its path string) plus its amortized scratch, never per
+// candidate and ancestor. On a chain whose every level is a candidate
+// with an indexed step, building each path from the ancestors allocates
+// per step and breaks the budget.
+func TestSinglePageCandidatesAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race CI step")
+	}
+	root, _ := chainPage(300, true)
+	cands := len(SinglePageCandidates(root, 0))
+	allocs := testing.AllocsPerRun(5, func() { SinglePageCandidates(root, 0) })
+	// 128 covers the doubling growth of the walk's four buffers.
+	budget := 2*cands + 128
+	t.Logf("%d candidates: %.0f allocs per call, budget %d", cands, allocs, budget)
+	if allocs > float64(budget) {
+		t.Errorf("%.0f allocs per SinglePageCandidates call, budget %d (2 per candidate + 128)", allocs, budget)
 	}
 }

@@ -288,7 +288,7 @@ func TestPhase2SelectsResultsList(t *testing.T) {
 func TestIntraSetSimilaritySingleMember(t *testing.T) {
 	cands := candidatesOf(t, `<html><body><p>lonely</p></body></html>`)
 	s := &SubtreeSet{Proto: cands[0], Members: cands[:1]}
-	if got := intraSetSimilarity(s, DefaultConfig()); got != 1 {
+	if got := rankedIntraSim(s, DefaultConfig()); got != 1 {
 		t.Errorf("single-member similarity = %v, want 1 (treated static)", got)
 	}
 }

@@ -19,9 +19,10 @@ import (
 // with the string edit distance. None of it shares code with
 // InternCounts, AssignNearest, or Wrapper.match.
 //
-// It also keeps phase two's per-pair subtree matcher and a memo-free
-// set similarity, the references the phase-two contract tests compare
-// FindCommonSubtreeSets and RankSubtreeSets against.
+// It also keeps phase two's per-node candidate walk, per-pair subtree
+// matcher and memo-free set similarity, the references the phase-two
+// contract tests compare SinglePageCandidates, FindCommonSubtreeSets and
+// RankSubtreeSets against.
 
 // vectorizeRef maps a page into the model's assignment space: the
 // approach's signature weighted with the training document frequencies.
@@ -99,6 +100,36 @@ func applyRef(m *Model, page *corpus.Page) []*Pagelet {
 		return nil
 	}
 	return []*Pagelet{{Page: page, Node: node, Path: node.Path()}}
+}
+
+// singlePageCandidatesRef is SinglePageCandidates as it ran before the
+// single walk: a preorder Walk that re-walks each tag node's subtree for
+// a word token (hasToken) and its children's subtrees for text
+// (isMinimal), and reads Path, Depth and NodeCount off each candidate
+// node, each its own walk over the ancestors or the subtree.
+func singlePageCandidatesRef(tree *tagtree.Node, pageIdx int) []*Candidate {
+	var out []*Candidate
+	tree.Walk(func(n *tagtree.Node) bool {
+		if n.Type != tagtree.TagNode {
+			return false
+		}
+		if !hasToken(n) {
+			return false
+		}
+		if !isMinimal(n) {
+			return true
+		}
+		out = append(out, &Candidate{
+			Node:    n,
+			PageIdx: pageIdx,
+			Path:    n.Path(),
+			Fanout:  n.Fanout(),
+			Depth:   n.Depth(),
+			Nodes:   n.NodeCount(),
+		})
+		return true
+	})
+	return out
 }
 
 // findCommonSubtreeSetsRef is FindCommonSubtreeSets as it ran before the

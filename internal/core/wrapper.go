@@ -145,6 +145,42 @@ func (w *Wrapper) match(tree *tagtree.Node, s *applyScratch) (*tagtree.Node, flo
 	return best, bestD
 }
 
+// hasToken reports whether the subtree contains at least one word token.
+// Punctuation-only text (list separators like "|", decorative dashes) is
+// not content in the paper's sense: it cannot answer a query.
+func hasToken(n *tagtree.Node) bool {
+	found := false
+	n.Walk(func(m *tagtree.Node) bool {
+		if found {
+			return false
+		}
+		if m.Type == tagtree.ContentNode && tagtree.HasWordToken(m.Content) {
+			found = true
+			return false
+		}
+		return true
+	})
+	return found
+}
+
+// isMinimal reports whether n's content is not entirely contained in a
+// single tag-node child; if it is, n and the child have equivalent content
+// and only the smaller (deeper) subtree remains a candidate.
+func isMinimal(n *tagtree.Node) bool {
+	var textChildren int
+	var only *tagtree.Node
+	for _, c := range n.Children {
+		if c.HasText() {
+			textChildren++
+			only = c
+		}
+	}
+	if textChildren == 1 && only.Type == tagtree.TagNode {
+		return false
+	}
+	return true
+}
+
 // nodeDistance scores a candidate node against the wrapper profile using
 // the paper's four-term shape distance with averaged reference values:
 // the edit distance between the cached simplified profile path and the

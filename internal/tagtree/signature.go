@@ -73,20 +73,10 @@ func (n *Node) TermCountsInto(normalize func(string) string, counts map[string]i
 // EachContentToken calls fn with each lowercase word token of the
 // subtree's content nodes, in document order: EachToken over every
 // content node, the one token walk the counting helpers share.
-func (n *Node) EachContentToken(fn func(string)) { n.eachContentToken(true, fn) }
-
-// EachRawContentToken is EachContentToken without the lowercasing: each
-// token as the text spells it, a substring of a content node, whose
-// strings.ToLower is EachContentToken's token. A caller that memoizes
-// per distinct token lowercases once per spelling this way, instead of
-// allocating a lowercase copy for every occurrence of a capitalized
-// word.
-func (n *Node) EachRawContentToken(fn func(string)) { n.eachContentToken(false, fn) }
-
-func (n *Node) eachContentToken(lower bool, fn func(string)) {
+func (n *Node) EachContentToken(fn func(string)) {
 	n.Walk(func(m *Node) bool {
 		if m.Type == ContentNode {
-			eachToken(m.Content, lower, fn)
+			EachToken(m.Content, fn)
 		}
 		return true
 	})
@@ -102,10 +92,35 @@ func (n *Node) DistinctTerms() int {
 // DistinctTermsIn is DistinctTerms counted in a caller's scratch set,
 // which it clears first: the form for a pass over many pages, where one
 // set grown once serves them all instead of a fresh set per page.
+//
+// Tokens are read as the text spells them and lowercased once per
+// distinct spelling, not once per occurrence. The set holds two kinds of
+// key: each lowercase token, which is counted, and each spelling that is
+// not its own lowercase form, which only marks that spelling as seen.
+// Lowercasing is idempotent on word runes, so no key is of both kinds.
 func (n *Node) DistinctTermsIn(seen map[string]struct{}) int {
 	clear(seen)
-	n.EachContentToken(func(tok string) { seen[tok] = struct{}{} })
-	return len(seen)
+	count := 0
+	n.Walk(func(m *Node) bool {
+		if m.Type == ContentNode {
+			EachRawToken(m.Content, func(tok string) {
+				// A set that does not grow already held the key.
+				size := len(seen)
+				if seen[tok] = struct{}{}; len(seen) == size {
+					return
+				}
+				if lower := strings.ToLower(tok); lower != tok {
+					size = len(seen)
+					if seen[lower] = struct{}{}; len(seen) == size {
+						return
+					}
+				}
+				count++
+			})
+		}
+		return true
+	})
+	return count
 }
 
 // Tokenize splits text into lowercase word tokens. A token is a maximal run
@@ -120,18 +135,16 @@ func Tokenize(text string) []string {
 // Tokenize without the token slice. When a token is already lowercase the
 // string handed to fn is a substring of text (strings.ToLower's no-change
 // fast path), so a pass over clean text allocates nothing.
-func EachToken(text string, fn func(string)) { eachToken(text, true, fn) }
+func EachToken(text string, fn func(string)) {
+	EachRawToken(text, func(tok string) { fn(strings.ToLower(tok)) })
+}
 
-// eachToken is EachToken, with the lowercasing optional: unlowered, each
-// token is the substring of text that spells it, and strings.ToLower of
-// it is exactly EachToken's token.
-func eachToken(text string, lower bool, fn func(string)) {
-	emit := func(tok string) {
-		if lower {
-			tok = strings.ToLower(tok)
-		}
-		fn(tok)
-	}
+// EachRawToken is EachToken without the lowercasing: each token is the
+// substring of text that spells it, and strings.ToLower of it is exactly
+// EachToken's token. A caller that memoizes per distinct token
+// lowercases once per spelling this way, instead of allocating a
+// lowercase copy for every occurrence of a capitalized word.
+func EachRawToken(text string, fn func(string)) {
 	start := -1
 	for i, r := range text {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
@@ -141,12 +154,12 @@ func eachToken(text string, lower bool, fn func(string)) {
 			continue
 		}
 		if start >= 0 {
-			emit(text[start:i])
+			fn(text[start:i])
 			start = -1
 		}
 	}
 	if start >= 0 {
-		emit(text[start:])
+		fn(text[start:])
 	}
 }
 

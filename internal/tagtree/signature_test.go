@@ -100,24 +100,50 @@ func TestDistinctTerms(t *testing.T) {
 	}
 }
 
-// TestEachRawContentTokenLowersToEachContentToken pins the raw token
-// walk to the lowercasing one: the same token boundaries, and
-// strings.ToLower of each raw token is EachContentToken's token.
-func TestEachRawContentTokenLowersToEachContentToken(t *testing.T) {
-	for _, text := range []string{"", "Hello, World", "CAFÉ café|naïve—ÜBER", "h1 H2 x42y", "日本語 テスト", "İstanbul ǅemal", "a\xffb"} {
-		n := NewTag("p")
-		n.AppendChild(NewContent(text))
-		n.AppendChild(NewContent("Red APPLE"))
+// TestEachRawTokenLowersToEachToken pins the raw token iterator to the
+// lowercasing one: the same token boundaries, and strings.ToLower of
+// each raw token is EachToken's token.
+func TestEachRawTokenLowersToEachToken(t *testing.T) {
+	for _, text := range []string{"", "Hello, World", "CAFÉ café|naïve—ÜBER", "h1 H2 x42y", "日本語 テスト", "İstanbul ǅemal", "a\xffb", "Red APPLE"} {
 		var raw, lower []string
-		n.EachRawContentToken(func(tok string) { raw = append(raw, strings.ToLower(tok)) })
-		n.EachContentToken(func(tok string) { lower = append(lower, tok) })
+		EachRawToken(text, func(tok string) { raw = append(raw, strings.ToLower(tok)) })
+		EachToken(text, func(tok string) { lower = append(lower, tok) })
 		if !slices.Equal(raw, lower) {
-			t.Errorf("%q: lowered raw tokens %q, EachContentToken %q", text, raw, lower)
+			t.Errorf("%q: lowered raw tokens %q, EachToken %q", text, raw, lower)
 		}
 	}
 	var got []string
-	NewContent("Red APPLE").EachRawContentToken(func(tok string) { got = append(got, tok) })
+	EachRawToken("Red APPLE", func(tok string) { got = append(got, tok) })
 	if !slices.Equal(got, []string{"Red", "APPLE"}) {
-		t.Errorf("EachRawContentToken = %q, want the spellings", got)
+		t.Errorf("EachRawToken = %q, want the spellings", got)
+	}
+}
+
+// TestDistinctTermsInMatchesLowercaseSet pins DistinctTermsIn, which
+// lowercases each distinct spelling once, to the set of lowercase
+// tokens: spellings of one word in different cases count once, and so
+// do non-ASCII words whose cases differ in byte length.
+func TestDistinctTermsInMatchesLowercaseSet(t *testing.T) {
+	texts := [][]string{
+		{"Apple APPLE apple", "aPPLE pie"},
+		{"Apple APPLE", "Pie"}, // no lowercase spelling of either word
+		{"CAFÉ café Café", "Straße STRASSE straße"},
+		{"İstanbul İSTANBUL i̇stanbul", "ǅemal ǄEMAL ǆemal"},
+		{"ÜBER über Über", "日本語 テスト 日本語", "h1 H1 x42Y X42y"},
+		{"| — · |", ""},
+	}
+	seen := make(map[string]struct{})
+	for _, parts := range texts {
+		div := NewTag("div")
+		for _, text := range parts {
+			p := NewTag("p")
+			p.AppendChild(NewContent(text))
+			div.AppendChild(p)
+		}
+		want := make(map[string]bool)
+		div.EachContentToken(func(tok string) { want[tok] = true })
+		if got := div.DistinctTermsIn(seen); got != len(want) {
+			t.Errorf("%q: DistinctTermsIn = %d, want %d distinct lowercase tokens", parts, got, len(want))
+		}
 	}
 }

@@ -61,34 +61,17 @@ func (a *Accumulator) Add(counts map[string]int) {
 	doc := make([]termCount, 0, len(counts))
 	//thorlint:allow no-map-range-order entries are sorted into term order at finish; local IDs never reach an output
 	for term, tf := range counts {
-		id := a.Intern(term)
+		id := a.intern(term)
 		a.df[id]++
 		doc = append(doc, termCount{id: id, tf: tf})
 	}
 	a.docs = append(a.docs, doc)
 }
 
-// AddRow appends one document counted by the caller straight in the
-// accumulator's local ID space: ids lists the document's distinct local
-// IDs (each one Intern returned) and row[id] is each one's count — a
-// dense scratch row the caller may clear and reuse immediately. No term
-// string is hashed; the weighting at finish is Add's.
-func (a *Accumulator) AddRow(ids []int32, row []int) {
-	doc := make([]termCount, len(ids))
-	for j, id := range ids {
-		a.df[id]++
-		doc[j] = termCount{id: id, tf: row[id]}
-	}
-	a.docs = append(a.docs, doc)
-}
-
-// Intern returns term's local ID — the ID space AddRow takes — assigning
-// the next one (with a zero document frequency) on first sight. Local
-// IDs run densely from 0 in first-sight order, so a caller can index a
-// scratch row by them. Intern only terms an added document then counts:
-// an interned term no document holds would still enter the finished
-// dictionary.
-func (a *Accumulator) Intern(term string) int32 {
+// intern returns term's local ID, assigning the next one (with a zero
+// document frequency) on first sight. Local IDs run densely from 0 in
+// first-sight order.
+func (a *Accumulator) intern(term string) int32 {
 	id, ok := a.ids[term]
 	if !ok {
 		id = int32(len(a.terms))
@@ -134,7 +117,7 @@ func (a *Accumulator) Reset() {
 func (a *Accumulator) Merge(b *Accumulator) {
 	remap := make([]int32, len(b.terms))
 	for bid, term := range b.terms {
-		id := a.Intern(term)
+		id := a.intern(term)
 		a.df[id] += b.df[bid]
 		remap[bid] = id
 	}
@@ -160,8 +143,8 @@ func (a *Accumulator) Finish() []Sparse {
 // built over the accumulated vocabulary (DictFromDF's terms and order),
 // each local ID is remapped to its dictionary ID once, and every
 // document's entries are sorted by dictionary ID — ascending-term order —
-// before they are weighted and normalized. The arithmetic and its order
-// are TFIDF's (RawFrequency's in raw mode), so the vectors are
+// before Vector weights and normalizes them. The arithmetic and its
+// order are TFIDF's (RawFrequency's in raw mode), so the vectors are
 // bit-identical to TFIDFInterned and RawFrequencyInterned over the same
 // documents. It spends the accumulator until Reset; the DF table stays
 // readable.
@@ -172,14 +155,11 @@ func (a *Accumulator) FinishInterned() Interned {
 	if !a.raw {
 		idf = make([]float64, len(a.terms))
 	}
-	n := float64(len(a.docs))
 	for local, term := range a.terms {
 		id := d.ids[term]
 		remap[local] = id
 		if idf != nil {
-			// Identical arithmetic to TFIDF: idf computed from the
-			// quotient, then multiplied by log(tf+1).
-			idf[id] = math.Log((n + 1) / float64(a.df[local]))
+			idf[id] = IDF(len(a.docs), a.df[local])
 		}
 	}
 	vecs := make([]IDVec, len(a.docs))
@@ -189,19 +169,40 @@ func (a *Accumulator) FinishInterned() Interned {
 		}
 		slices.SortFunc(doc, func(x, y termCount) int { return cmp.Compare(x.id, y.id) })
 		ids := make([]int32, len(doc))
-		weights := make([]float64, len(doc))
+		counts := make([]float64, len(doc))
 		for j, e := range doc {
 			ids[j] = e.id
-			if idf != nil {
-				weights[j] = math.Log(float64(e.tf)+1) * idf[e.id]
-			} else {
-				weights[j] = float64(e.tf)
-			}
+			counts[j] = float64(e.tf)
 		}
-		normalizeWeights(weights)
-		vecs[i] = NewIDVec(ids, weights)
+		vecs[i] = Vector(ids, counts, idf)
 		a.docs[i] = nil // drop the count entries as we go
 	}
 	a.docs = nil
 	return Interned{Dict: d, Vecs: vecs}
+}
+
+// IDF is the paper's inverse document frequency, log((n+1)/df), of a
+// term that df of a collection's n documents hold (Section 3.1.2).
+func IDF(n, df int) float64 {
+	// Identical arithmetic to TFIDF: the quotient of the float count
+	// plus one, then the logarithm.
+	return math.Log((float64(n) + 1) / float64(df))
+}
+
+// Vector weights one document into a normalized vector: ids are its
+// distinct term IDs in ascending order, counts[j] is how often ids[j]
+// occurs, and idf, indexed by ID, holds each term's IDF — nil for raw
+// frequencies. A weight is log(count+1)·idf (the count itself when idf
+// is nil), and the weights are L2-normalized in ID order, so over the
+// same ascending-term IDs the result is bit-identical to TFIDF's (or
+// RawFrequency's) vector. The counts are weighted in place, and the
+// result keeps both slices.
+func Vector(ids []int32, counts []float64, idf []float64) IDVec {
+	if idf != nil {
+		for j, id := range ids {
+			counts[j] = math.Log(counts[j]+1) * idf[id]
+		}
+	}
+	normalizeWeights(counts)
+	return NewIDVec(ids, counts)
 }

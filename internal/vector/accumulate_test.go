@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 )
 
@@ -108,70 +107,4 @@ func TestAccumulatorEmpty(t *testing.T) {
 	if got := NewAccumulator(false).Finish(); len(got) != 0 {
 		t.Fatalf("empty Finish = %v", got)
 	}
-}
-
-// TestAccumulatorAddRowMatchesAdd pins the ID-level add: documents
-// counted into a dense row over Intern's local IDs, in any order, finish
-// bit-identical (dictionary and vectors) to the same documents given to
-// Add as maps and to the batch TFIDFInterned/RawFrequencyInterned.
-func TestAccumulatorAddRowMatchesAdd(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 30; trial++ {
-		docs := randomDocs(rng, rng.Intn(15))
-		for _, raw := range []bool{false, true} {
-			byMap, byRow := NewAccumulator(raw), NewAccumulator(raw)
-			var row []int
-			for _, d := range docs {
-				byMap.Add(d)
-				// Count the document as a token stream in a shuffled
-				// order, the way a caller walking a subtree would.
-				var toks []string
-				for _, term := range sortedKeys(d) {
-					for k := 0; k < d[term]; k++ {
-						toks = append(toks, term)
-					}
-				}
-				rng.Shuffle(len(toks), func(i, j int) { toks[i], toks[j] = toks[j], toks[i] })
-				var ids []int32
-				for _, tok := range toks {
-					id := byRow.Intern(tok)
-					if int(id) == len(row) {
-						row = append(row, 0)
-					}
-					if row[id] == 0 {
-						ids = append(ids, id)
-					}
-					row[id]++
-				}
-				byRow.AddRow(ids, row)
-				for _, id := range ids {
-					row[id] = 0
-				}
-			}
-			want := TFIDFInterned(docs)
-			if raw {
-				want = RawFrequencyInterned(docs)
-			}
-			for name, got := range map[string]Interned{"Add": byMap.FinishInterned(), "AddRow": byRow.FinishInterned()} { //thorlint:allow no-map-range-order each entry is checked independently
-				if !reflect.DeepEqual(got.Dict.terms, want.Dict.terms) {
-					t.Fatalf("trial %d raw=%v %s: dictionary %v, want %v", trial, raw, name, got.Dict.terms, want.Dict.terms)
-				}
-				if !reflect.DeepEqual(got.Vecs, want.Vecs) {
-					t.Fatalf("trial %d raw=%v %s: vectors differ from the batch weighting", trial, raw, name)
-				}
-			}
-			if !reflect.DeepEqual(byRow.DF(), DocumentFrequencies(docs)) {
-				t.Fatalf("trial %d raw=%v: AddRow DF %v, want %v", trial, raw, byRow.DF(), DocumentFrequencies(docs))
-			}
-		}
-	}
-}
-
-func sortedKeys(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m { //thorlint:allow no-map-range-order sorted below
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
 }
