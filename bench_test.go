@@ -186,10 +186,10 @@ func BenchmarkTagSignatureSimilarity(b *testing.B) {
 	htmlB, _ := site.Query("history")
 	pa := &corpus.Page{HTML: htmlA}
 	pb := &corpus.Page{HTML: htmlB}
-	vecs := vector.TFIDF([]map[string]int{pa.TagSignature(), pb.TagSignature()})
+	iv := vector.TFIDFInterned([]map[string]int{pa.TagSignature(), pb.TagSignature()})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vector.Cosine(vecs[0], vecs[1])
+		iv.Vecs[0].Cosine(iv.Vecs[1])
 	}
 }
 
@@ -278,7 +278,7 @@ func BenchmarkTFIDF(b *testing.B) {
 	docs := core.TagSignatures(col.Pages)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vector.TFIDF(docs)
+		vector.TFIDFInterned(docs)
 	}
 }
 

@@ -3,7 +3,7 @@ package cluster
 import (
 	"math/rand"
 
-	"thor/internal/vector"
+	"thor/internal/vector/vectorref"
 )
 
 // This file keeps the string-keyed bisecting K-Means, the reference
@@ -11,7 +11,7 @@ import (
 
 // BisectingKMeans is the string-keyed reference of
 // BisectingKMeansInterned: it partitions vecs into cfg.K clusters.
-func BisectingKMeans(vecs []vector.Sparse, cfg BisectingConfig) Clustering {
+func BisectingKMeans(vecs []vectorref.Sparse, cfg BisectingConfig) Clustering {
 	n := len(vecs)
 	k := cfg.K
 	if k < 1 {
@@ -60,19 +60,20 @@ func BisectingKMeans(vecs []vector.Sparse, cfg BisectingConfig) Clustering {
 
 // bisect splits members into two parts with 2-means, keeping the best of
 // trials attempts by internal similarity.
-func bisect(vecs []vector.Sparse, members []int, trials int, rng *rand.Rand) (left, right []int) {
-	sub := make([]vector.Sparse, len(members))
+func bisect(vecs []vectorref.Sparse, members []int, trials int, rng *rand.Rand) (left, right []int) {
+	sub := make([]vectorref.Sparse, len(members))
 	for i, m := range members {
 		sub[i] = vecs[m]
 	}
 	best := -1.0
 	for t := 0; t < trials; t++ {
-		res := KMeans(sub, KMeansConfig{K: 2, Restarts: 1, MaxIter: 50, Seed: rng.Int63()})
-		if res.Similarity > best && len(res.Clustering.Clusters[0]) > 0 && len(res.Clustering.Clusters[1]) > 0 {
+		res := vectorref.KMeans(sub, vectorref.KMeansConfig{K: 2, Restarts: 1, MaxIter: 50, Seed: rng.Int63()})
+		sizes := newClustering(len(res.Centroids), res.Assign).Sizes()
+		if res.Similarity > best && sizes[0] > 0 && sizes[1] > 0 {
 			best = res.Similarity
 			left = left[:0]
 			right = right[:0]
-			for i, c := range res.Clustering.Assign {
+			for i, c := range res.Assign {
 				if c == 0 {
 					left = append(left, members[i])
 				} else {

@@ -8,7 +8,7 @@ import (
 
 func TestBisectingSeparatesGroups(t *testing.T) {
 	vecs, labels := threeGroups(10)
-	cl := BisectingKMeans(vecs, BisectingConfig{K: 3, Seed: 1})
+	cl := BisectingKMeansInterned(vecs, groupsDim, BisectingConfig{K: 3, Seed: 1})
 	if cl.K != 3 {
 		t.Fatalf("K = %d", cl.K)
 	}
@@ -28,7 +28,7 @@ func TestBisectingSeparatesGroups(t *testing.T) {
 func TestBisectingPartition(t *testing.T) {
 	vecs, _ := threeGroups(7)
 	for _, k := range []int{1, 2, 4, 6} {
-		cl := BisectingKMeans(vecs, BisectingConfig{K: k, Seed: 2})
+		cl := BisectingKMeansInterned(vecs, groupsDim, BisectingConfig{K: k, Seed: 2})
 		seen := make(map[int]bool)
 		for c, members := range cl.Clusters {
 			for _, i := range members {
@@ -49,16 +49,16 @@ func TestBisectingPartition(t *testing.T) {
 
 func TestBisectingClampsK(t *testing.T) {
 	vecs, _ := threeGroups(1) // 3 vectors
-	cl := BisectingKMeans(vecs, BisectingConfig{K: 99, Seed: 1})
+	cl := BisectingKMeansInterned(vecs, groupsDim, BisectingConfig{K: 99, Seed: 1})
 	if cl.K != 3 {
 		t.Errorf("K = %d, want clamped to 3", cl.K)
 	}
 }
 
 func TestBisectingIdenticalVectors(t *testing.T) {
-	v := vector.FromMap(map[string]float64{"a": 1}).Normalize()
-	vecs := []vector.Sparse{v, v, v, v, v, v}
-	cl := BisectingKMeans(vecs, BisectingConfig{K: 3, Seed: 1})
+	v := vector.Vector([]int32{0}, []float64{1}, nil)
+	vecs := []vector.IDVec{v, v, v, v, v, v}
+	cl := BisectingKMeansInterned(vecs, groupsDim, BisectingConfig{K: 3, Seed: 1})
 	// Must terminate and still produce a partition of 3 clusters.
 	total := 0
 	for _, members := range cl.Clusters {
@@ -71,8 +71,8 @@ func TestBisectingIdenticalVectors(t *testing.T) {
 
 func TestBisectingDeterministic(t *testing.T) {
 	vecs, _ := threeGroups(8)
-	a := BisectingKMeans(vecs, BisectingConfig{K: 3, Seed: 5})
-	b := BisectingKMeans(vecs, BisectingConfig{K: 3, Seed: 5})
+	a := BisectingKMeansInterned(vecs, groupsDim, BisectingConfig{K: 3, Seed: 5})
+	b := BisectingKMeansInterned(vecs, groupsDim, BisectingConfig{K: 3, Seed: 5})
 	for i := range a.Assign {
 		if a.Assign[i] != b.Assign[i] {
 			t.Fatal("not deterministic with same seed")

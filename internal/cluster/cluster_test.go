@@ -8,22 +8,19 @@ import (
 	"thor/internal/vector"
 )
 
-// threeGroups builds 3 well-separated groups of near-identical vectors.
-func threeGroups(perGroup int) ([]vector.Sparse, []int) {
-	var vecs []vector.Sparse
+// groupsDim is the vocabulary size of threeGroups: terms a..f as IDs 0..5.
+const groupsDim = 6
+
+// threeGroups builds 3 well-separated groups of near-identical
+// normalized vectors: group g weighs its own pair of IDs 2g and 2g+1.
+func threeGroups(perGroup int) ([]vector.IDVec, []int) {
+	var vecs []vector.IDVec
 	var labels []int
-	bases := []map[string]float64{
-		{"a": 1, "b": 0.1},
-		{"c": 1, "d": 0.1},
-		{"e": 1, "f": 0.1},
-	}
-	for g, base := range bases {
+	for g := 0; g < 3; g++ {
 		for i := 0; i < perGroup; i++ {
-			m := make(map[string]float64, len(base))
-			for k, v := range base {
-				m[k] = v + float64(i)*0.01
-			}
-			vecs = append(vecs, vector.FromMap(m).Normalize())
+			ids := []int32{int32(2 * g), int32(2*g + 1)}
+			weights := []float64{1 + float64(i)*0.01, 0.1 + float64(i)*0.01}
+			vecs = append(vecs, vector.Vector(ids, weights, nil))
 			labels = append(labels, g)
 		}
 	}
@@ -32,7 +29,7 @@ func threeGroups(perGroup int) ([]vector.Sparse, []int) {
 
 func TestKMeansSeparatesGroups(t *testing.T) {
 	vecs, labels := threeGroups(10)
-	res := KMeans(vecs, KMeansConfig{K: 3, Restarts: 10, Seed: 1})
+	res := KMeansInterned(vecs, groupsDim, KMeansConfig{K: 3, Restarts: 10, Seed: 1})
 	// Every cluster must be label-pure.
 	for _, members := range res.Clustering.Clusters {
 		if len(members) == 0 {
@@ -52,8 +49,8 @@ func TestKMeansSeparatesGroups(t *testing.T) {
 
 func TestKMeansDeterministicWithSeed(t *testing.T) {
 	vecs, _ := threeGroups(8)
-	a := KMeans(vecs, KMeansConfig{K: 3, Restarts: 5, Seed: 42})
-	b := KMeans(vecs, KMeansConfig{K: 3, Restarts: 5, Seed: 42})
+	a := KMeansInterned(vecs, groupsDim, KMeansConfig{K: 3, Restarts: 5, Seed: 42})
+	b := KMeansInterned(vecs, groupsDim, KMeansConfig{K: 3, Restarts: 5, Seed: 42})
 	for i := range a.Clustering.Assign {
 		if a.Clustering.Assign[i] != b.Clustering.Assign[i] {
 			t.Fatalf("same seed produced different clusterings at item %d", i)
@@ -63,11 +60,11 @@ func TestKMeansDeterministicWithSeed(t *testing.T) {
 
 func TestKMeansKClamping(t *testing.T) {
 	vecs, _ := threeGroups(1) // 3 vectors
-	res := KMeans(vecs, KMeansConfig{K: 10, Restarts: 2, Seed: 1})
+	res := KMeansInterned(vecs, groupsDim, KMeansConfig{K: 10, Restarts: 2, Seed: 1})
 	if res.Clustering.K != 3 {
 		t.Errorf("K = %d, want clamped to 3", res.Clustering.K)
 	}
-	res = KMeans(vecs, KMeansConfig{K: 0, Restarts: 1, Seed: 1})
+	res = KMeansInterned(vecs, groupsDim, KMeansConfig{K: 0, Restarts: 1, Seed: 1})
 	if res.Clustering.K != 1 {
 		t.Errorf("K = %d, want 1 for K<1", res.Clustering.K)
 	}
@@ -75,7 +72,7 @@ func TestKMeansKClamping(t *testing.T) {
 
 func TestKMeansSingleCluster(t *testing.T) {
 	vecs, _ := threeGroups(5)
-	res := KMeans(vecs, KMeansConfig{K: 1, Restarts: 1, Seed: 1})
+	res := KMeansInterned(vecs, groupsDim, KMeansConfig{K: 1, Restarts: 1, Seed: 1})
 	if got := len(res.Clustering.Clusters[0]); got != len(vecs) {
 		t.Errorf("single cluster holds %d of %d items", got, len(vecs))
 	}
@@ -88,7 +85,7 @@ func TestKMeansPartitionProperty(t *testing.T) {
 	property := func(seed int64, kRaw uint8) bool {
 		vecs, _ := threeGroups(7)
 		k := int(kRaw)%5 + 1
-		res := KMeans(vecs, KMeansConfig{K: k, Restarts: 2, Seed: seed})
+		res := KMeansInterned(vecs, groupsDim, KMeansConfig{K: k, Restarts: 2, Seed: seed})
 		seen := make(map[int]int)
 		for c, members := range res.Clustering.Clusters {
 			for _, i := range members {
@@ -110,41 +107,42 @@ func TestKMeansPartitionProperty(t *testing.T) {
 
 func TestKMeansMoreRestartsNeverWorse(t *testing.T) {
 	vecs, _ := threeGroups(10)
-	one := KMeans(vecs, KMeansConfig{K: 3, Restarts: 1, Seed: 7})
-	many := KMeans(vecs, KMeansConfig{K: 3, Restarts: 10, Seed: 7})
+	one := KMeansInterned(vecs, groupsDim, KMeansConfig{K: 3, Restarts: 1, Seed: 7})
+	many := KMeansInterned(vecs, groupsDim, KMeansConfig{K: 3, Restarts: 10, Seed: 7})
 	if many.Similarity < one.Similarity-1e-12 {
 		t.Errorf("more restarts lowered similarity: %v < %v", many.Similarity, one.Similarity)
 	}
 }
 
 func TestInternalSimilarityIdenticalPages(t *testing.T) {
-	v := vector.FromMap(map[string]float64{"a": 1}).Normalize()
-	vecs := []vector.Sparse{v, v, v, v}
-	res := KMeans(vecs, KMeansConfig{K: 1, Restarts: 1, Seed: 1})
+	v := vector.Vector([]int32{0}, []float64{1}, nil)
+	vecs := []vector.IDVec{v, v, v, v}
+	res := KMeansInterned(vecs, 1, KMeansConfig{K: 1, Restarts: 1, Seed: 1})
 	if math.Abs(res.Similarity-1) > 1e-9 {
 		t.Errorf("similarity of identical pages = %v, want 1", res.Similarity)
 	}
 }
 
 func TestInternalSimilarityEmpty(t *testing.T) {
-	if got := InternalSimilarity(nil, Clustering{}, nil); got != 0 {
+	if got := InternalSimilarityInterned(nil, Clustering{}, nil); got != 0 {
 		t.Errorf("empty similarity = %v", got)
 	}
 }
 
 func TestClusterCentroids(t *testing.T) {
-	vecs := []vector.Sparse{
-		vector.FromMap(map[string]float64{"a": 1}),
-		vector.FromMap(map[string]float64{"a": 3}),
-		vector.FromMap(map[string]float64{"b": 2}),
+	// IDs 0 and 1 stand for terms a and b.
+	vecs := []vector.IDVec{
+		vector.NewIDVec([]int32{0}, []float64{1}),
+		vector.NewIDVec([]int32{0}, []float64{3}),
+		vector.NewIDVec([]int32{1}, []float64{2}),
 	}
 	cl := newClustering(2, []int{0, 0, 1})
-	cents := ClusterCentroids(vecs, cl)
-	if got := cents[0].Weight("a"); math.Abs(got-2) > 1e-9 {
-		t.Errorf("centroid[0] a = %v, want 2", got)
+	cents := ClusterCentroidsInterned(vecs, cl, 2)
+	if c := cents[0]; len(c.IDs) != 1 || c.IDs[0] != 0 || math.Abs(c.Weights[0]-2) > 1e-9 {
+		t.Errorf("centroid[0] = %v %v, want a: 2", c.IDs, c.Weights)
 	}
-	if got := cents[1].Weight("b"); math.Abs(got-2) > 1e-9 {
-		t.Errorf("centroid[1] b = %v, want 2", got)
+	if c := cents[1]; len(c.IDs) != 1 || c.IDs[0] != 1 || math.Abs(c.Weights[0]-2) > 1e-9 {
+		t.Errorf("centroid[1] = %v %v, want b: 2", c.IDs, c.Weights)
 	}
 }
 

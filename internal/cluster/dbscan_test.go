@@ -5,7 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"thor/internal/vector"
+	"thor/internal/vector/vectorref"
 )
 
 // absDist adapts a 1-D point set to DBSCAN's distance interface — the
@@ -125,9 +125,13 @@ func TestDBSCANRegistryContract(t *testing.T) {
 	}
 
 	// The string-keyed reference must agree on the clustering.
-	vecs := in.Interned().ToSparse()
+	iv := in.Interned()
+	vecs := make([]vectorref.Sparse, len(iv.Vecs))
+	for i, v := range iv.Vecs {
+		vecs[i] = toRef(iv.Dict, v)
+	}
 	want := DBSCAN(len(vecs), func(i, j int) float64 {
-		return 1 - vector.Cosine(vecs[i], vecs[j])
+		return 1 - vectorref.Cosine(vecs[i], vecs[j])
 	}, DBSCANConfig{})
 	if !reflect.DeepEqual(want, cl) {
 		t.Error("interned path clusters differently from the string reference")

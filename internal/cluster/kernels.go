@@ -11,12 +11,13 @@ import (
 // This file holds the clustering kernels every vector-space clusterer
 // runs: K-Means, bisecting K-Means, and their centroid and similarity
 // helpers over vector.IDVec. They mirror the string-keyed test reference
-// in kmeans.go step for step, and every floating-point operation happens
-// in the same order — the merge-joins visit identical term pairs
-// (ascending-ID order is ascending-term order by Dict construction), the
-// cached norms carry the same bits the string path recomputes per call,
-// and the dense centroid accumulator folds member weights in member
-// order — so both choose bit-identical clusterings from bit-identical
+// (vectorref.KMeans, and the bisecting reference in
+// bisecting_ref_test.go) step for step, and every floating-point
+// operation happens in the same order — the merge-joins visit identical
+// term pairs (ascending-ID order is ascending-term order by Dict
+// construction), the cached norms carry the same bits the string path
+// recomputes per call, and the dense centroid accumulator folds member
+// weights in member order — so both choose bit-identical clusterings from bit-identical
 // similarities. The contract is pinned by
 // TestInternedKernelsMatchStringPath. RNG consumption is mirrored
 // exactly (one Perm per restart, one Intn per empty-cluster reseed, one

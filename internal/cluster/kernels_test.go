@@ -7,11 +7,12 @@ import (
 	"testing"
 
 	"thor/internal/vector"
+	"thor/internal/vector/vectorref"
 )
 
-// randomClusterDocs fabricates term-count documents with the same planted
-// three-prototype structure randomVecs uses, returned as raw counts so a
-// test can weight them down both the string and the interned path.
+// randomClusterDocs fabricates term-count documents with a planted
+// three-prototype structure, returned as raw counts so a test can weight
+// them down both the string and the interned path.
 func randomClusterDocs(n int, seed int64) []map[string]int {
 	rng := rand.New(rand.NewSource(seed))
 	protos := []map[string]int{
@@ -42,29 +43,35 @@ func internedInput(iv vector.Interned) Input {
 type stringResult struct {
 	Clustering Clustering
 	Similarity float64
-	Centroids  []vector.Sparse
+	Centroids  []vectorref.Sparse
+}
+
+// toRef converts an interned vector to the reference's string-keyed
+// form.
+func toRef(d *vector.Dict, v vector.IDVec) vectorref.Sparse {
+	return vectorref.FromIDs(d, v.IDs, v.Weights)
 }
 
 // stringReference runs the named vector-space clusterer on the string
 // kernels, exactly as its registry adapter did before the adapters
 // became interned-only.
-func stringReference(name string, vecs []vector.Sparse, cfg Config) stringResult {
+func stringReference(name string, vecs []vectorref.Sparse, cfg Config) stringResult {
 	var cl Clustering
 	switch name {
 	case "kmeans":
-		res := KMeans(vecs, KMeansConfig{K: cfg.K, Restarts: cfg.Restarts, Seed: cfg.Seed, Workers: cfg.Workers})
-		return stringResult{Clustering: res.Clustering, Similarity: res.Similarity, Centroids: res.Centroids}
+		res := vectorref.KMeans(vecs, vectorref.KMeansConfig{K: cfg.K, Restarts: cfg.Restarts, Seed: cfg.Seed})
+		return stringResult{Clustering: newClustering(len(res.Centroids), res.Assign), Similarity: res.Similarity, Centroids: res.Centroids}
 	case "bisecting":
 		cl = BisectingKMeans(vecs, BisectingConfig{K: cfg.K, Seed: cfg.Seed})
 	case "kmedoids":
 		cl = KMedoids(len(vecs), func(i, j int) float64 {
-			return 1 - vector.Cosine(vecs[i], vecs[j])
+			return 1 - vectorref.Cosine(vecs[i], vecs[j])
 		}, KMedoidsConfig{K: cfg.K, Restarts: cfg.Restarts, Seed: cfg.Seed})
 	default:
 		panic("stringReference: no string path for " + name)
 	}
-	centroids := ClusterCentroids(vecs, cl)
-	return stringResult{Clustering: cl, Similarity: InternalSimilarity(vecs, cl, centroids), Centroids: centroids}
+	centroids := vectorref.ClusterCentroids(vecs, cl.Assign, cl.K)
+	return stringResult{Clustering: cl, Similarity: vectorref.InternalSimilarity(vecs, cl.Assign, centroids), Centroids: centroids}
 }
 
 // TestInternedKernelsMatchStringPath is the clustering-layer half of the
@@ -75,7 +82,7 @@ func stringReference(name string, vecs []vector.Sparse, cfg Config) stringResult
 // never a different algorithm.
 func TestInternedKernelsMatchStringPath(t *testing.T) {
 	docs := randomClusterDocs(90, 21)
-	vecs := vector.TFIDF(docs)
+	vecs := vectorref.TFIDF(docs)
 	iv := vector.TFIDFInterned(docs)
 	for _, name := range []string{"kmeans", "bisecting", "kmedoids"} {
 		c, err := MustLookup(name)
@@ -99,7 +106,7 @@ func TestInternedKernelsMatchStringPath(t *testing.T) {
 				t.Fatalf("%s workers=%d: %d centroids (dict %v), want %d", name, w, len(got.Centroids), got.Dict != nil, len(want.Centroids))
 			}
 			for i := range want.Centroids {
-				if !vector.Equal(got.Dict.ToSparse(got.Centroids[i]), want.Centroids[i]) {
+				if !vectorref.Equal(toRef(got.Dict, got.Centroids[i]), want.Centroids[i]) {
 					t.Errorf("%s workers=%d: centroid %d differs", name, w, i)
 				}
 			}
@@ -133,11 +140,12 @@ func TestInternedKMeansWorkerCountIndependence(t *testing.T) {
 // centroid bits, including the ID-space centroids projected back.
 func TestInternedKMeansMatchesKMeans(t *testing.T) {
 	docs := randomClusterDocs(80, 9)
-	vecs := vector.TFIDF(docs)
+	vecs := vectorref.TFIDF(docs)
 	iv := vector.TFIDFInterned(docs)
-	want := KMeans(vecs, KMeansConfig{K: 4, Restarts: 6, Seed: 3, Workers: 1})
+	want := vectorref.KMeans(vecs, vectorref.KMeansConfig{K: 4, Restarts: 6, Seed: 3})
+	wantCl := newClustering(len(want.Centroids), want.Assign)
 	got := KMeansInterned(iv.Vecs, iv.Dict.Len(), KMeansConfig{K: 4, Restarts: 6, Seed: 3, Workers: 1})
-	if !reflect.DeepEqual(got.Clustering, want.Clustering) {
+	if !reflect.DeepEqual(got.Clustering, wantCl) {
 		t.Error("clusterings differ")
 	}
 	if got.Similarity != want.Similarity || got.Iterations != want.Iterations { //thorlint:allow no-float-eq bit-identity is the contract under test
@@ -145,17 +153,17 @@ func TestInternedKMeansMatchesKMeans(t *testing.T) {
 			got.Similarity, got.Iterations, want.Similarity, want.Iterations)
 	}
 	for i := range want.Centroids {
-		if !vector.Equal(iv.Dict.ToSparse(got.Centroids[i]), want.Centroids[i]) {
+		if !vectorref.Equal(toRef(iv.Dict, got.Centroids[i]), want.Centroids[i]) {
 			t.Errorf("centroid %d differs", i)
 		}
 	}
 	if sim := InternalSimilarityInterned(iv.Vecs, got.Clustering, got.Centroids); sim != want.Similarity { //thorlint:allow no-float-eq bit-identity is the contract under test
 		t.Errorf("InternalSimilarityInterned = %v, want %v", sim, want.Similarity)
 	}
-	wantC := ClusterCentroids(vecs, want.Clustering)
+	wantC := vectorref.ClusterCentroids(vecs, want.Assign, wantCl.K)
 	gotC := ClusterCentroidsInterned(iv.Vecs, got.Clustering, iv.Dict.Len())
 	for i := range wantC {
-		if !vector.Equal(iv.Dict.ToSparse(gotC[i]), wantC[i]) {
+		if !vectorref.Equal(toRef(iv.Dict, gotC[i]), wantC[i]) {
 			t.Errorf("recomputed centroid %d differs", i)
 		}
 	}

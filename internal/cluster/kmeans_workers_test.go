@@ -1,63 +1,19 @@
 package cluster
 
 import (
-	"math/rand"
-	"reflect"
-	"runtime"
 	"testing"
 
 	"thor/internal/vector"
 )
-
-// randomVecs builds a reproducible set of sparse vectors with a planted
-// cluster structure (three noisy prototypes).
-func randomVecs(n int, seed int64) []vector.Sparse {
-	rng := rand.New(rand.NewSource(seed))
-	protos := []map[string]int{
-		{"table": 20, "tr": 40, "td": 90, "a": 30},
-		{"div": 25, "p": 60, "span": 15},
-		{"ul": 18, "li": 70, "img": 22, "b": 9},
-	}
-	docs := make([]map[string]int, n)
-	for i := range docs {
-		p := protos[rng.Intn(len(protos))]
-		doc := make(map[string]int, len(p))
-		for term, c := range p {
-			doc[term] = c + rng.Intn(10)
-		}
-		docs[i] = doc
-	}
-	return vector.TFIDF(docs)
-}
-
-// TestKMeansWorkerCountIndependence enforces the determinism contract at
-// the clustering layer: the chosen clustering — assignments, centroids,
-// similarity, and total iterations — must be identical whether restarts
-// run serially or on any number of workers.
-func TestKMeansWorkerCountIndependence(t *testing.T) {
-	vecs := randomVecs(120, 5)
-	var ref KMeansResult
-	for i, w := range []int{1, 2, 3, runtime.GOMAXPROCS(0), 32} {
-		res := KMeans(vecs, KMeansConfig{K: 3, Restarts: 12, Seed: 99, Workers: w})
-		if i == 0 {
-			ref = res
-			continue
-		}
-		if !reflect.DeepEqual(ref, res) {
-			t.Errorf("Workers=%d KMeans result differs from Workers=1: sim %v vs %v, iters %d vs %d",
-				w, res.Similarity, ref.Similarity, res.Iterations, ref.Iterations)
-		}
-	}
-}
 
 // TestKMeansRestartsIndependentSeeds asserts restarts draw from derived,
 // decorrelated seeds: a single restart must reproduce the first restart
 // of a multi-restart run (prefix property), which only holds when
 // restart r's randomness does not depend on restarts before it.
 func TestKMeansRestartsIndependentSeeds(t *testing.T) {
-	vecs := randomVecs(60, 8)
-	one := KMeans(vecs, KMeansConfig{K: 3, Restarts: 1, Seed: 4, Workers: 1})
-	many := KMeans(vecs, KMeansConfig{K: 3, Restarts: 8, Seed: 4, Workers: 1})
+	iv := vector.TFIDFInterned(randomClusterDocs(60, 8))
+	one := KMeansInterned(iv.Vecs, iv.Dict.Len(), KMeansConfig{K: 3, Restarts: 1, Seed: 4, Workers: 1})
+	many := KMeansInterned(iv.Vecs, iv.Dict.Len(), KMeansConfig{K: 3, Restarts: 8, Seed: 4, Workers: 1})
 	// More restarts can only match or beat the single run's similarity.
 	if many.Similarity < one.Similarity {
 		t.Errorf("8 restarts found worse clustering (%v) than 1 restart (%v)",

@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"thor/internal/vector"
 )
 
 // TestBuildModelComputesBaseline checks that every built model carries a
@@ -150,7 +148,7 @@ func TestRefineWeightsBatchLikeApply(t *testing.T) {
 		}
 		want := append([]int64(nil), m.Baseline.Hist...)
 		for _, p := range batch {
-			_, sim := vector.AssignNearest(m.Dict.Intern(vectorizeRef(m, p)), next.Centroids)
+			_, sim := nearestRef(m.Dict, vectorizeRef(m, p), next.Centroids)
 			want[DriftBucket(1-sim)]++
 		}
 		if !reflect.DeepEqual(next.Baseline.Hist, want) {

@@ -14,15 +14,15 @@ import (
 	"thor/internal/stem"
 	"thor/internal/strdist"
 	"thor/internal/tagtree"
-	"thor/internal/vector"
+	"thor/internal/vector/vectorref"
 )
 
 // This file pins the interned-dictionary refactor to the pre-interning
 // behavior: every reference function below reproduces the string-keyed
-// pipeline as it stood before term IDs existed — clustering batch Sparse
-// vectors with the string K-Means reference, ranking subtree sets with string
-// TFIDF cosines, and assigning fresh pages with string-space cosine
-// against projected centroids. The production pipeline must match all
+// pipeline as it stood before term IDs existed — clustering batch
+// string-keyed vectors with the reference K-Means (vectorref), ranking
+// subtree sets with string TFIDF cosines, and assigning fresh pages with
+// string-space cosine against projected centroids (applyRef). The production pipeline must match all
 // of it bit for bit, at one worker and at many.
 
 // stringPathPhase1 is Phase1 as it ran before interning: batch
@@ -37,14 +37,18 @@ func stringPathPhase1(pages []*corpus.Page, cfg Config) Phase1Result {
 	if a.ContentBased() {
 		sigs = ContentSignatures(pages)
 	}
-	var vecs []vector.Sparse
+	var vecs []vectorref.Sparse
 	if a.RawWeighted() {
-		vecs = vector.RawFrequency(sigs)
+		vecs = vectorref.RawFrequency(sigs)
 	} else {
-		vecs = vector.TFIDF(sigs)
+		vecs = vectorref.TFIDF(sigs)
 	}
-	res := cluster.KMeans(vecs, cluster.KMeansConfig{K: cfg.K, Restarts: cfg.Restarts, Seed: cfg.Seed, Workers: cfg.Workers})
-	return rankClusters(pages, res.Clustering, res.Similarity)
+	res := vectorref.KMeans(vecs, vectorref.KMeansConfig{K: cfg.K, Restarts: cfg.Restarts, Seed: cfg.Seed})
+	cl := cluster.Clustering{K: len(res.Centroids), Assign: res.Assign, Clusters: make([][]int, len(res.Centroids))}
+	for i, c := range res.Assign {
+		cl.Clusters[c] = append(cl.Clusters[c], i)
+	}
+	return rankClusters(pages, cl, res.Similarity)
 }
 
 // rankClusters builds and ranks the per-cluster statistics of Section
@@ -76,17 +80,17 @@ func stringIntraSim(s *SubtreeSet, cfg Config) float64 {
 	if empty {
 		return 1
 	}
-	var vecs []vector.Sparse
+	var vecs []vectorref.Sparse
 	if cfg.RawContentVectors {
-		vecs = vector.RawFrequency(docs)
+		vecs = vectorref.RawFrequency(docs)
 	} else {
-		vecs = vector.TFIDF(docs)
+		vecs = vectorref.TFIDF(docs)
 	}
 	var sum float64
 	pairs := 0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			sum += vector.Cosine(vecs[i], vecs[j])
+			sum += vectorref.Cosine(vecs[i], vecs[j])
 			pairs++
 		}
 	}
@@ -160,30 +164,6 @@ func stringPathPhase2(pages []*corpus.Page, cfg Config, seed int64) *Phase2Resul
 	return res
 }
 
-// stringPathApply is Model.Apply before interning: the fresh page's
-// string-keyed vector against string-keyed centroids with the string
-// Cosine kernel (the interned centroids projected back, which the
-// vector-layer tests pin as an exact projection), then the reference
-// wrapper scoring.
-func stringPathApply(m *Model, page *corpus.Page) []*Pagelet {
-	v := vectorizeRef(m, page)
-	best, bestSim := 0, -1.0
-	for c, ctr := range m.Centroids {
-		if sim := vector.Cosine(v, m.Dict.ToSparse(ctr)); sim > bestSim {
-			best, bestSim = c, sim
-		}
-	}
-	w := m.Wrappers[best]
-	if w == nil {
-		return nil
-	}
-	node, _ := extractRef(w, page.Tree())
-	if node == nil {
-		return nil
-	}
-	return []*Pagelet{{Page: page, Node: node, Path: node.Path()}}
-}
-
 // TestInternedPipelineMatchesStringPathWorkerCountIndependence is the
 // repo-wide interning contract: phase-one clusters and ranking,
 // phase-two subtree sets and pagelet paths, and Model.Apply on pages
@@ -237,7 +217,7 @@ func TestInternedPipelineMatchesStringPathWorkerCountIndependence(t *testing.T) 
 			if err != nil {
 				t.Fatalf("workers=%d: Apply(%s): %v", w, page.URL, err)
 			}
-			if wantP := stringPathApply(m, page); !reflect.DeepEqual(gotP, wantP) {
+			if wantP := applyRef(m, page); !reflect.DeepEqual(gotP, wantP) {
 				t.Fatalf("workers=%d page %s: interned Apply differs from string path", w, page.URL)
 			}
 			applied[i] = gotP

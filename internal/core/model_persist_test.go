@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"thor/internal/vector"
+	"thor/internal/vector/vectorref"
 )
 
 func TestModelSaveLoadRoundtrip(t *testing.T) {
@@ -241,7 +241,7 @@ func TestLoadModelRejectsLegacyVersion1(t *testing.T) {
 		Cfg       Config
 		NDocs     int
 		DF        map[string]int
-		Centroids []vector.Sparse
+		Centroids []vectorref.Sparse
 		Wrappers  []wrapperSnapshot
 	}
 	var buf bytes.Buffer
@@ -250,8 +250,8 @@ func TestLoadModelRejectsLegacyVersion1(t *testing.T) {
 		Version: 1,
 		NDocs:   2,
 		DF:      map[string]int{"table": 2},
-		Centroids: []vector.Sparse{
-			vector.FromMap(map[string]float64{"table": 1}),
+		Centroids: []vectorref.Sparse{
+			vectorref.FromMap(map[string]float64{"table": 1}),
 		},
 	}
 	if err := gob.NewEncoder(gz).Encode(&legacy); err != nil {

@@ -169,7 +169,7 @@ func TestAssignNearestMatchesCosineLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, page := range fresh.Pages {
-		v := m.Dict.Intern(vectorizeRef(m, page))
+		v := applyVector(m, page)
 		wantBest, wantSim := 0, -1.0
 		for c, ctr := range m.Centroids {
 			if sim := v.Cosine(ctr); sim > wantSim {
@@ -186,9 +186,10 @@ func TestAssignNearestMatchesCosineLoop(t *testing.T) {
 
 // TestInternCountsMatchesVectorizeIntern pins the fused serve-path
 // vectorization against the composition it replaces, on real pages with
-// unseen vocabulary: Dict.InternCounts(signature counts) must equal
-// Dict.Intern(vectorizeRef(page)) bit for bit — IDs, weights, and cached
-// norm — for both weighting branches.
+// unseen vocabulary: Dict.InternCounts(signature counts) must be
+// vectorizeRef(page) interned into the model's dictionary bit for bit —
+// its in-dictionary terms and weights, and its full norm — for both
+// weighting branches.
 func TestInternCountsMatchesVectorizeIntern(t *testing.T) {
 	for _, a := range []Approach{TFIDFTags, RawTags, TFIDFContent, RawContent} {
 		col := probeSite(t, 4, 11)
@@ -203,11 +204,10 @@ func TestInternCountsMatchesVectorizeIntern(t *testing.T) {
 		}
 		var scratch vector.InternScratch
 		for _, page := range fresh.Pages {
-			want := m.Dict.Intern(vectorizeRef(m, page))
+			want := vectorizeRef(m, page)
 			got := m.Dict.InternCounts(signatureOf(page, m.Cfg.Approach), m.applyWeighting(), &scratch)
-			if got.Norm() != want.Norm() || !reflect.DeepEqual(got.IDs, want.IDs) ||
-				!reflect.DeepEqual(got.Weights, want.Weights) {
-				t.Fatalf("%v page %s: InternCounts differs from Intern(vectorizeRef)", a, page.URL)
+			if !internsAs(got, m.Dict, want) {
+				t.Fatalf("%v page %s: InternCounts differs from vectorizeRef", a, page.URL)
 			}
 		}
 	}

@@ -10,14 +10,16 @@ import (
 	"thor/internal/strdist"
 	"thor/internal/tagtree"
 	"thor/internal/vector"
+	"thor/internal/vector/vectorref"
 )
 
 // This file keeps the string-keyed apply path the pooled one replaced,
 // as the reference the apply contract tests compare production against:
 // a fresh page vectorized through string-keyed maps, assigned by the
-// plain cosine loop, and scored by a wrapper over SinglePageCandidates
-// with the string edit distance. None of it shares code with
-// InternCounts, AssignNearest, or Wrapper.match.
+// plain cosine loop in string space, and scored by a wrapper over
+// SinglePageCandidates with the string edit distance. None of it shares
+// code with InternCounts, AssignNearest, the IDVec kernels, or
+// Wrapper.match.
 //
 // It also keeps phase two's per-node candidate walk, per-pair subtree
 // matcher and memo-free set similarity, the references the phase-two
@@ -29,10 +31,10 @@ import (
 // Terms never seen in training carry no weight under TFIDF; raw
 // weighting keeps every term of the page and never consults the DF
 // table.
-func vectorizeRef(m *Model, page *corpus.Page) vector.Sparse {
+func vectorizeRef(m *Model, page *corpus.Page) vectorref.Sparse {
 	counts := signatureOf(page, m.Cfg.Approach)
 	if m.Cfg.Approach.RawWeighted() {
-		return vector.FromCounts(counts).Normalize()
+		return vectorref.FromCounts(counts).Normalize()
 	}
 	weighted := make(map[string]float64, len(counts))
 	for term, tf := range counts {
@@ -40,9 +42,24 @@ func vectorizeRef(m *Model, page *corpus.Page) vector.Sparse {
 		if df == 0 {
 			continue
 		}
-		weighted[term] = vector.TFIDFWeight(tf, m.NDocs, df)
+		weighted[term] = vectorref.TFIDFWeight(tf, m.NDocs, df)
 	}
-	return vector.FromMap(weighted).Normalize()
+	return vectorref.FromMap(weighted).Normalize()
+}
+
+// nearestRef is the plain cosine loop in string space: v against each
+// centroid converted back to terms through d, the lowest cluster id
+// winning ties. A term of v outside d matches no centroid term yet
+// still counts in v's norm, so this is the interned assignment's exact
+// reference.
+func nearestRef(d *vector.Dict, v vectorref.Sparse, centroids []vector.IDVec) (best int, bestSim float64) {
+	best, bestSim = 0, -1.0
+	for c, ctr := range centroids {
+		if sim := vectorref.Cosine(v, vectorref.FromIDs(d, ctr.IDs, ctr.Weights)); sim > bestSim {
+			best, bestSim = c, sim
+		}
+	}
+	return best, bestSim
 }
 
 // distanceRef scores a candidate against the wrapper profile with the
@@ -80,17 +97,11 @@ func extractRef(w *Wrapper, tree *tagtree.Node) (*tagtree.Node, float64) {
 	return best, bestD
 }
 
-// applyRef is Model.Apply on the reference path: vectorizeRef interned
-// into the training dictionary, the plain cosine loop over the centroids
-// (lowest cluster id on ties), and extractRef on the chosen wrapper.
+// applyRef is Model.Apply on the reference path: vectorizeRef assigned
+// by nearestRef to one of the model's centroids, and extractRef on the
+// chosen wrapper.
 func applyRef(m *Model, page *corpus.Page) []*Pagelet {
-	v := m.Dict.Intern(vectorizeRef(m, page))
-	best, bestSim := 0, -1.0
-	for c, ctr := range m.Centroids {
-		if sim := v.Cosine(ctr); sim > bestSim {
-			best, bestSim = c, sim
-		}
-	}
+	best, _ := nearestRef(m.Dict, vectorizeRef(m, page), m.Centroids)
 	w := m.Wrappers[best]
 	if w == nil {
 		return nil

@@ -7,6 +7,7 @@ import (
 
 	"thor/internal/corpus"
 	"thor/internal/vector"
+	"thor/internal/vector/vectorref"
 )
 
 // vectorizeModel builds a tiny model directly — trained vocabulary {a: p,
@@ -48,6 +49,14 @@ func sameIDVec(a, b vector.IDVec) bool {
 	return a.Norm() == b.Norm() && reflect.DeepEqual(a.IDs, b.IDs) && reflect.DeepEqual(a.Weights, b.Weights) //thorlint:allow no-float-eq bit-identity is the contract under test
 }
 
+// internsAs reports whether v is the reference vector ref interned into
+// d: ref's in-dictionary terms and weights bit for bit, and ref's full
+// norm, dropped terms included.
+func internsAs(v vector.IDVec, d *vector.Dict, ref vectorref.Sparse) bool {
+	return v.Norm() == ref.Norm() && //thorlint:allow no-float-eq bit-identity is the contract under test
+		vectorref.Equal(vectorref.FromIDs(d, v.IDs, v.Weights), ref.Project(d))
+}
+
 // TestVectorizeRawKeepsOOVTerms: the raw branch of the apply path's
 // vectorization must normalize over every term of the page — unseen
 // vocabulary included — exactly as FromCounts().Normalize() does, and
@@ -56,9 +65,9 @@ func TestVectorizeRawKeepsOOVTerms(t *testing.T) {
 	m := vectorizeModel(RawTags, trainedDF())
 	page := oovPage()
 	got := applyVector(m, page)
-	want := m.Dict.Intern(vector.FromCounts(page.TagSignature()).Normalize())
-	if !sameIDVec(got, want) {
-		t.Fatalf("raw vector = %+v, want Intern(FromCounts.Normalize) = %+v", got, want)
+	want := vectorref.FromCounts(page.TagSignature()).Normalize()
+	if !internsAs(got, m.Dict, want) {
+		t.Fatalf("raw vector = %+v, want FromCounts.Normalize interned = %+v", got, want)
 	}
 	// Out-of-vocabulary terms leave the ID list but stay in the norm.
 	var inDict float64
@@ -69,7 +78,7 @@ func TestVectorizeRawKeepsOOVTerms(t *testing.T) {
 		t.Errorf("raw branch dropped out-of-vocabulary terms from the norm: %v ≥ %v", math.Sqrt(inDict), got.Norm())
 	}
 	// DF must not influence raw weighting: same page, emptied DF table.
-	if !sameIDVec(applyVector(vectorizeModel(RawTags, map[string]int{}), page), want) {
+	if !sameIDVec(applyVector(vectorizeModel(RawTags, map[string]int{}), page), got) {
 		t.Error("raw branch consulted the DF table")
 	}
 }
@@ -85,11 +94,11 @@ func TestVectorizeTFIDFDropsDFMisses(t *testing.T) {
 	weighted := make(map[string]float64)
 	for term, tf := range page.TagSignature() {
 		if df := m.DF[term]; df > 0 {
-			weighted[term] = vector.TFIDFWeight(tf, m.NDocs, df)
+			weighted[term] = vectorref.TFIDFWeight(tf, m.NDocs, df)
 		}
 	}
-	want := m.Dict.Intern(vector.FromMap(weighted).Normalize())
-	if !sameIDVec(got, want) {
+	want := vectorref.FromMap(weighted).Normalize()
+	if !internsAs(got, m.Dict, want) {
 		t.Fatalf("TFIDF vector = %+v, want weighted composition = %+v", got, want)
 	}
 	if math.Abs(got.Norm()-1) > 1e-12 {

@@ -100,24 +100,15 @@ func measureIngest(f func() any) (liveBytes, allocBytes uint64, seconds float64)
 	return liveBytes, allocBytes, seconds
 }
 
-// eagerArtifacts pins everything the pre-streaming Figure 6/7 inner loop
-// held at once: the page slice, the extracted signature docs, and the
-// weighted vectors.
-type eagerArtifacts struct {
-	pages []synth.Page
-	docs  []map[string]int
-	vecs  []vector.Sparse
-}
-
 // ScaleBenchmark measures the tentpole's memory claim: it ingests one
 // site's synthetic collection at each sweep size through both paths —
-// eager (Sample the whole collection, then batch TFIDF over the extracted
-// signatures, everything resident at once) and streaming (Sampler +
-// vector.Accumulator, each page released after its counts are folded in)
-// — and records live heap, total allocation, and seconds per path. The
-// two paths produce bit-identical vectors (pinned by the scale test); the
-// figure quantifies what that equivalence costs: streaming residency is
-// the sparse vectors alone, so the eager/streaming live-heap ratio grows
+// eager (Sample the whole collection, then batch TFIDFInterned, all of
+// it resident at once) and streaming (Sampler + vector.Accumulator, each
+// page released after its counts are folded in) — and records live
+// heap, total allocation, and seconds per path. The two paths produce
+// bit-identical interned vectors (pinned by the scale test); the figure
+// quantifies what that equivalence costs: streaming residency is the
+// sparse vectors alone, so the eager/streaming live-heap ratio grows
 // with the per-page signature weight and stays well above 1 at every
 // scale.
 //
@@ -137,7 +128,8 @@ func ScaleBenchmark(o Options) *ScaleResult {
 		row.EagerLiveBytes, row.EagerAllocBytes, row.EagerSeconds = measureIngest(func() any {
 			pages := model.Sample(size, seed)
 			docs := synth.TagSignatures(pages)
-			return &eagerArtifacts{pages: pages, docs: docs, vecs: vector.TFIDF(docs)}
+			// Pin all the pre-streaming Figure 6/7 inner loop held at once.
+			return []any{pages, docs, vector.TFIDFInterned(docs)}
 		})
 		row.StreamLiveBytes, row.StreamAllocBytes, row.StreamSeconds = measureIngest(func() any {
 			acc := vector.NewAccumulator(false)
@@ -145,7 +137,7 @@ func ScaleBenchmark(o Options) *ScaleResult {
 			for p, ok := s.Next(); ok; p, ok = s.Next() {
 				acc.Add(p.Tags)
 			}
-			return acc.Finish()
+			return acc.FinishInterned()
 		})
 		res.Rows = append(res.Rows, row)
 	}

@@ -11,8 +11,8 @@ import (
 
 // TestScaleVectorsIdentical pins the equivalence the scale figure
 // quantifies: the streaming ingestion (Sampler + Accumulator) must emit
-// bit-identical vectors to the eager one (Sample + batch TFIDF) for the
-// same model, size, and seed.
+// bit-identical vectors, dictionary included, to the eager one (Sample +
+// batch TFIDFInterned) for the same model, size, and seed.
 func TestScaleVectorsIdentical(t *testing.T) {
 	o := tinyOptions()
 	corp := BuildCorpus(o)
@@ -20,14 +20,14 @@ func TestScaleVectorsIdentical(t *testing.T) {
 	const size, seed = 200, int64(99)
 
 	pages := model.Sample(size, seed)
-	eager := vector.TFIDF(synth.TagSignatures(pages))
+	eager := vector.TFIDFInterned(synth.TagSignatures(pages))
 
 	acc := vector.NewAccumulator(false)
 	s := model.Sampler(size, seed)
 	for p, ok := s.Next(); ok; p, ok = s.Next() {
 		acc.Add(p.Tags)
 	}
-	streamed := acc.Finish()
+	streamed := acc.FinishInterned()
 
 	if !reflect.DeepEqual(eager, streamed) {
 		t.Fatal("streaming ingestion vectors differ from eager batch vectors")
@@ -54,11 +54,13 @@ func TestScaleBenchmarkShape(t *testing.T) {
 	if row.EagerSeconds < 0 || row.StreamSeconds < 0 {
 		t.Error("negative seconds")
 	}
-	// The eager path necessarily allocates everything the streaming path
-	// does plus the page slice and signature maps.
-	if row.EagerAllocBytes <= row.StreamAllocBytes {
-		t.Errorf("eager allocated %d bytes, streaming %d: eager must allocate strictly more",
-			row.EagerAllocBytes, row.StreamAllocBytes)
+	// The figure's claim: the eager path keeps the pages and signature
+	// maps resident beside the vectors both paths keep. (Total
+	// allocation has no fixed order: the accumulator's per-document
+	// count entries cost more than the batch weighting's scratch.)
+	if row.EagerLiveBytes <= row.StreamLiveBytes {
+		t.Errorf("eager kept %d live bytes, streaming %d: eager must keep strictly more",
+			row.EagerLiveBytes, row.StreamLiveBytes)
 	}
 	out := r.String()
 	for _, want := range []string{"pages/site", "eager-live-B", "stream-live-B", "ratio"} {

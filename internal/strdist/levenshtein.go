@@ -42,36 +42,6 @@ func Levenshtein(a, b string) int {
 	return prev[len(b)]
 }
 
-// LevenshteinRunes is Levenshtein over Unicode code points; use it when
-// inputs may contain multi-byte characters (e.g. URL clustering of
-// internationalized URLs).
-func LevenshteinRunes(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(rb) > len(ra) {
-		ra, rb = rb, ra
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
 // Normalized returns the edit distance between a and b divided by the
 // length of the longer string, yielding a value in [0,1]. Two empty strings
 // have distance 0.

@@ -34,18 +34,6 @@ func TestLevenshteinKnown(t *testing.T) {
 	}
 }
 
-func TestLevenshteinRunes(t *testing.T) {
-	if got := LevenshteinRunes("héllo", "hello"); got != 1 {
-		t.Errorf("rune distance = %d, want 1", got)
-	}
-	if got := LevenshteinRunes("日本語", "日本"); got != 1 {
-		t.Errorf("rune distance = %d, want 1", got)
-	}
-	if got := LevenshteinRunes("", "日本"); got != 2 {
-		t.Errorf("rune distance = %d, want 2", got)
-	}
-}
-
 func TestLevenshteinMetricProperties(t *testing.T) {
 	// Identity, symmetry, triangle inequality on random short strings.
 	type triple struct{ A, B, C string }

@@ -15,20 +15,10 @@ import (
 // The path expression from the root to a node identifies the subtree rooted
 // at that node (Section 2).
 func (n *Node) Path() string {
-	steps := n.pathSteps(true)
-	return strings.Join(steps, "/")
+	return strings.Join(n.pathSteps(), "/")
 }
 
-// TagPath returns the path from the root to n using tag names only, with no
-// positional indexes. This is the form consumed by the subtree shape
-// distance (Section 3.2.1), where paths are compared by string edit
-// distance after each tag name is simplified to a fixed-length identifier.
-func (n *Node) TagPath() string {
-	steps := n.pathSteps(false)
-	return strings.Join(steps, "/")
-}
-
-func (n *Node) pathSteps(withIndex bool) []string {
+func (n *Node) pathSteps() []string {
 	// Collect ancestors root→n.
 	var chain []*Node
 	for m := n; m != nil; m = m.Parent {
@@ -39,17 +29,17 @@ func (n *Node) pathSteps(withIndex bool) []string {
 	}
 	steps := make([]string, 0, len(chain))
 	for _, m := range chain {
-		steps = append(steps, m.step(withIndex))
+		steps = append(steps, m.step())
 	}
 	return steps
 }
 
-func (m *Node) step(withIndex bool) string {
+func (m *Node) step() string {
 	label := m.Tag
 	if m.Type == ContentNode {
 		label = "#text"
 	}
-	if !withIndex || m.Parent == nil {
+	if m.Parent == nil {
 		return label
 	}
 	idx, total := m.siblingIndex()

@@ -20,14 +20,6 @@ func TestPathWithSiblingIndexes(t *testing.T) {
 	}
 }
 
-func TestTagPathDropsIndexes(t *testing.T) {
-	root := buildSample()
-	trs := root.FindAll(func(n *Node) bool { return n.Tag == "tr" })
-	if got := trs[1].TagPath(); got != "html/body/table/tr" {
-		t.Errorf("TagPath = %q", got)
-	}
-}
-
 func TestContentNodePath(t *testing.T) {
 	root := buildSample()
 	text := root.FindTag("p").Children[0]

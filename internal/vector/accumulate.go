@@ -8,19 +8,20 @@ import (
 
 // Accumulator builds the weighted document vectors of a collection
 // incrementally, one document at a time — the streaming counterpart of
-// TFIDF and RawFrequency. A streaming pipeline feeds each page's count
-// signature to Add and may then discard the page; the accumulator keeps
-// only the compact (term ID, count) entries and the running
-// document-frequency table, so peak residency is O(vectors) rather than
+// TFIDFInterned and RawFrequencyInterned. A streaming pipeline feeds each
+// page's count signature to Add and may then discard the page; the
+// accumulator keeps only the compact (term ID, count) entries and the
+// running document-frequency table, so peak residency is O(vectors) rather than
 // O(pages + count maps + vectors).
 //
 // TFIDF weighting needs the whole collection's document frequencies, so
 // it is necessarily two-pass: Add records the raw term counts (pass 1)
 // and FinishInterned applies the DF weighting and normalization
-// (pass 2). The finished vectors are bit-identical to
-// TFIDF(docs) — same term order, same per-term arithmetic, same
-// normalization order — and, in raw mode, to RawFrequency(docs); the
-// equivalence is pinned by TestAccumulatorMatchesBatch.
+// (pass 2). The finished vectors are bit-identical to the string-keyed
+// reference vectorref.TFIDF(docs) — same term order, same per-term
+// arithmetic, same normalization order — and, in raw mode, to
+// vectorref.RawFrequency(docs); the equivalence is pinned by
+// TestAccumulatorMatchesBatch.
 //
 // An accumulator is resumable: Reset returns a finished (spent)
 // accumulator to its empty state so one allocation serves a stream of
@@ -46,9 +47,9 @@ type termCount struct {
 }
 
 // NewAccumulator returns an empty accumulator. In raw mode the vectors
-// are normalized raw frequencies (RawFrequency); otherwise they receive
-// the paper's TFIDF weighting at Finish. Document frequencies are
-// tallied in both modes.
+// are normalized raw frequencies (RawFrequencyInterned); otherwise they
+// receive the paper's TFIDF weighting at FinishInterned. Document
+// frequencies are tallied in both modes.
 func NewAccumulator(raw bool) *Accumulator {
 	return &Accumulator{raw: raw, ids: make(map[string]int32)}
 }
@@ -86,7 +87,8 @@ func (a *Accumulator) intern(term string) int32 {
 func (a *Accumulator) Len() int { return len(a.docs) }
 
 // DF returns a copy of the document-frequency table accumulated so far —
-// after Finish, exactly DocumentFrequencies over the added documents.
+// after FinishInterned, exactly DocumentFrequencies over the added
+// documents.
 // Returning a copy keeps the accumulator's own table safe: a caller
 // mutating the result mid-stream can no longer corrupt the weighting of
 // documents still to be finished.
@@ -130,24 +132,14 @@ func (a *Accumulator) Merge(b *Accumulator) {
 	b.docs = nil
 }
 
-// Finish applies the second pass — TFIDF weighting (raw frequencies in
-// raw mode) and L2 normalization — and returns the finished vectors in
-// string-keyed form: FinishInterned's vectors with their IDs turned back
-// into terms. The accumulator is spent afterwards: call Reset before
-// adding again.
-func (a *Accumulator) Finish() []Sparse {
-	return a.FinishInterned().ToSparse()
-}
-
 // FinishInterned is the second pass into ID space. The dictionary is
 // built over the accumulated vocabulary (DictFromDF's terms and order),
 // each local ID is remapped to its dictionary ID once, and every
 // document's entries are sorted by dictionary ID — ascending-term order —
 // before Vector weights and normalizes them. The arithmetic and its
-// order are TFIDF's (RawFrequency's in raw mode), so the vectors are
-// bit-identical to TFIDFInterned and RawFrequencyInterned over the same
-// documents. It spends the accumulator until Reset; the DF table stays
-// readable.
+// order are TFIDFInterned's (RawFrequencyInterned's in raw mode), so the
+// vectors are bit-identical to theirs over the same documents. It
+// spends the accumulator until Reset; the DF table stays readable.
 func (a *Accumulator) FinishInterned() Interned {
 	d := NewDict(a.terms)
 	remap := make([]int32, len(a.terms))
@@ -194,9 +186,9 @@ func IDF(n, df int) float64 {
 // occurs, and idf, indexed by ID, holds each term's IDF — nil for raw
 // frequencies. A weight is log(count+1)·idf (the count itself when idf
 // is nil), and the weights are L2-normalized in ID order, so over the
-// same ascending-term IDs the result is bit-identical to TFIDF's (or
-// RawFrequency's) vector. The counts are weighted in place, and the
-// result keeps both slices.
+// same ascending-term IDs the result is bit-identical to TFIDFInterned's
+// (or RawFrequencyInterned's) vector. The counts are weighted in place,
+// and the result keeps both slices.
 func Vector(ids []int32, counts []float64, idf []float64) IDVec {
 	if idf != nil {
 		for j, id := range ids {

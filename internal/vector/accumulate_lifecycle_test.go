@@ -5,10 +5,14 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"thor/internal/vector/vectorref"
 )
 
-// sparseEqual reports bit-identity of two finished vector slices.
-func sparseEqual(t *testing.T, label string, got, want []Sparse) {
+// sparseEqual reports bit-identity of two finished vector slices, in
+// string-keyed form so vectors over different dictionaries compare by
+// term.
+func sparseEqual(t *testing.T, label string, got, want []vectorref.Sparse) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d vectors, want %d", label, len(got), len(want))
@@ -40,7 +44,7 @@ func TestAccumulatorReuseAfterFinish(t *testing.T) {
 		for _, d := range first {
 			acc.Add(d)
 		}
-		finished := acc.Finish()
+		finished := acc.FinishInterned().Vecs
 		acc.Reset()
 		if acc.Len() != 0 || len(acc.DF()) != 0 {
 			t.Fatalf("raw=%v: Reset left %d vectors, %d DF terms", raw, acc.Len(), len(acc.DF()))
@@ -48,13 +52,13 @@ func TestAccumulatorReuseAfterFinish(t *testing.T) {
 		for _, d := range second {
 			acc.Add(d)
 		}
-		got := acc.Finish()
+		got := refs(acc.FinishInterned())
 
 		fresh := NewAccumulator(raw)
 		for _, d := range second {
 			fresh.Add(d)
 		}
-		sparseEqual(t, "reused-vs-fresh", got, fresh.Finish())
+		sparseEqual(t, "reused-vs-fresh", got, refs(fresh.FinishInterned()))
 		if !reflect.DeepEqual(acc.DF(), fresh.DF()) {
 			t.Fatalf("raw=%v: reused DF %v, want %v", raw, acc.DF(), fresh.DF())
 		}
@@ -96,7 +100,7 @@ func TestAccumulatorMergeMatchesConcat(t *testing.T) {
 			if !reflect.DeepEqual(a.DF(), one.DF()) {
 				t.Fatalf("trial %d raw=%v: merged DF %v, want %v", trial, raw, a.DF(), one.DF())
 			}
-			sparseEqual(t, "merged-vs-concat", a.Finish(), one.Finish())
+			sparseEqual(t, "merged-vs-concat", refs(a.FinishInterned()), refs(one.FinishInterned()))
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"thor/internal/vector/vectorref"
 )
 
 // randomDocs fabricates per-document term-count maps with overlapping
@@ -23,17 +25,18 @@ func randomDocs(rng *rand.Rand, n int) []map[string]int {
 
 // TestAccumulatorMatchesBatch is the streaming-TFIDF contract: feeding
 // documents one at a time through the accumulator yields vectors
-// bit-identical to the batch TFIDF (and, in raw mode, RawFrequency) over
-// the same documents — every term and every weight exactly equal.
+// bit-identical to the batch string-keyed reference TFIDF (and, in raw
+// mode, RawFrequency) over the same documents — every term and every
+// weight exactly equal.
 func TestAccumulatorMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 30; trial++ {
 		docs := randomDocs(rng, rng.Intn(15))
 
 		for _, raw := range []bool{false, true} {
-			want := TFIDF(docs)
+			want := vectorref.TFIDF(docs)
 			if raw {
-				want = RawFrequency(docs)
+				want = vectorref.RawFrequency(docs)
 			}
 			acc := NewAccumulator(raw)
 			for _, d := range docs {
@@ -42,7 +45,7 @@ func TestAccumulatorMatchesBatch(t *testing.T) {
 			if acc.Len() != len(docs) {
 				t.Fatalf("trial %d raw=%v: Len = %d, want %d", trial, raw, acc.Len(), len(docs))
 			}
-			got := acc.Finish()
+			got := refs(acc.FinishInterned())
 			if len(got) != len(want) {
 				t.Fatalf("trial %d raw=%v: %d vectors, want %d", trial, raw, len(got), len(want))
 			}
@@ -71,11 +74,11 @@ func TestAccumulatorDoesNotRetainCounts(t *testing.T) {
 	acc.Add(counts)
 	counts["a"] = 99 // mutate after Add: the accumulator must not see it
 	delete(counts, "b")
-	vecs := acc.Finish()
+	vecs := refs(acc.FinishInterned())
 	if len(vecs) != 1 || len(vecs[0].Terms) != 2 {
 		t.Fatalf("vectors = %v", vecs)
 	}
-	want := TFIDF([]map[string]int{{"a": 2, "b": 1}})
+	want := vectorref.TFIDF([]map[string]int{{"a": 2, "b": 1}})
 	if !reflect.DeepEqual(vecs[0], want[0]) {
 		t.Fatalf("vector = %v, want %v", vecs[0], want[0])
 	}
@@ -93,8 +96,8 @@ func TestAccumulatorDFIsACopy(t *testing.T) {
 	df["a"] = 999 // mutate the snapshot between Adds
 	delete(df, "b")
 	acc.Add(docs[1])
-	got := acc.Finish()
-	want := TFIDF(docs)
+	got := refs(acc.FinishInterned())
+	want := vectorref.TFIDF(docs)
 	for i := range want {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Fatalf("doc %d: vector %+v, want %+v (DF snapshot mutation leaked into the accumulator)",
@@ -104,7 +107,7 @@ func TestAccumulatorDFIsACopy(t *testing.T) {
 }
 
 func TestAccumulatorEmpty(t *testing.T) {
-	if got := NewAccumulator(false).Finish(); len(got) != 0 {
-		t.Fatalf("empty Finish = %v", got)
+	if got := NewAccumulator(false).FinishInterned(); len(got.Vecs) != 0 || got.Dict.Len() != 0 {
+		t.Fatalf("empty FinishInterned = %+v", got)
 	}
 }

@@ -8,17 +8,17 @@ import (
 	"thor/internal/vector"
 )
 
-// The micro-benchmarks compare the string-keyed Sparse kernels against
-// the interned int32-ID kernels on realistic inputs: tag signatures of
-// pages probed from a simulated deep-web site — the exact distribution
-// the phase-one clustering hot path consumes. Run with
+// The micro-benchmarks time the interned int32-ID kernels on realistic
+// inputs: tag signatures of pages probed from a simulated deep-web site
+// — the exact distribution the phase-one clustering hot path consumes.
+// Run with
 //
 //	go test ./internal/vector -bench 'Dot|Cosine|Centroid' -run '^$'
 //
 // The external test package keeps the probe/deepweb imports out of the
 // vector package's own dependency graph.
 
-func benchVectors(b *testing.B) ([]vector.Sparse, vector.Interned) {
+func benchVectors(b *testing.B) vector.Interned {
 	b.Helper()
 	site := deepweb.NewSite(deepweb.SiteConfig{ID: 1, Seed: 31})
 	prober := &probe.Prober{Plan: probe.NewPlan(80, 8, 7), Labeler: deepweb.Labeler()}
@@ -27,19 +27,12 @@ func benchVectors(b *testing.B) ([]vector.Sparse, vector.Interned) {
 	for i, p := range col.Pages {
 		docs[i] = p.TagSignature()
 	}
-	return vector.TFIDF(docs), vector.TFIDFInterned(docs)
+	return vector.TFIDFInterned(docs)
 }
 
 func BenchmarkDot(b *testing.B) {
-	vecs, iv := benchVectors(b)
-	n := len(vecs)
-	b.Run("string", func(b *testing.B) {
-		var sink float64
-		for i := 0; i < b.N; i++ {
-			sink += vector.Dot(vecs[i%n], vecs[(i*7+1)%n])
-		}
-		benchSink = sink
-	})
+	iv := benchVectors(b)
+	n := len(iv.Vecs)
 	b.Run("interned", func(b *testing.B) {
 		var sink float64
 		for i := 0; i < b.N; i++ {
@@ -50,15 +43,8 @@ func BenchmarkDot(b *testing.B) {
 }
 
 func BenchmarkCosine(b *testing.B) {
-	vecs, iv := benchVectors(b)
-	n := len(vecs)
-	b.Run("string", func(b *testing.B) {
-		var sink float64
-		for i := 0; i < b.N; i++ {
-			sink += vector.Cosine(vecs[i%n], vecs[(i*7+1)%n])
-		}
-		benchSink = sink
-	})
+	iv := benchVectors(b)
+	n := len(iv.Vecs)
 	b.Run("interned", func(b *testing.B) {
 		var sink float64
 		for i := 0; i < b.N; i++ {
@@ -69,13 +55,7 @@ func BenchmarkCosine(b *testing.B) {
 }
 
 func BenchmarkCentroid(b *testing.B) {
-	vecs, iv := benchVectors(b)
-	b.Run("string", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := vector.Centroid(vecs)
-			benchSink = c.Norm()
-		}
-	})
+	iv := benchVectors(b)
 	b.Run("interned", func(b *testing.B) {
 		scratch := vector.NewCentroidScratch(iv.Dict.Len())
 		b.ResetTimer()

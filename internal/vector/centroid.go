@@ -48,7 +48,7 @@ func (s *CentroidScratch) ensure(dim int) {
 // Centroid computes the centroid of vs — per-term average weight — by
 // scattering each member into the dense accumulator in member order and
 // gathering the touched IDs back in ascending order. The result is
-// bit-identical to the string-path Centroid (fold of Add over members,
+// bit-identical to vectorref.Centroid (fold of Add over members,
 // then Scale): the dense cells accumulate each term's weights in the
 // same member order the Add-fold does (a term's first contribution lands
 // on an exact 0.0, and x+0 ≡ x), and the final multiply by 1/len(vs)

@@ -10,8 +10,9 @@ import (
 // thereafter runs on integer IDs instead of strings. IDs are assigned in
 // ascending term order, so ascending-ID order and ascending-term order
 // coincide — the property that makes the integer merge-join kernels of
-// IDVec visit term pairs in exactly the order the string kernels do, and
-// hence produce bit-identical floating-point sums.
+// IDVec visit term pairs in exactly the order the string-keyed reference
+// kernels (vectorref) do, and hence produce bit-identical floating-point
+// sums.
 //
 // A Dict is immutable after construction and safe for concurrent use.
 type Dict struct {
@@ -80,50 +81,6 @@ func (d *Dict) Terms() []string {
 	return append([]string(nil), d.terms...)
 }
 
-// Intern maps a string-keyed sparse vector into ID space. Terms absent
-// from the dictionary are dropped — the ID-space analogue of a DF miss —
-// but the cached norm is computed over the *full* input vector, dropped
-// terms included: a dropped term can never match anything in the
-// dictionary's corpus, so it contributes zero to every dot product, yet
-// it still contributed to the vector's length under the string kernels.
-// Keeping it in the norm makes Cosine against any interned vector
-// bit-identical to the string-path Cosine on the un-interned input.
-//
-// A nil dictionary interns every term away (the result is empty but
-// keeps the input's norm) — the degenerate empty vocabulary.
-func (d *Dict) Intern(v Sparse) IDVec {
-	var lookup map[string]int32
-	if d != nil {
-		lookup = d.ids
-	}
-	ids := make([]int32, 0, len(v.Terms))
-	weights := make([]float64, 0, len(v.Terms))
-	var s float64
-	for i, t := range v.Terms {
-		w := v.Weights[i]
-		s += w * w
-		if id, ok := lookup[t]; ok {
-			ids = append(ids, id)
-			weights = append(weights, w)
-		}
-	}
-	return IDVec{IDs: ids, Weights: weights, norm: math.Sqrt(s)}
-}
-
-// ToSparse converts an interned vector back to the string-keyed form
-// (terms dropped at Intern time are gone; only in-dictionary entries
-// survive). This is the debug/inspection surface — hot paths stay in ID
-// space.
-func (d *Dict) ToSparse(v IDVec) Sparse {
-	terms := make([]string, len(v.IDs))
-	weights := make([]float64, len(v.IDs))
-	for i, id := range v.IDs {
-		terms[i] = d.Term(id)
-		weights[i] = v.Weights[i]
-	}
-	return Sparse{Terms: terms, Weights: weights}
-}
-
 // IDVec is a sparse term-weight vector in a Dict's ID space: IDs are held
 // in ascending order (equivalently, ascending term order) and the L2 norm
 // is cached at construction, so Cosine never recomputes it. The zero
@@ -162,7 +119,7 @@ func (v IDVec) Len() int { return len(v.IDs) }
 func (v IDVec) Norm() float64 { return v.norm }
 
 // Dot returns the inner product of v and b using an integer merge over
-// the sorted ID lists — the same merge the string kernel performs, with
+// the sorted ID lists — the same merge vectorref.Dot performs, with
 // int32 comparisons in place of strings.Compare, so the products are
 // accumulated in the identical order and the sum is bit-identical.
 func (v IDVec) Dot(b IDVec) float64 {
@@ -184,7 +141,7 @@ func (v IDVec) Dot(b IDVec) float64 {
 }
 
 // Cosine returns the cosine similarity of v and b using the cached norms:
-// bit-identical to the string-path Cosine (same dot, same norm bits, same
+// bit-identical to vectorref.Cosine (same dot, same norm bits, same
 // clamp), at the cost of one merge-join instead of a merge-join plus two
 // norm recomputations.
 func (v IDVec) Cosine(b IDVec) float64 {
@@ -224,15 +181,4 @@ func (v IDVec) CosineUnit(b IDVec) float64 {
 type Interned struct {
 	Dict *Dict
 	Vecs []IDVec
-}
-
-// ToSparse converts every vector back to string-keyed form — the debug
-// surface, and how tests hand interned input to the string-keyed
-// references. It has no production caller.
-func (iv Interned) ToSparse() []Sparse {
-	out := make([]Sparse, len(iv.Vecs))
-	for i, v := range iv.Vecs {
-		out[i] = iv.Dict.ToSparse(v)
-	}
-	return out
 }

@@ -1,10 +1,13 @@
 package vector
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
+
+	"thor/internal/vector/vectorref"
 )
 
 func TestDictBasics(t *testing.T) {
@@ -45,39 +48,73 @@ func TestDictFromDF(t *testing.T) {
 	}
 }
 
-// TestInternDropsUnknownKeepsNorm pins Intern's contract: terms outside
-// the dictionary vanish from the ID list but stay in the cached norm, so
-// cosine against any interned vector matches the string path on the
-// un-interned input exactly.
+// toRef converts an interned vector to the reference's string-keyed
+// form.
+func toRef(d *Dict, v IDVec) vectorref.Sparse {
+	return vectorref.FromIDs(d, v.IDs, v.Weights)
+}
+
+// refs converts every vector of iv to the reference's form.
+func refs(iv Interned) []vectorref.Sparse {
+	out := make([]vectorref.Sparse, len(iv.Vecs))
+	for i, v := range iv.Vecs {
+		out[i] = toRef(iv.Dict, v)
+	}
+	return out
+}
+
+// internsAs reports whether v is the reference vector ref interned into
+// d: ref's in-dictionary entries bit for bit, and a cached norm carrying
+// the bits of ref's full norm, dropped terms included.
+func internsAs(v IDVec, d *Dict, ref vectorref.Sparse) bool {
+	return math.Float64bits(v.Norm()) == math.Float64bits(ref.Norm()) &&
+		vectorref.Equal(toRef(d, v), ref.Project(d))
+}
+
+// TestInternDropsUnknownKeepsNorm pins the DF-miss rule of interning a
+// fresh page: terms outside the dictionary vanish from the ID list but
+// stay in the cached norm, so cosine against any interned vector matches
+// the string-keyed reference on the un-interned vector exactly.
 func TestInternDropsUnknownKeepsNorm(t *testing.T) {
 	d := NewDict([]string{"a", "b"})
-	v := FromMap(map[string]float64{"a": 1, "b": 2, "unseen": 3})
-	iv := d.Intern(v)
+	counts := map[string]int{"a": 1, "b": 2, "unseen": 3}
+	v := vectorref.FromCounts(counts).Normalize()
+	var s InternScratch
+	iv := d.InternCounts(counts, Weighting{}, &s).Clone()
 	if iv.Len() != 2 {
 		t.Fatalf("interned Len = %d, want 2 (unseen dropped)", iv.Len())
 	}
 	if iv.Norm() != v.Norm() { //thorlint:allow no-float-eq the full-vector norm is the contract under test
 		t.Fatalf("interned norm %v, want the full-vector norm %v", iv.Norm(), v.Norm())
 	}
-	other := d.Intern(FromMap(map[string]float64{"a": 5, "b": 1}))
-	want := Cosine(v, FromMap(map[string]float64{"a": 5, "b": 1}))
+	if !internsAs(iv, d, v) {
+		t.Fatalf("interned %+v, want the reference %+v projected", iv, v)
+	}
+	otherCounts := map[string]int{"a": 5, "b": 1}
+	other := d.InternCounts(otherCounts, Weighting{}, &s)
+	want := vectorref.Cosine(v, vectorref.FromCounts(otherCounts).Normalize())
 	if got := iv.Cosine(other); got != want { //thorlint:allow no-float-eq bit-identity is the contract under test
 		t.Fatalf("interned Cosine = %v, string Cosine = %v", got, want)
 	}
 }
 
+// TestInternNilDict: a nil dictionary is the empty vocabulary, and
+// interning against an empty one drops every term yet keeps the full
+// norm.
 func TestInternNilDict(t *testing.T) {
-	var d *Dict
-	v := FromMap(map[string]float64{"x": 3, "y": 4})
-	iv := d.Intern(v)
-	if iv.Len() != 0 {
-		t.Fatalf("nil-dict Intern kept %d entries", iv.Len())
-	}
-	if iv.Norm() != v.Norm() { //thorlint:allow no-float-eq the full-vector norm is the contract under test
-		t.Fatalf("nil-dict Intern norm = %v, want %v", iv.Norm(), v.Norm())
-	}
-	if d.Len() != 0 || d.Terms() != nil {
+	var nilDict *Dict
+	if nilDict.Len() != 0 || nilDict.Terms() != nil {
 		t.Error("nil dict Len/Terms not empty")
+	}
+	d := NewDict(nil)
+	counts := map[string]int{"x": 3, "y": 4}
+	var s InternScratch
+	iv := d.InternCounts(counts, Weighting{}, &s)
+	if iv.Len() != 0 {
+		t.Fatalf("empty-dict intern kept %d entries", iv.Len())
+	}
+	if want := vectorref.FromCounts(counts).Normalize(); !internsAs(iv, d, want) {
+		t.Fatalf("empty-dict intern norm = %v, want %v", iv.Norm(), want.Norm())
 	}
 }
 
@@ -109,21 +146,21 @@ func TestCosineUnitNearCosine(t *testing.T) {
 
 // TestInternedPipelineMatchesStringPipeline is the property test of the
 // interned tentpole: over random corpora, every stage of the ID pipeline
-// — TFIDFInterned / RawFrequencyInterned construction, Dot, Cosine, the
-// dense-accumulator centroid, and the round-trip back to string-keyed
-// form — is exact-float identical to the string-keyed Sparse pipeline.
+// — TFIDFInterned / RawFrequencyInterned construction, Dot, Cosine, and
+// the dense-accumulator centroid — is exact-float identical to the
+// string-keyed reference pipeline (vectorref).
 func TestInternedPipelineMatchesStringPipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
 		docs := randomDocs(rng, rng.Intn(15))
 		for _, raw := range []bool{false, true} {
-			var want []Sparse
+			var want []vectorref.Sparse
 			var iv Interned
 			if raw {
-				want = RawFrequency(docs)
+				want = vectorref.RawFrequency(docs)
 				iv = RawFrequencyInterned(docs)
 			} else {
-				want = TFIDF(docs)
+				want = vectorref.TFIDF(docs)
 				iv = TFIDFInterned(docs)
 			}
 			if len(iv.Vecs) != len(want) {
@@ -134,7 +171,7 @@ func TestInternedPipelineMatchesStringPipeline(t *testing.T) {
 			}
 			// Construction: the ID vectors project back to the exact string
 			// vectors, with cached norms matching the recomputed ones.
-			back := iv.ToSparse()
+			back := refs(iv)
 			for i := range want {
 				if !reflect.DeepEqual(back[i], want[i]) {
 					t.Fatalf("trial %d raw=%v doc %d: interned %+v, want %+v", trial, raw, i, back[i], want[i])
@@ -147,16 +184,16 @@ func TestInternedPipelineMatchesStringPipeline(t *testing.T) {
 			// Kernels: every pairwise dot and cosine bit-identical.
 			for i := range want {
 				for j := range want {
-					if got, w := iv.Vecs[i].Dot(iv.Vecs[j]), Dot(want[i], want[j]); got != w { //thorlint:allow no-float-eq bit-identity is the contract under test
+					if got, w := iv.Vecs[i].Dot(iv.Vecs[j]), vectorref.Dot(want[i], want[j]); got != w { //thorlint:allow no-float-eq bit-identity is the contract under test
 						t.Fatalf("trial %d raw=%v Dot(%d,%d) = %v, want %v", trial, raw, i, j, got, w)
 					}
-					if got, w := iv.Vecs[i].Cosine(iv.Vecs[j]), Cosine(want[i], want[j]); got != w { //thorlint:allow no-float-eq bit-identity is the contract under test
+					if got, w := iv.Vecs[i].Cosine(iv.Vecs[j]), vectorref.Cosine(want[i], want[j]); got != w { //thorlint:allow no-float-eq bit-identity is the contract under test
 						t.Fatalf("trial %d raw=%v Cosine(%d,%d) = %v, want %v", trial, raw, i, j, got, w)
 					}
 				}
 			}
-			// Centroid: the dense scatter/gather kernel equals the string
-			// Add-fold, on random member subsets, with the scratch reused
+			// Centroid: the dense scatter/gather kernel equals the
+			// reference's Add-fold, on random member subsets, with the scratch reused
 			// across groups.
 			scratch := NewCentroidScratch(iv.Dict.Len())
 			for rep := 0; rep < 4; rep++ {
@@ -166,19 +203,19 @@ func TestInternedPipelineMatchesStringPipeline(t *testing.T) {
 						members = append(members, i)
 					}
 				}
-				group := make([]Sparse, len(members))
+				group := make([]vectorref.Sparse, len(members))
 				igroup := make([]IDVec, len(members))
 				for gi, m := range members {
 					group[gi] = want[m]
 					igroup[gi] = iv.Vecs[m]
 				}
-				wantC := Centroid(group)
+				wantC := vectorref.Centroid(group)
 				gotC := scratch.Centroid(igroup)
-				// Equal, not DeepEqual: the string path's empty centroid is
-				// nil-backed while ToSparse yields empty non-nil slices.
-				if !Equal(iv.Dict.ToSparse(gotC), wantC) {
+				// Equal, not DeepEqual: the reference's empty centroid is
+				// nil-backed while FromIDs yields empty non-nil slices.
+				if !vectorref.Equal(toRef(iv.Dict, gotC), wantC) {
 					t.Fatalf("trial %d raw=%v rep %d: centroid %+v, want %+v",
-						trial, raw, rep, iv.Dict.ToSparse(gotC), wantC)
+						trial, raw, rep, toRef(iv.Dict, gotC), wantC)
 				}
 				if gotC.Norm() != wantC.Norm() { //thorlint:allow no-float-eq bit-identity is the contract under test
 					t.Fatalf("trial %d raw=%v rep %d: centroid norm %v, want %v",
@@ -190,8 +227,9 @@ func TestInternedPipelineMatchesStringPipeline(t *testing.T) {
 }
 
 // TestFinishInternedMatchesFinish extends the accumulator contract to the
-// interned exit: the two-pass streaming path interned at Finish time is
-// bit-identical to the batch interned constructors.
+// batch constructors: the two-pass streaming path's FinishInterned is
+// bit-identical, dictionary included, to TFIDFInterned and
+// RawFrequencyInterned over the same documents.
 func TestFinishInternedMatchesFinish(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 20; trial++ {

@@ -27,8 +27,9 @@ func (w Weighting) Raw() bool { return w.IDF == nil }
 
 // DFWeighting precomputes the TFIDF weighting tables for d against a
 // document-frequency table of nDocs documents. Each ID's IDF factor is
-// computed with exactly the expression TFIDFWeight uses, so weights built
-// from these tables are bit-identical to the per-request string path.
+// computed with exactly the expression vectorref.TFIDFWeight uses, so
+// weights built from these tables are bit-identical to the string-keyed
+// reference.
 func DFWeighting(d *Dict, df map[string]int, nDocs int) Weighting {
 	idf := make([]float64, d.Len())
 	dfs := make([]int32, d.Len())
@@ -70,15 +71,16 @@ type rawTerm struct {
 
 // InternCounts weights one page's term counts in a trained model's space
 // and builds the IDVec straight in ID space: no intermediate weight map,
-// no string-keyed Sparse. It is the fusion of
+// no string-keyed vector. Against the string-keyed reference
+// (vectorref) it is the composition
 //
-//	TFIDF:  FromMap(tfidf-weighted counts).Normalize() → d.Intern(·)
-//	raw:    FromCounts(counts).Normalize()             → d.Intern(·)
+//	TFIDF:  FromMap(tfidf-weighted counts).Normalize()
+//	raw:    FromCounts(counts).Normalize()
 //
-// and is bit-identical to that composition: terms are weighted and summed
-// in ascending-term order (≡ ascending-ID order for dictionary hits), the
-// normalization divides in the same order, and the cached norm is
-// recomputed over the normalized weights exactly as Intern does — with
+// projected onto the dictionary, and is bit-identical to it: terms are
+// weighted and summed in ascending-term order (≡ ascending-ID order for
+// dictionary hits), the normalization divides in the same order, and the
+// cached norm is the norm of the whole reference vector — with
 // out-of-vocabulary terms kept in the norm under raw weighting (they were
 // dropped before weighting ever happened under TFIDF's DF-miss rule, so
 // there they contribute nothing).
@@ -139,7 +141,7 @@ func (d *Dict) internRawCounts(counts map[string]int, s *InternScratch) IDVec {
 
 // finishInterned normalizes the scratch's accumulated weights (sum is
 // their squared sum) and recomputes the cached norm over the normalized
-// weights, reproducing Normalize-then-Intern bit for bit.
+// weights, reproducing the reference's Normalize-then-Norm bit for bit.
 func finishInterned(s *InternScratch, sum float64) IDVec {
 	norm := math.Sqrt(sum)
 	if norm != 0 { //thorlint:allow no-float-eq the zero vector has an exactly zero norm

@@ -2,10 +2,10 @@ package vector
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"reflect"
 	"testing"
+
+	"thor/internal/vector/vectorref"
 )
 
 // randomCounts draws a term-count map mixing dictionary terms with
@@ -44,23 +44,23 @@ func TestInternCountsMatchesComposition(t *testing.T) {
 		counts := randomCounts(rng, vocab)
 
 		// TFIDF branch: weight dictionary hits with the paper's formula,
-		// normalize in string space, intern.
+		// normalize in string space, project onto the dictionary.
 		weighted := make(map[string]float64, len(counts))
 		for term, tf := range counts {
 			if _, ok := d.ID(term); ok && df[term] > 0 {
-				weighted[term] = TFIDFWeight(tf, nDocs, df[term])
+				weighted[term] = vectorref.TFIDFWeight(tf, nDocs, df[term])
 			}
 		}
-		want := d.Intern(FromMap(weighted).Normalize())
+		want := vectorref.FromMap(weighted).Normalize()
 		got := d.InternCounts(counts, w, &s)
-		if !sameIDVec(got, want) {
+		if !internsAs(got, d, want) {
 			t.Fatalf("trial %d TFIDF: InternCounts = %+v, composition = %+v", trial, got, want)
 		}
 
 		// Raw branch: out-of-vocabulary terms stay in the normalization.
-		want = d.Intern(FromCounts(counts).Normalize())
+		want = vectorref.FromCounts(counts).Normalize()
 		got = d.InternCounts(counts, Weighting{}, &s)
-		if !sameIDVec(got, want) {
+		if !internsAs(got, d, want) {
 			t.Fatalf("trial %d raw: InternCounts = %+v, composition = %+v", trial, got, want)
 		}
 	}
@@ -95,15 +95,21 @@ func TestAssignNearestMatchesNaiveLoop(t *testing.T) {
 	for i := range vocab {
 		vocab[i] = fmt.Sprintf("term%02d", i)
 	}
-	d := NewDict(vocab)
+	// Vocabulary order is ID order, so each draw's IDs come out sorted.
 	randVec := func(scale float64) IDVec {
-		m := make(map[string]float64)
-		for _, term := range vocab {
+		var ids []int32
+		var weights []float64
+		for id := range vocab {
 			if rng.Intn(2) == 0 {
-				m[term] = rng.Float64()
+				ids = append(ids, int32(id))
+				weights = append(weights, rng.Float64())
 			}
 		}
-		return d.Intern(FromMap(m).Normalize().Scale(scale))
+		normalizeWeights(weights)
+		for i := range weights {
+			weights[i] *= scale
+		}
+		return NewIDVec(ids, weights)
 	}
 	for trial := 0; trial < 100; trial++ {
 		v := randVec(1)
@@ -134,9 +140,8 @@ func TestAssignNearestMatchesNaiveLoop(t *testing.T) {
 // of 0.5 square-sum to exactly 1): dividing by 1.0·1.0 is the identity,
 // so CosineUnit and Cosine agree bit for bit.
 func TestCosineUnitExactOnUnitNorms(t *testing.T) {
-	d := NewDict([]string{"a", "b", "c", "d", "e"})
-	u1 := d.Intern(FromMap(map[string]float64{"a": 0.5, "b": 0.5, "c": 0.5, "d": 0.5}))
-	u2 := d.Intern(FromMap(map[string]float64{"b": 0.5, "c": 0.5, "d": 0.5, "e": 0.5}))
+	u1 := NewIDVec([]int32{0, 1, 2, 3}, []float64{0.5, 0.5, 0.5, 0.5})
+	u2 := NewIDVec([]int32{1, 2, 3, 4}, []float64{0.5, 0.5, 0.5, 0.5})
 	if u1.Norm() != 1.0 || u2.Norm() != 1.0 {
 		t.Fatalf("norms %v, %v — construction should be exactly unit", u1.Norm(), u2.Norm())
 	}
@@ -147,15 +152,4 @@ func TestCosineUnitExactOnUnitNorms(t *testing.T) {
 	if best != 1 || sim != 1.0 {
 		t.Errorf("AssignNearest self-match = (%d, %v), want (1, 1)", best, sim)
 	}
-}
-
-// sameIDVec compares two IDVecs including their cached norms, bitwise.
-func sameIDVec(a, b IDVec) bool {
-	if math.Float64bits(a.norm) != math.Float64bits(b.norm) {
-		return false
-	}
-	if len(a.IDs) == 0 && len(b.IDs) == 0 {
-		return true
-	}
-	return reflect.DeepEqual(a.IDs, b.IDs) && reflect.DeepEqual(a.Weights, b.Weights)
 }

@@ -1,3 +1,13 @@
+// Package vector implements the sparse vector-space model in an
+// interned ID space: a corpus Dict maps each term to a dense int32 ID,
+// documents become IDVecs weighted with the paper's TFIDF variant (or raw
+// frequencies) and L2-normalized, and cosine similarity, centroids and
+// nearest-centroid assignment run as integer merge-joins and dense
+// scatter/gather. These are the building blocks of THOR's tag-tree
+// signature clustering (Section 3.1.2) and of the subtree content
+// analysis in phase two (Section 3.2.1). The string-keyed form of the
+// same space lives in the test-only package vectorref, the reference
+// these kernels are checked against bit for bit.
 package vector
 
 import (
@@ -5,48 +15,23 @@ import (
 	"slices"
 )
 
-// TFIDF converts a collection of per-document term counts into normalized
-// TFIDF-weighted vectors using the paper's variant (Section 3.1.2):
+// TFIDFInterned converts a collection of per-document term counts into
+// normalized TFIDF-weighted vectors using the paper's variant (Section
+// 3.1.2):
 //
 //	w_ik = log(tf_ik + 1) · log((n + 1) / n_k)
 //
-// where tf_ik is the frequency of term k in document i, n is the number of
-// documents, and n_k is the number of documents containing term k. Because
-// of the +1 in the numerator, even a term occurring in every document keeps
-// a non-zero weight when its frequency varies between documents — the
-// property the paper calls out for tags like <table>. Each resulting vector
-// is L2-normalized.
-func TFIDF(docs []map[string]int) []Sparse {
-	df := DocumentFrequencies(docs)
-	n := float64(len(docs))
-	out := make([]Sparse, len(docs))
-	for i, counts := range docs {
-		weighted := make(map[string]float64, len(counts))
-		for term, tf := range counts {
-			idf := math.Log((n + 1) / float64(df[term]))
-			weighted[term] = math.Log(float64(tf)+1) * idf
-		}
-		out[i] = FromMap(weighted).Normalize()
-	}
-	return out
-}
-
-// RawFrequency converts per-document term counts into normalized vectors
-// whose weights are the raw term frequencies. This is the "raw tags" / "raw
-// content" baseline the paper compares against in Figures 4, 5, and 10.
-func RawFrequency(docs []map[string]int) []Sparse {
-	out := make([]Sparse, len(docs))
-	for i, counts := range docs {
-		out[i] = FromCounts(counts).Normalize()
-	}
-	return out
-}
-
-// TFIDFInterned is TFIDF straight into ID space: one Dict over the
-// collection vocabulary, per-term IDF precomputed once per ID, and each
-// document emitted as an IDVec with its norm cached. The weights are
-// bit-identical to TFIDF's — the IDF quotient, the log(tf+1) multiply,
-// and the normalization all use the same arithmetic in the same
+// where tf_ik is the frequency of term k in document i, n is the number
+// of documents, and n_k is the number of documents containing term k.
+// Because of the +1 in the numerator, even a term occurring in every
+// document keeps a non-zero weight when its frequency varies between
+// documents — the property the paper calls out for tags like <table>.
+//
+// It builds one Dict over the collection vocabulary, precomputes each
+// ID's IDF once, and emits each document as an L2-normalized IDVec with
+// its norm cached. The weights are bit-identical to the string-keyed
+// reference (vectorref.TFIDF): the IDF quotient, the log(tf+1)
+// multiply, and the normalization use the same arithmetic in the same
 // (ascending-term ≡ ascending-ID) order.
 func TFIDFInterned(docs []map[string]int) Interned {
 	df := DocumentFrequencies(docs)
@@ -70,8 +55,11 @@ func TFIDFInterned(docs []map[string]int) Interned {
 	return Interned{Dict: d, Vecs: vecs}
 }
 
-// RawFrequencyInterned is RawFrequency straight into ID space, against
-// one shared Dict; bit-identical weights to the string path.
+// RawFrequencyInterned converts per-document term counts into
+// normalized vectors whose weights are the raw term frequencies, against
+// one shared Dict — the "raw tags" / "raw content" baseline the paper
+// compares against in Figures 4, 5, and 10. The weights are
+// bit-identical to vectorref.RawFrequency's.
 func RawFrequencyInterned(docs []map[string]int) Interned {
 	d := DictFromDF(DocumentFrequencies(docs))
 	vecs := make([]IDVec, len(docs))
@@ -102,8 +90,8 @@ func docIDs(d *Dict, counts map[string]int) []int32 {
 }
 
 // normalizeWeights scales weights to unit L2 norm in place, matching
-// Sparse.Normalize bit for bit (same summation and division order; all
-// zeros are left unchanged).
+// vectorref.Sparse.Normalize bit for bit (same summation and division
+// order; all zeros are left unchanged).
 func normalizeWeights(weights []float64) {
 	var s float64
 	for _, w := range weights {
@@ -128,16 +116,4 @@ func DocumentFrequencies(docs []map[string]int) map[string]int {
 		}
 	}
 	return df
-}
-
-// TFIDFWeight is the paper's single-term weight formula, log(tf+1) ·
-// log((n+1)/df), kept as the test reference the per-ID weighting tables
-// (DFWeighting) are checked against. It has no production caller.
-func TFIDFWeight(tf, n, df int) float64 {
-	if tf <= 0 || df <= 0 || n < df {
-		if tf <= 0 || df <= 0 {
-			return 0
-		}
-	}
-	return math.Log(float64(tf)+1) * math.Log(float64(n+1)/float64(df))
 }

@@ -2,15 +2,38 @@ package vector
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"thor/internal/vector/vectorref"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// weightOf returns the weight of term in document doc of iv, or 0 when
+// the document does not hold it.
+func weightOf(iv Interned, doc int, term string) float64 {
+	id, ok := iv.Dict.ID(term)
+	if !ok {
+		return 0
+	}
+	v := iv.Vecs[doc]
+	for i, x := range v.IDs {
+		if x == id {
+			return v.Weights[i]
+		}
+	}
+	return 0
+}
+
+// The string-keyed primitives of the reference (FromCounts, FromMap,
+// Add, Equal) have no interned counterpart; they are checked here,
+// beside the contract tests that lean on them.
+
 func TestFromCountsSorted(t *testing.T) {
-	v := FromCounts(map[string]int{"z": 3, "a": 1, "m": 2})
+	v := vectorref.FromCounts(map[string]int{"z": 3, "a": 1, "m": 2})
 	if !sort.StringsAreSorted(v.Terms) {
 		t.Errorf("terms not sorted: %v", v.Terms)
 	}
@@ -23,56 +46,54 @@ func TestFromCountsSorted(t *testing.T) {
 }
 
 func TestFromMap(t *testing.T) {
-	v := FromMap(map[string]float64{"b": 0.5, "a": 1.5})
+	v := vectorref.FromMap(map[string]float64{"b": 0.5, "a": 1.5})
 	if v.Terms[0] != "a" || !almost(v.Weights[0], 1.5) {
 		t.Errorf("FromMap = %v %v", v.Terms, v.Weights)
 	}
 }
 
 func TestNormAndNormalize(t *testing.T) {
-	v := FromMap(map[string]float64{"x": 3, "y": 4})
+	v := NewIDVec([]int32{0, 1}, []float64{3, 4})
 	if !almost(v.Norm(), 5) {
 		t.Errorf("Norm = %v, want 5", v.Norm())
 	}
-	n := v.Normalize()
-	if !almost(n.Norm(), 1) {
+	weights := []float64{3, 4}
+	normalizeWeights(weights)
+	if n := NewIDVec([]int32{0, 1}, weights); !almost(n.Norm(), 1) {
 		t.Errorf("normalized Norm = %v", n.Norm())
 	}
-	// Original untouched.
-	if !almost(v.Weights[0], 3) {
-		t.Errorf("Normalize mutated input")
-	}
-	zero := Sparse{}
-	if z := zero.Normalize(); z.Len() != 0 {
-		t.Errorf("zero Normalize = %v", z)
+	zero := []float64{0, 0}
+	if normalizeWeights(zero); zero[0] != 0 || zero[1] != 0 {
+		t.Errorf("zero vector normalized to %v", zero)
 	}
 }
 
 func TestDot(t *testing.T) {
-	a := FromMap(map[string]float64{"x": 2, "y": 3})
-	b := FromMap(map[string]float64{"y": 4, "z": 5})
-	if !almost(Dot(a, b), 12) {
-		t.Errorf("Dot = %v, want 12", Dot(a, b))
+	// IDs 0, 1, 2 stand for terms x, y, z.
+	a := NewIDVec([]int32{0, 1}, []float64{2, 3})
+	b := NewIDVec([]int32{1, 2}, []float64{4, 5})
+	if !almost(a.Dot(b), 12) {
+		t.Errorf("Dot = %v, want 12", a.Dot(b))
 	}
-	if !almost(Dot(a, Sparse{}), 0) {
-		t.Errorf("Dot with empty = %v", Dot(a, Sparse{}))
+	if !almost(a.Dot(IDVec{}), 0) {
+		t.Errorf("Dot with empty = %v", a.Dot(IDVec{}))
 	}
 }
 
 func TestCosine(t *testing.T) {
-	a := FromMap(map[string]float64{"x": 1})
-	b := FromMap(map[string]float64{"y": 1})
-	if got := Cosine(a, b); got != 0 {
+	a := NewIDVec([]int32{0}, []float64{1})
+	b := NewIDVec([]int32{1}, []float64{1})
+	if got := a.Cosine(b); got != 0 {
 		t.Errorf("orthogonal Cosine = %v, want 0", got)
 	}
-	if got := Cosine(a, a); !almost(got, 1) {
+	if got := a.Cosine(a); !almost(got, 1) {
 		t.Errorf("identical Cosine = %v, want 1", got)
 	}
-	scaled := a.Scale(7)
-	if got := Cosine(a, scaled); !almost(got, 1) {
+	scaled := NewIDVec([]int32{0}, []float64{7})
+	if got := a.Cosine(scaled); !almost(got, 1) {
 		t.Errorf("scaled Cosine = %v, want 1 (scale invariance)", got)
 	}
-	if got := Cosine(a, Sparse{}); got != 0 {
+	if got := a.Cosine(IDVec{}); got != 0 {
 		t.Errorf("Cosine with zero vector = %v, want 0", got)
 	}
 }
@@ -87,7 +108,8 @@ func TestCosineBoundsProperty(t *testing.T) {
 		for k, v := range bm {
 			bi[k] = int(v)
 		}
-		c := Cosine(FromCounts(ai), FromCounts(bi))
+		iv := RawFrequencyInterned([]map[string]int{ai, bi})
+		c := iv.Vecs[0].Cosine(iv.Vecs[1])
 		return c >= 0 && c <= 1
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 300}); err != nil {
@@ -96,39 +118,39 @@ func TestCosineBoundsProperty(t *testing.T) {
 }
 
 func TestAdd(t *testing.T) {
-	a := FromMap(map[string]float64{"x": 1, "y": 2})
-	b := FromMap(map[string]float64{"y": 3, "z": 4})
-	sum := Add(a, b)
+	a := vectorref.FromMap(map[string]float64{"x": 1, "y": 2})
+	b := vectorref.FromMap(map[string]float64{"y": 3, "z": 4})
+	sum := vectorref.Add(a, b)
 	if sum.Weight("x") != 1 || sum.Weight("y") != 5 || sum.Weight("z") != 4 {
 		t.Errorf("Add = %v %v", sum.Terms, sum.Weights)
 	}
-	if got := Add(Sparse{}, a); !Equal(got, a) {
+	if got := vectorref.Add(vectorref.Sparse{}, a); !vectorref.Equal(got, a) {
 		t.Errorf("Add with empty lost data")
 	}
 }
 
 func TestCentroid(t *testing.T) {
-	a := FromMap(map[string]float64{"x": 1})
-	b := FromMap(map[string]float64{"x": 3, "y": 2})
-	c := Centroid([]Sparse{a, b})
-	if !almost(c.Weight("x"), 2) || !almost(c.Weight("y"), 1) {
-		t.Errorf("Centroid = %v %v", c.Terms, c.Weights)
+	// IDs 0 and 1 stand for terms x and y.
+	a := NewIDVec([]int32{0}, []float64{1})
+	b := NewIDVec([]int32{0, 1}, []float64{3, 2})
+	c := centroidOnce([]IDVec{a, b}, 2)
+	if !reflect.DeepEqual(c.IDs, []int32{0, 1}) || !almost(c.Weights[0], 2) || !almost(c.Weights[1], 1) {
+		t.Errorf("Centroid = %v %v", c.IDs, c.Weights)
 	}
-	if got := Centroid(nil); got.Len() != 0 {
+	if got := centroidOnce(nil, 2); got.Len() != 0 {
 		t.Errorf("empty Centroid = %v", got)
 	}
-	one := Centroid([]Sparse{a})
-	if !Equal(one, a) {
+	if one := centroidOnce([]IDVec{a}, 2); !reflect.DeepEqual(one, a) {
 		t.Errorf("singleton Centroid changed vector")
 	}
 }
 
 func TestEqual(t *testing.T) {
-	a := FromMap(map[string]float64{"x": 1})
-	b := FromMap(map[string]float64{"x": 1})
-	c := FromMap(map[string]float64{"x": 2})
-	d := FromMap(map[string]float64{"y": 1})
-	if !Equal(a, b) || Equal(a, c) || Equal(a, d) {
+	a := vectorref.FromMap(map[string]float64{"x": 1})
+	b := vectorref.FromMap(map[string]float64{"x": 1})
+	c := vectorref.FromMap(map[string]float64{"x": 2})
+	d := vectorref.FromMap(map[string]float64{"y": 1})
+	if !vectorref.Equal(a, b) || vectorref.Equal(a, c) || vectorref.Equal(a, d) {
 		t.Errorf("Equal misbehaves")
 	}
 }
@@ -139,20 +161,20 @@ func TestTFIDFFormula(t *testing.T) {
 		{"shared": 4, "rare": 1},
 		{"shared": 2},
 	}
-	vecs := TFIDF(docs)
+	iv := TFIDFInterned(docs)
 	// Pre-normalization weights per the paper's formula
 	//   w = log(tf+1) · log((n+1)/df)
 	wShared0 := math.Log(5) * math.Log(3.0/2.0)
 	wRare0 := math.Log(2) * math.Log(3.0/1.0)
 	norm := math.Sqrt(wShared0*wShared0 + wRare0*wRare0)
-	if !almost(vecs[0].Weight("shared"), wShared0/norm) {
-		t.Errorf("shared weight = %v, want %v", vecs[0].Weight("shared"), wShared0/norm)
+	if got := weightOf(iv, 0, "shared"); !almost(got, wShared0/norm) {
+		t.Errorf("shared weight = %v, want %v", got, wShared0/norm)
 	}
-	if !almost(vecs[0].Weight("rare"), wRare0/norm) {
-		t.Errorf("rare weight = %v, want %v", vecs[0].Weight("rare"), wRare0/norm)
+	if got := weightOf(iv, 0, "rare"); !almost(got, wRare0/norm) {
+		t.Errorf("rare weight = %v, want %v", got, wRare0/norm)
 	}
 	// Normalized.
-	if !almost(vecs[0].Norm(), 1) || !almost(vecs[1].Norm(), 1) {
+	if !almost(iv.Vecs[0].Norm(), 1) || !almost(iv.Vecs[1].Norm(), 1) {
 		t.Errorf("TFIDF vectors not normalized")
 	}
 }
@@ -167,21 +189,21 @@ func TestTFIDFUbiquitousTermKeepsWeight(t *testing.T) {
 		{"table": 2},
 		{"table": 2},
 	}
-	vecs := TFIDF(docs)
-	for i, v := range vecs {
-		if v.Weight("table") <= 0 {
-			t.Errorf("doc %d: ubiquitous term weight = %v, want > 0", i, v.Weight("table"))
+	iv := TFIDFInterned(docs)
+	for i := range iv.Vecs {
+		if w := weightOf(iv, i, "table"); w <= 0 {
+			t.Errorf("doc %d: ubiquitous term weight = %v, want > 0", i, w)
 		}
 	}
 }
 
 func TestRawFrequency(t *testing.T) {
-	vecs := RawFrequency([]map[string]int{{"a": 3, "b": 4}})
-	if !almost(vecs[0].Norm(), 1) {
+	iv := RawFrequencyInterned([]map[string]int{{"a": 3, "b": 4}})
+	if !almost(iv.Vecs[0].Norm(), 1) {
 		t.Errorf("RawFrequency not normalized")
 	}
-	if !almost(vecs[0].Weight("a"), 0.6) || !almost(vecs[0].Weight("b"), 0.8) {
-		t.Errorf("RawFrequency weights = %v", vecs[0].Weights)
+	if !almost(weightOf(iv, 0, "a"), 0.6) || !almost(weightOf(iv, 0, "b"), 0.8) {
+		t.Errorf("RawFrequency weights = %v", iv.Vecs[0].Weights)
 	}
 }
 
@@ -196,16 +218,18 @@ func TestDocumentFrequencies(t *testing.T) {
 	}
 }
 
+// TestTFIDFWeightEdgeCases checks the reference single-term weight the
+// DF-weighting tests build their expectations from.
 func TestTFIDFWeightEdgeCases(t *testing.T) {
-	if TFIDFWeight(0, 10, 5) != 0 {
+	if vectorref.TFIDFWeight(0, 10, 5) != 0 {
 		t.Errorf("zero tf should give zero weight")
 	}
-	if TFIDFWeight(3, 10, 0) != 0 {
+	if vectorref.TFIDFWeight(3, 10, 0) != 0 {
 		t.Errorf("zero df should give zero weight")
 	}
 	want := math.Log(4) * math.Log(11.0/5.0)
-	if !almost(TFIDFWeight(3, 10, 5), want) {
-		t.Errorf("TFIDFWeight = %v, want %v", TFIDFWeight(3, 10, 5), want)
+	if got := vectorref.TFIDFWeight(3, 10, 5); !almost(got, want) {
+		t.Errorf("TFIDFWeight = %v, want %v", got, want)
 	}
 }
 
@@ -220,9 +244,9 @@ func TestTFIDFSeparatesClasses(t *testing.T) {
 		{"html": 1, "body": 1, "table": 5}, // no-result pages
 		{"html": 1, "body": 1, "table": 5},
 	}
-	vecs := TFIDF(docs)
-	within := Cosine(vecs[0], vecs[1])
-	cross := Cosine(vecs[0], vecs[2])
+	iv := TFIDFInterned(docs)
+	within := iv.Vecs[0].Cosine(iv.Vecs[1])
+	cross := iv.Vecs[0].Cosine(iv.Vecs[2])
 	if within <= cross {
 		t.Errorf("TFIDF failed to separate classes: within=%v cross=%v", within, cross)
 	}
