@@ -293,9 +293,10 @@ func BenchmarkPorterStem(b *testing.B) {
 func BenchmarkLevenshteinURL(b *testing.B) {
 	u1 := "http://search.ebay.com/search/search.dll?query=superman"
 	u2 := "http://search.ebay.com/search/search.dll?query=xfghae"
+	var lev strdist.LevScratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		strdist.Levenshtein(u1, u2)
+		strdist.Distance(u1, u2, &lev)
 	}
 }
 

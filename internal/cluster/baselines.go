@@ -125,9 +125,10 @@ func ByURL(urls []string, k int, seed int64) Clustering {
 	for i := range matrix {
 		matrix[i] = make([]float64, n)
 	}
+	var lev strdist.LevScratch
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			d := float64(strdist.Levenshtein(urls[i], urls[j]))
+			d := float64(strdist.Distance(urls[i], urls[j], &lev))
 			matrix[i][j], matrix[j][i] = d, d
 		}
 	}

@@ -13,12 +13,13 @@ import (
 // helpers over vector.IDVec. They mirror the string-keyed test reference
 // (vectorref.KMeans, and the bisecting reference in
 // bisecting_ref_test.go) step for step, and every floating-point
-// operation happens in the same order — the merge-joins visit identical
-// term pairs (ascending-ID order is ascending-term order by Dict
-// construction), the cached norms carry the same bits the string path
-// recomputes per call, and the dense centroid accumulator folds member
-// weights in member order — so both choose bit-identical clusterings from bit-identical
-// similarities. The contract is pinned by
+// operation happens in the same order — the merge-joins, and the
+// assignment's gathers against scattered centroids (IDVec.CosineRow),
+// visit identical term pairs (ascending-ID order is ascending-term order
+// by Dict construction), the cached norms carry the same bits the string
+// path recomputes per call, and the dense centroid accumulator folds
+// member weights in member order — so both choose bit-identical
+// clusterings from bit-identical similarities. The contract is pinned by
 // TestInternedKernelsMatchStringPath. RNG consumption is mirrored
 // exactly (one Perm per restart, one Intn per empty-cluster reseed, one
 // Int63 per bisection trial), which is what keeps the two on the same
@@ -104,12 +105,26 @@ func kmeansOnceInterned(vecs []vector.IDVec, k, maxIter int, rng *rand.Rand, scr
 	for i := range assign {
 		assign[i] = -1
 	}
+	// Each centroid is scattered into a dense row of the scratch once per
+	// iteration, and each vector's cosine with it is one gather over the
+	// vector's IDs: bit-identical to v.Cosine(ctr) (IDVec.CosineRow).
+	width := 0
+	for _, v := range vecs {
+		if l := len(v.IDs); l > 0 {
+			width = max(width, int(v.IDs[l-1])+1)
+		}
+	}
+	rows := scratch.Rows(k, width)
+	row := func(c int) []float64 { return rows[c*width : (c+1)*width] }
+	for c, ctr := range centroids {
+		ctr.Scatter(row(c))
+	}
 	for iters = 1; iters <= maxIter; iters++ {
 		changed := false
 		for i, v := range vecs {
 			bestC, bestSim := 0, -1.0
 			for c, ctr := range centroids {
-				if sim := v.Cosine(ctr); sim > bestSim {
+				if sim := v.CosineRow(row(c), ctr.Norm()); sim > bestSim {
 					bestC, bestSim = c, sim
 				}
 			}
@@ -126,12 +141,17 @@ func kmeansOnceInterned(vecs []vector.IDVec, k, maxIter int, rng *rand.Rand, scr
 			groups[c] = append(groups[c], vecs[i])
 		}
 		for c := range centroids {
+			centroids[c].Unscatter(row(c))
 			if len(groups[c]) == 0 {
 				centroids[c] = vecs[rng.Intn(n)]
-				continue
+			} else {
+				centroids[c] = scratch.Centroid(groups[c])
 			}
-			centroids[c] = scratch.Centroid(groups[c])
+			centroids[c].Scatter(row(c))
 		}
+	}
+	for c, ctr := range centroids {
+		ctr.Unscatter(row(c))
 	}
 	return assign, centroids, iters
 }

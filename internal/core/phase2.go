@@ -592,6 +592,7 @@ func tokenizeMembers(sets []*SubtreeSet) memberTokens {
 type rankScratch struct {
 	row, df []int     // a member's counts; the set's document frequencies
 	idf     []float64 // the set's IDF per stem it holds
+	dense   []float64 // one member's vector, scattered for its pairs' cosines
 	ids     []int32   // the members' distinct stem IDs, member after member
 	counts  []float64 // their counts, weighted in place into the vectors
 	off     []int     // member j's entries are ids[off[j]:off[j+1]]
@@ -600,7 +601,7 @@ type rankScratch struct {
 }
 
 func newRankScratch(stems int) *rankScratch {
-	return &rankScratch{row: make([]int, stems), df: make([]int, stems), idf: make([]float64, stems)}
+	return &rankScratch{row: make([]int, stems), df: make([]int, stems), idf: make([]float64, stems), dense: make([]float64, stems)}
 }
 
 // intraSetSimilarity computes the average pairwise cosine similarity of
@@ -666,13 +667,19 @@ func intraSetSimilarity(s *SubtreeSet, t *memberTokens, sc *rankScratch, cfg Con
 		lo, hi := sc.off[j], sc.off[j+1]
 		sc.vecs = append(sc.vecs, vector.Vector(sc.ids[lo:hi:hi], sc.counts[lo:hi:hi], idf))
 	}
+	// Member i is scattered once and each later member gathered against
+	// it: the pairs' cosines, bit for bit, summed in the (i, j) order of
+	// the pairwise loop (vector.IDVec.CosineRow).
 	var sum float64
 	pairs := 0
-	for i := 0; i < n; i++ {
+	for i := 0; i < n-1; i++ {
+		vi := sc.vecs[i]
+		vi.Scatter(sc.dense)
 		for j := i + 1; j < n; j++ {
-			sum += sc.vecs[i].Cosine(sc.vecs[j])
+			sum += sc.vecs[j].CosineRow(sc.dense, vi.Norm())
 			pairs++
 		}
+		vi.Unscatter(sc.dense)
 	}
 	return sum / float64(pairs)
 }

@@ -4,52 +4,48 @@
 // that long tag names do not perversely dominate the distance.
 package strdist
 
+// LevScratch holds the reusable tables of the edit-distance kernel, so a
+// caller computing many distances (the phase-two matcher, the pooled
+// apply path) allocates nothing per call. The zero value is ready to use;
+// the tables grow to the longest shorter operand seen and stay. A scratch
+// belongs to one goroutine at a time.
+type LevScratch struct {
+	// peq[b][c] has bit i set when byte 64b+i of the pattern is c. It is
+	// all zero between calls: a call clears exactly the bits it set.
+	peq [][256]uint64
+	// pv and mv are the pattern's vertical +1 and −1 delta bits, one
+	// word per 64 pattern bytes.
+	pv, mv []uint64
+}
+
 // Levenshtein returns the edit distance between a and b: the minimum number
 // of single-character insertions, deletions, and substitutions that
 // transform one into the other. It operates on bytes, which is exact for
-// the ASCII identifiers produced by Simplify.
+// the ASCII identifiers produced by Simplify. It allocates a scratch per
+// call; a caller computing many distances reuses one through Distance.
 func Levenshtein(a, b string) int {
-	if a == b {
-		return 0
-	}
-	if len(a) == 0 {
-		return len(b)
-	}
-	if len(b) == 0 {
-		return len(a)
-	}
-	// Keep the inner loop over the shorter string.
-	if len(b) > len(a) {
-		a, b = b, a
-	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		ca := a[i-1]
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if ca == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
+	var s LevScratch
+	return Distance(a, b, &s)
 }
 
 // Normalized returns the edit distance between a and b divided by the
 // length of the longer string, yielding a value in [0,1]. Two empty strings
 // have distance 0.
 func Normalized(a, b string) float64 {
+	var s LevScratch
+	return NormalizedBytes(a, []byte(b), &s)
+}
+
+// NormalizedBytes is Normalized with the second operand as a byte slice
+// and the kernel's tables in s. The distance is an integer, exact in any
+// evaluation order, and the final division is the same two operands in
+// the same order, so the result is bit-identical to Normalized(a,
+// string(b)).
+func NormalizedBytes(a string, b []byte, s *LevScratch) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 0
 	}
-	d := Levenshtein(a, b)
+	d := Distance(a, b, s)
 	m := len(a)
 	if len(b) > m {
 		m = len(b)
@@ -57,12 +53,77 @@ func Normalized(a, b string) float64 {
 	return float64(d) / float64(m)
 }
 
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
+// Distance returns the edit distance between a and b, each a string or a
+// byte slice read byte by byte, using s's tables.
+// It is the one edit-distance kernel every entry point goes through:
+// Myers' bit-parallel algorithm (Myers 1999) in Hyyrö's global form,
+// blocked over 64-bit words so that operands of any length take the same
+// path. The shorter operand is the pattern: its dynamic-programming
+// column is held as vertical delta bits, and each byte of the longer
+// operand advances the whole column in a few word operations per 64
+// pattern bytes, in place of one DP cell per byte pair. Edit distance is
+// an integer, so the result is exactly the DP's.
+func Distance[A, B ~string | ~[]byte](a A, b B, s *LevScratch) int {
+	if len(a) <= len(b) {
+		return myers(a, b, s)
 	}
-	if c < a {
-		a = c
+	return myers(b, a, s)
+}
+
+// myers computes the edit distance of pattern p and text t, with
+// len(p) <= len(t). Column j of the DP matrix D (D[i][0] = i, D[0][j] = j)
+// is held as the bits Pv/Mv of its vertical deltas D[i][j]−D[i−1][j] ∈
+// {+1, −1}, zero where neither is set; score tracks D[m][j]. Each text
+// byte advances every block from the top, passing the horizontal delta of
+// the block's last row down to the next block as hp/hm. Row 0 rises by
+// one per column, so the first block always receives +1. Bits above the
+// pattern's end in the last block are never read: carries and shifts only
+// move information toward higher bits.
+func myers[P, T ~string | ~[]byte](p P, t T, s *LevScratch) int {
+	m := len(p)
+	if m == 0 {
+		return len(t)
 	}
-	return a
+	w := (m + 63) >> 6
+	if len(s.peq) < w {
+		s.peq = make([][256]uint64, w)
+		s.pv = make([]uint64, w)
+		s.mv = make([]uint64, w)
+	}
+	peq, pv, mv := s.peq[:w], s.pv[:w], s.mv[:w]
+	for i := 0; i < m; i++ {
+		peq[i>>6][p[i]] |= 1 << (i & 63)
+	}
+	for b := range pv {
+		pv[b], mv[b] = ^uint64(0), 0
+	}
+	lastTop := uint(m-1) & 63 // the pattern's last row within its block
+	score := m
+	for j := 0; j < len(t); j++ {
+		c := t[j]
+		hp, hm := uint64(1), uint64(0)
+		for b := 0; b < w; b++ {
+			top := uint(63)
+			if b == w-1 {
+				top = lastTop
+			}
+			eq, v, mvb := peq[b][c], pv[b], mv[b]
+			xv := eq | mvb
+			eq |= hm
+			xh := (((eq & v) + v) ^ v) | eq
+			ph := mvb | ^(xh | v)
+			mh := v & xh
+			hpOut, hmOut := ph>>top&1, mh>>top&1
+			ph = ph<<1 | hp
+			mh = mh<<1 | hm
+			pv[b] = mh | ^(xv | ph)
+			mv[b] = ph & xv
+			hp, hm = hpOut, hmOut
+		}
+		score += int(hp) - int(hm)
+	}
+	for i := 0; i < m; i++ {
+		peq[i>>6][p[i]] = 0
+	}
+	return score
 }

@@ -40,10 +40,14 @@ type Accumulator struct {
 	docs [][]termCount
 }
 
-// termCount is one term occurrence of an added document.
+// termCount is one term of an added document and how often it occurs
+// there: 8 bytes, half what an int count pads the pair to. A count is the
+// number of times a term occurs in one page, and each occurrence takes at
+// least one byte of the page, so int32 holds the count of any page under
+// 2 GiB; Add's counts must fit in it.
 type termCount struct {
 	id int32
-	tf int
+	tf int32
 }
 
 // NewAccumulator returns an empty accumulator. In raw mode the vectors
@@ -64,7 +68,7 @@ func (a *Accumulator) Add(counts map[string]int) {
 	for term, tf := range counts {
 		id := a.intern(term)
 		a.df[id]++
-		doc = append(doc, termCount{id: id, tf: tf})
+		doc = append(doc, termCount{id: id, tf: int32(tf)})
 	}
 	a.docs = append(a.docs, doc)
 }

@@ -54,6 +54,27 @@ func BenchmarkCosine(b *testing.B) {
 	})
 }
 
+// BenchmarkCosineRow times the scatter-gather cosine as its callers use
+// it: one vector scattered into a dense row, every other gathered
+// against it, the row cleared after.
+func BenchmarkCosineRow(b *testing.B) {
+	iv := benchVectors(b)
+	n := len(iv.Vecs)
+	row := make([]float64, iv.Dict.Len())
+	b.Run("interned", func(b *testing.B) {
+		var sink float64
+		for i := 0; i < b.N; i++ {
+			u := iv.Vecs[i%n]
+			u.Scatter(row)
+			for _, v := range iv.Vecs {
+				sink += v.CosineRow(row, u.Norm())
+			}
+			u.Unscatter(row)
+		}
+		benchSink = sink
+	})
+}
+
 func BenchmarkCentroid(b *testing.B) {
 	iv := benchVectors(b)
 	b.Run("interned", func(b *testing.B) {

@@ -20,6 +20,7 @@ type CentroidScratch struct {
 	acc     []float64
 	seen    []bool
 	touched []int32
+	rows    []float64 // K-Means' dense centroid rows; zero between uses
 }
 
 // NewCentroidScratch returns a scratch for dictionaries of up to dim
@@ -43,6 +44,19 @@ func (s *CentroidScratch) ensure(dim int) {
 	seen := make([]bool, dim)
 	copy(seen, s.seen)
 	s.seen = seen
+}
+
+// Rows returns k dense rows of width cells each, back to back and all
+// zero: K-Means scatters each centroid into its row (IDVec.Scatter) and
+// gathers every vector against it (IDVec.CosineRow). The rows live in
+// the scratch and are reused across the iterations and restarts it
+// serves; the caller unscatters what it scattered before the scratch is
+// used again.
+func (s *CentroidScratch) Rows(k, width int) []float64 {
+	if cap(s.rows) < k*width {
+		s.rows = make([]float64, k*width)
+	}
+	return s.rows[:k*width]
 }
 
 // Centroid computes the centroid of vs — per-term average weight — by

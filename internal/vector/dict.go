@@ -158,6 +158,58 @@ func (v IDVec) Cosine(b IDVec) float64 {
 	return sim
 }
 
+// Scatter writes v's weights into row at v's IDs, making row a dense
+// copy of v for CosineRow. row must cover v's IDs and hold zero at every
+// other ID a partner may read; Unscatter restores the zeros.
+func (v IDVec) Scatter(row []float64) {
+	w := v.Weights[:len(v.IDs)]
+	for i, id := range v.IDs {
+		row[id] = w[i]
+	}
+}
+
+// Unscatter zeroes the cells of row that Scatter(row) wrote.
+func (v IDVec) Unscatter(row []float64) {
+	for _, id := range v.IDs {
+		row[id] = 0
+	}
+}
+
+// CosineRow returns v.Cosine(u) for the vector u scattered into row
+// (Scatter) whose cached norm is norm: one pass over v's IDs, each
+// multiplied by u's dense cell, in place of a merge-join. A caller
+// comparing one vector with many scatters it once and gathers each
+// partner against it. With finite weights the result is bit-identical to
+// the merge-join:
+//
+//   - an ID both vectors hold adds the same product, in the same
+//     ascending-ID order (IEEE multiplication is commutative);
+//   - an ID only v holds adds 0·w = ±0, which leaves the running sum
+//     unchanged, since a sum that starts at +0 is never −0 (under
+//     round-to-nearest, x+y is −0 only when both are −0);
+//   - an ID only u holds is never read, as the merge never pairs it;
+//   - the norm product and the clamp are Cosine's own.
+//
+// TestCosineRowMatchesCosine pins the bits.
+func (v IDVec) CosineRow(row []float64, norm float64) float64 {
+	if v.norm == 0 || norm == 0 { //thorlint:allow no-float-eq the zero vector has an exactly zero norm
+		return 0
+	}
+	var dot float64
+	w := v.Weights[:len(v.IDs)]
+	for i, id := range v.IDs {
+		dot += row[id] * w[i]
+	}
+	sim := dot / (v.norm * norm)
+	if sim > 1 {
+		sim = 1
+	}
+	if sim < -1 {
+		sim = -1
+	}
+	return sim
+}
+
 // CosineUnit returns the cosine similarity assuming both vectors have
 // unit norm: the dot product, clamped to [-1, 1]. It skips the division
 // entirely, so it is *not* bit-identical to Cosine on normalized vectors
