@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"strconv"
-	"strings"
 
 	"thor/internal/corpus"
 	"thor/internal/parallel"
@@ -85,93 +83,28 @@ type Phase2Result struct {
 // The candidates come in document order, with Path, Depth and Nodes equal
 // to the node's Path, Depth and NodeCount.
 //
-// One iterative walk computes everything, so the cost is linear in the
-// tree plus the candidates' path bytes, whatever the nesting depth. On
-// the way down each tag node's path is its parent's prefix plus one step,
-// whose sibling index is counted once per parent; on the way up a node's
-// word and text flags and node count fold into its parent. Whether a
-// node qualifies is known only on the way up, so each tag node reserves
-// an output slot on the way down, which keeps document order.
+// One candidateWalk computes everything, so the cost is linear in the
+// tree plus the candidates' path bytes, whatever the nesting depth. The
+// walk yields candidates in post-order with their document-order rank;
+// each takes the slot of its rank, which restores document order.
 func SinglePageCandidates(tree *tagtree.Node, pageIdx int) []*Candidate {
-	if tree.Type != tagtree.TagNode {
-		return nil
-	}
-	type frame struct {
-		n        *tagtree.Node
-		next     int  // the next child to visit
-		pathLen  int  // path[:pathLen] is n's path
-		steps    int  // n's children's step indexes start at steps[steps]
-		slot     int  // n's slot in out
-		nodes    int  // n's subtree size so far
-		word     bool // some text below holds a word token
-		text     bool // some text below is not all white space
-		textKids int  // children holding text, counted up to 2
-		onlyTag  bool // the first child holding text is a tag node
-	}
 	var (
-		out   []*Candidate
-		stack []frame
-		steps []int32                  // the step indexes of every stacked node's children
-		tally = make(map[string]int32) // appendStepIndexes' scratch
-		path  = []byte(tree.Path())
+		w   candidateWalk
+		out []*Candidate // slot i: the tag node of rank i, when a candidate
 	)
-	depth := tree.Depth()
-	push := func(n *tagtree.Node) {
-		off := len(steps)
-		steps = appendStepIndexes(steps, n.Children, tally)
-		stack = append(stack, frame{n: n, pathLen: len(path), steps: off, slot: len(out), nodes: 1})
-		out = append(out, nil)
-	}
-	// hold folds a child's text flag into its parent's minimality count.
-	hold := func(f *frame, text, tag bool) {
-		if !text || f.textKids == 2 {
-			return
+	w.start(tree, nil)
+	for w.next() {
+		c := &w.cur
+		for c.rank >= len(out) {
+			out = append(out, nil)
 		}
-		if f.textKids++; f.textKids == 1 {
-			f.onlyTag = tag
-		}
-	}
-	push(tree)
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if k := f.next; k < len(f.n.Children) {
-			f.next++
-			c := f.n.Children[k]
-			if c.Type != tagtree.TagNode {
-				f.nodes++
-				word := tagtree.HasWordToken(c.Content)
-				text := word || strings.TrimSpace(c.Content) != ""
-				f.word = f.word || word
-				f.text = f.text || text
-				hold(f, text, false)
-				continue
-			}
-			path = append(append(path[:f.pathLen], '/'), c.Tag...)
-			if idx := steps[f.steps+k]; idx > 0 {
-				path = append(strconv.AppendInt(append(path, '['), int64(idx), 10), ']')
-			}
-			push(c)
-			continue
-		}
-		done := *f
-		stack = stack[:len(stack)-1]
-		steps = steps[:done.steps]
-		if done.word && !(done.textKids == 1 && done.onlyTag) {
-			out[done.slot] = &Candidate{
-				Node:    done.n,
-				PageIdx: pageIdx,
-				Path:    string(path[:done.pathLen]),
-				Fanout:  len(done.n.Children),
-				Depth:   depth + len(stack),
-				Nodes:   done.nodes,
-			}
-		}
-		if len(stack) > 0 {
-			p := &stack[len(stack)-1]
-			p.nodes += done.nodes
-			p.word = p.word || done.word
-			p.text = p.text || done.text
-			hold(p, done.text, true)
+		out[c.rank] = &Candidate{
+			Node:    c.n,
+			PageIdx: pageIdx,
+			Path:    string(w.curPath()),
+			Fanout:  len(c.n.Children),
+			Depth:   w.curDepth(),
+			Nodes:   c.nodes,
 		}
 	}
 	kept := out[:0]
@@ -184,43 +117,6 @@ func SinglePageCandidates(tree *tagtree.Node, pageIdx int) []*Candidate {
 		return nil
 	}
 	return kept
-}
-
-// appendStepIndexes appends, for each of children, the positional index
-// its path step carries: its 1-based position among its same-tag
-// siblings when it has any (tagtree's Path rule), else 0. Content
-// children, which never head a tag path, get 0. tally is empty scratch,
-// left empty for the next call.
-func appendStepIndexes(steps []int32, children []*tagtree.Node, tally map[string]int32) []int32 {
-	if len(children) < 2 {
-		if len(children) == 1 {
-			steps = append(steps, 0)
-		}
-		return steps
-	}
-	for _, c := range children {
-		if c.Type == tagtree.TagNode {
-			tally[c.Tag]++
-		}
-	}
-	// A tag with several children holds their count until its first
-	// child is met, then minus the last position handed out.
-	for _, c := range children {
-		var idx int32
-		if c.Type == tagtree.TagNode {
-			switch t := tally[c.Tag]; {
-			case t > 1:
-				idx = 1
-				tally[c.Tag] = -1
-			case t < 0:
-				idx = 1 - t
-				tally[c.Tag] = t - 1
-			}
-		}
-		steps = append(steps, idx)
-	}
-	clear(tally)
-	return steps
 }
 
 // ShapeDistance is the subtree distance function of Section 3.2.1:

@@ -327,8 +327,8 @@ func TestWrapperMatchFirstMinimumWins(t *testing.T) {
 		MaxDistance: 0.35,
 		simp:        strdist.NewSimplifier(1),
 	}
-	dFirst := w.nodeDistance(first, &applyScratch{})
-	if dSecond := w.nodeDistance(second, &applyScratch{}); dFirst != dSecond { //thorlint:allow no-float-eq the test needs an exact tie
+	dFirst := w.nodeDistance(first)
+	if dSecond := w.nodeDistance(second); dFirst != dSecond { //thorlint:allow no-float-eq the test needs an exact tie
 		t.Fatalf("divs not tied: %v vs %v", dFirst, dSecond)
 	}
 	got, d := w.Extract(tree)

@@ -26,12 +26,12 @@ type applyScratch struct {
 	sig    *corpus.SignatureScratch
 	intern vector.InternScratch
 	lev    strdist.LevScratch
-	// chain collects a candidate's ancestors (leaf→root) while its
-	// simplified path and indexed path are rebuilt root→leaf.
+	// walk is the wrapper's candidate walk; it renders each candidate's
+	// simplified path, the second operand of the edit distance.
+	walk candidateWalk
+	// chain collects the winning node's ancestors (leaf→root) while its
+	// indexed path is rebuilt root→leaf.
 	chain []*tagtree.Node
-	// simp is the byte buffer the candidate's simplified path is built
-	// into — the second operand of the wrapper's edit distance.
-	simp []byte
 	// path is the byte buffer the winning node's indexed path is built in
 	// before the one final string materialization.
 	path []byte
@@ -150,30 +150,6 @@ func (m *Model) applyHTML(ctx context.Context, html string) (path string, found 
 	}
 	path, found, err = w.extractPath(tree, s)
 	return path, found, stats, err
-}
-
-// simplifiedPath rebuilds n's simplified indexed path (what
-// simp.SimplifyPath(n.Path()) returns) directly into the scratch's byte
-// buffer: identifiers are resolved ancestor by ancestor in root→leaf
-// order — the same first-sight order the string path presents tags to the
-// simplifier in — and positional indexes are appended under Path's
-// total > 1 rule, so the bytes match the string form exactly.
-func (s *applyScratch) simplifiedPath(n *tagtree.Node, simp *strdist.Simplifier) []byte {
-	s.chain = s.chain[:0]
-	for m := n; m != nil; m = m.Parent {
-		s.chain = append(s.chain, m)
-	}
-	s.simp = s.simp[:0]
-	for i := len(s.chain) - 1; i >= 0; i-- {
-		m := s.chain[i]
-		s.simp = append(s.simp, simp.ID(m.Tag)...)
-		if m.Parent != nil {
-			if idx, total := m.StepIndex(); total > 1 {
-				s.simp = strconv.AppendInt(s.simp, int64(idx), 10)
-			}
-		}
-	}
-	return s.simp
 }
 
 // pathString materializes n's indexed path — byte-identical to n.Path() —

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"thor/internal/corpus"
 	"thor/internal/stem"
@@ -19,7 +20,7 @@ import (
 // plain cosine loop in string space, and scored by a wrapper over
 // SinglePageCandidates with the string edit distance. None of it shares
 // code with InternCounts, AssignNearest, the IDVec kernels, or
-// Wrapper.match.
+// Wrapper.match; matchRef keeps the per-node walk Wrapper.match replaced.
 //
 // It also keeps phase two's per-node candidate walk, per-pair subtree
 // matcher and memo-free set similarity, the references the phase-two
@@ -111,6 +112,109 @@ func applyRef(m *Model, page *corpus.Page) []*Pagelet {
 		return nil
 	}
 	return []*Pagelet{{Page: page, Node: node, Path: node.Path()}}
+}
+
+// matchRef is Wrapper.match as it ran before the shared candidate walk:
+// a preorder Walk that re-walks each tag node's subtree for a word token
+// (hasToken) and its children's subtrees for text (isMinimal), and scores
+// each candidate with nodeDistance, which rebuilds the candidate's
+// simplified path ancestor by ancestor and reads Depth and NodeCount off
+// the node. The first strict-less minimum wins.
+func matchRef(w *Wrapper, tree *tagtree.Node) (*tagtree.Node, float64) {
+	best, bestD := (*tagtree.Node)(nil), math.Inf(1)
+	tree.Walk(func(n *tagtree.Node) bool {
+		if n.Type != tagtree.TagNode {
+			return false
+		}
+		if !hasToken(n) {
+			return false
+		}
+		if !isMinimal(n) {
+			return true
+		}
+		if d := w.nodeDistance(n); d < bestD {
+			best, bestD = n, d
+		}
+		return true
+	})
+	if best == nil || bestD > w.MaxDistance {
+		return nil, bestD
+	}
+	return best, bestD
+}
+
+// hasToken reports whether the subtree contains at least one word token.
+func hasToken(n *tagtree.Node) bool {
+	found := false
+	n.Walk(func(m *tagtree.Node) bool {
+		if found {
+			return false
+		}
+		if m.Type == tagtree.ContentNode && tagtree.HasWordToken(m.Content) {
+			found = true
+			return false
+		}
+		return true
+	})
+	return found
+}
+
+// isMinimal reports whether n's content is not entirely contained in a
+// single tag-node child.
+func isMinimal(n *tagtree.Node) bool {
+	var textChildren int
+	var only *tagtree.Node
+	for _, c := range n.Children {
+		if c.HasText() {
+			textChildren++
+			only = c
+		}
+	}
+	if textChildren == 1 && only.Type == tagtree.TagNode {
+		return false
+	}
+	return true
+}
+
+// nodeDistance scores one node against the wrapper profile, reading its
+// simplified path, fanout, depth and size off the node itself.
+func (w *Wrapper) nodeDistance(n *tagtree.Node) float64 {
+	var d float64
+	if w.Weights[0] != 0 && len(w.Paths) > 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
+		var lev strdist.LevScratch
+		d += w.Weights[0] * strdist.NormalizedBytes(w.topPath(), simplifiedPathRef(n, w.simp), &lev)
+	}
+	if w.Weights[1] != 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
+		d += w.Weights[1] * ratioDiffF(w.Fanout, float64(n.Fanout()))
+	}
+	if w.Weights[2] != 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
+		d += w.Weights[2] * ratioDiffF(w.Depth, float64(n.Depth()))
+	}
+	if w.Weights[3] != 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
+		d += w.Weights[3] * ratioDiffF(w.Nodes, float64(n.NodeCount()))
+	}
+	return d
+}
+
+// simplifiedPathRef builds n's simplified indexed path (what
+// simp.SimplifyPath(n.Path()) returns) ancestor by ancestor, root first,
+// with each step's index from StepIndex.
+func simplifiedPathRef(n *tagtree.Node, simp *strdist.Simplifier) []byte {
+	var chain []*tagtree.Node
+	for m := n; m != nil; m = m.Parent {
+		chain = append(chain, m)
+	}
+	var out []byte
+	for i := len(chain) - 1; i >= 0; i-- {
+		m := chain[i]
+		out = append(out, simp.ID(m.Tag)...)
+		if m.Parent != nil {
+			if idx, total := m.StepIndex(); total > 1 {
+				out = strconv.AppendInt(out, int64(idx), 10)
+			}
+		}
+	}
+	return out
 }
 
 // singlePageCandidatesRef is SinglePageCandidates as it ran before the

@@ -115,92 +115,50 @@ func (w *Wrapper) extractPath(tree *tagtree.Node, s *applyScratch) (string, bool
 	return s.pathString(n), true, nil
 }
 
-// match walks the page's candidate subtrees — tag nodes carrying text,
-// minimal ones only (SinglePageCandidates' pruning, in document order) —
-// scores each against the profile, and returns the first strict-less
-// minimum and its distance. The node is nil when there is no candidate
-// or the best one is farther than MaxDistance. Each candidate's
-// simplified path and shape metrics are computed into scratch buffers,
-// with no per-candidate allocation.
+// match runs single-page analysis' candidate walk over the page (the
+// walk SinglePageCandidates runs), scores each candidate against the
+// profile, and returns the first strict-less minimum in document order
+// and its distance. The node is nil when there is no candidate or the
+// best one is farther than MaxDistance.
+//
+// The score is the paper's four-term shape distance with averaged
+// reference values: the edit distance between the cached simplified
+// profile path and the candidate's simplified path, which the walk
+// renders into scratch bytes by extending the chain its ancestors left,
+// then the three shape terms the walk counts. The walk yields candidates
+// in post-order, so an equal distance wins when its candidate comes
+// earlier in document order. The profile path is simplified before the
+// first candidate's path, and the walk presents tags in the order the
+// candidates' root-to-leaf paths first meet them, so the simplifier
+// assigns every identifier as a per-candidate path walk in document order
+// would.
 func (w *Wrapper) match(tree *tagtree.Node, s *applyScratch) (*tagtree.Node, float64) {
-	best, bestD := (*tagtree.Node)(nil), math.Inf(1)
-	tree.Walk(func(n *tagtree.Node) bool {
-		if n.Type != tagtree.TagNode {
-			return false
+	best, bestD, bestRank := (*tagtree.Node)(nil), math.Inf(1), 0
+	pathTerm := w.Weights[0] != 0 && len(w.Paths) > 0 //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
+	s.walk.start(tree, w.simp)
+	for s.walk.next() {
+		c := &s.walk.cur
+		var d float64
+		if pathTerm {
+			d += w.Weights[0] * strdist.NormalizedBytes(w.topPath(), s.walk.curPath(), &s.lev)
 		}
-		if !hasToken(n) {
-			return false
+		if w.Weights[1] != 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
+			d += w.Weights[1] * ratioDiffF(w.Fanout, float64(len(c.n.Children)))
 		}
-		if !isMinimal(n) {
-			return true
+		if w.Weights[2] != 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
+			d += w.Weights[2] * ratioDiffF(w.Depth, float64(s.walk.curDepth()))
 		}
-		if d := w.nodeDistance(n, s); d < bestD {
-			best, bestD = n, d
+		if w.Weights[3] != 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
+			d += w.Weights[3] * ratioDiffF(w.Nodes, float64(c.nodes))
 		}
-		return true
-	})
+		if d < bestD || d == bestD && c.rank < bestRank { //thorlint:allow no-float-eq an exact tie falls to document order
+			best, bestD, bestRank = c.n, d, c.rank
+		}
+	}
 	if best == nil || bestD > w.MaxDistance {
 		return nil, bestD
 	}
 	return best, bestD
-}
-
-// hasToken reports whether the subtree contains at least one word token.
-// Punctuation-only text (list separators like "|", decorative dashes) is
-// not content in the paper's sense: it cannot answer a query.
-func hasToken(n *tagtree.Node) bool {
-	found := false
-	n.Walk(func(m *tagtree.Node) bool {
-		if found {
-			return false
-		}
-		if m.Type == tagtree.ContentNode && tagtree.HasWordToken(m.Content) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// isMinimal reports whether n's content is not entirely contained in a
-// single tag-node child; if it is, n and the child have equivalent content
-// and only the smaller (deeper) subtree remains a candidate.
-func isMinimal(n *tagtree.Node) bool {
-	var textChildren int
-	var only *tagtree.Node
-	for _, c := range n.Children {
-		if c.HasText() {
-			textChildren++
-			only = c
-		}
-	}
-	if textChildren == 1 && only.Type == tagtree.TagNode {
-		return false
-	}
-	return true
-}
-
-// nodeDistance scores a candidate node against the wrapper profile using
-// the paper's four-term shape distance with averaged reference values:
-// the edit distance between the cached simplified profile path and the
-// candidate's simplified path (built in scratch bytes), then the three
-// shape terms read off the node.
-func (w *Wrapper) nodeDistance(n *tagtree.Node, s *applyScratch) float64 {
-	var d float64
-	if w.Weights[0] != 0 && len(w.Paths) > 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
-		d += w.Weights[0] * strdist.NormalizedBytes(w.topPath(), s.simplifiedPath(n, w.simp), &s.lev)
-	}
-	if w.Weights[1] != 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
-		d += w.Weights[1] * ratioDiffF(w.Fanout, float64(n.Fanout()))
-	}
-	if w.Weights[2] != 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
-		d += w.Weights[2] * ratioDiffF(w.Depth, float64(n.Depth()))
-	}
-	if w.Weights[3] != 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
-		d += w.Weights[3] * ratioDiffF(w.Nodes, float64(n.NodeCount()))
-	}
-	return d
 }
 
 func ratioDiffF(a, b float64) float64 {

@@ -1,6 +1,8 @@
 package corpus
 
 import (
+	"strings"
+
 	"thor/internal/stem"
 	"thor/internal/tagtree"
 )
@@ -13,11 +15,38 @@ import (
 // releasing the scratch back to its pool.
 type SignatureScratch struct {
 	counts map[string]int
+	// stems memoizes each token spelling's Porter stem across calls, so a
+	// warm scratch lowercases and stems a spelling once, not once per
+	// occurrence. Keys and stems are copies, never views of a page. It
+	// holds at most maxStemMemo spellings and starts over when full.
+	stems map[string]string
+	// countTerm counts one raw token through the memo; built once, so the
+	// token walk allocates no closure per call.
+	countTerm func(string)
 }
+
+// maxStemMemo bounds SignatureScratch's stem memo: a few thousand
+// spellings cover a site's vocabulary, at some hundreds of KB.
+const maxStemMemo = 1 << 12
 
 // NewSignatureScratch returns a ready scratch.
 func NewSignatureScratch() *SignatureScratch {
-	return &SignatureScratch{counts: make(map[string]int, 64)}
+	s := &SignatureScratch{counts: make(map[string]int, 64), stems: make(map[string]string)}
+	s.countTerm = func(raw string) {
+		st, ok := s.stems[raw]
+		if !ok {
+			if len(s.stems) == maxStemMemo {
+				clear(s.stems)
+			}
+			raw = strings.Clone(raw)
+			st = stem.Stem(strings.ToLower(raw))
+			s.stems[raw] = st
+		}
+		if st != "" {
+			s.counts[st]++
+		}
+	}
+	return s
 }
 
 // TagCounts returns tree's tag-frequency signature, equal to
@@ -29,9 +58,16 @@ func (s *SignatureScratch) TagCounts(tree *tagtree.Node) map[string]int {
 }
 
 // TermCounts returns tree's Porter-stemmed content term signature, equal
-// to tree.TermCounts(stem.Stem) but computed into the reusable map.
+// to tree.TermCounts(stem.Stem) but computed into the reusable map, with
+// each spelling stemmed through the memo: a token's stem is the stem of
+// its lowercase form, which depends on the spelling alone.
 func (s *SignatureScratch) TermCounts(tree *tagtree.Node) map[string]int {
 	clear(s.counts)
-	tree.TermCountsInto(stem.Stem, s.counts)
+	tree.Walk(func(m *tagtree.Node) bool {
+		if m.Type == tagtree.ContentNode {
+			tagtree.EachRawToken(m.Content, s.countTerm)
+		}
+		return true
+	})
 	return s.counts
 }

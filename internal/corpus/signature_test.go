@@ -1,8 +1,13 @@
 package corpus
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
+
+	"thor/internal/stem"
 )
 
 var signaturePages = []string{
@@ -27,6 +32,41 @@ func TestSignatureScratchMatchesPage(t *testing.T) {
 			if got, want := s.TermCounts(tree), p.ContentSignature(); !reflect.DeepEqual(got, want) {
 				t.Errorf("round %d page %d: scratch term signature %v, Page %v", round, i, got, want)
 			}
+		}
+	}
+}
+
+// TestSignatureScratchStemMemo checks the memo against stemming every
+// occurrence: capitalized and repeated spellings, a scratch reused
+// across pages whose text buffers are overwritten between calls, and a
+// memo that overflows its bound and starts over.
+func TestSignatureScratchStemMemo(t *testing.T) {
+	s := NewSignatureScratch()
+	buf := []byte(`<html><body><p>Running RUNNING running runs Runner 42 Ünïcode ünïcode</p><p>Apples APPLE apple</p></body></html>`)
+	for round := 0; round < 3; round++ {
+		// The page's text is a view of buf, as a request body's is.
+		p := &Page{HTML: unsafe.String(&buf[0], len(buf))}
+		if got, want := s.TermCounts(p.Tree()), p.Tree().TermCounts(stem.Stem); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: memo counts %v, want %v", round, got, want)
+		}
+		for i := range buf {
+			if buf[i] == 'u' {
+				buf[i] = 'a'
+			}
+		}
+	}
+	var b strings.Builder
+	b.WriteString("<p>")
+	for i := 0; i < maxStemMemo+100; i++ {
+		fmt.Fprintf(&b, "Word%d words ", i)
+	}
+	p := &Page{HTML: b.String()}
+	for round := 0; round < 2; round++ {
+		if got, want := s.TermCounts(p.Tree()), p.Tree().TermCounts(stem.Stem); !reflect.DeepEqual(got, want) {
+			t.Fatalf("overflow round %d: memo counts differ", round)
+		}
+		if len(s.stems) > maxStemMemo {
+			t.Fatalf("memo holds %d spellings, bound %d", len(s.stems), maxStemMemo)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package fleet
 
 import (
-	"thor/internal/corpus"
 	"thor/internal/core"
+	"thor/internal/corpus"
 	"thor/internal/lifecycle"
 )
 

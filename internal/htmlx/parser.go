@@ -6,41 +6,6 @@ import (
 	"thor/internal/tagtree"
 )
 
-// impliedEnd maps a tag to the set of open tags it implicitly closes when it
-// appears. These rules approximate HTML Tidy's repairs for the tag soup
-// commonly produced by deep-web template engines (unclosed <li>, <tr>, <td>,
-// <p>, <option>, and friends).
-var impliedEnd = map[string]map[string]bool{
-	"li":       {"li": true},
-	"dt":       {"dt": true, "dd": true},
-	"dd":       {"dt": true, "dd": true},
-	"tr":       {"tr": true, "td": true, "th": true},
-	"td":       {"td": true, "th": true},
-	"th":       {"td": true, "th": true},
-	"thead":    {"thead": true, "tbody": true, "tfoot": true, "tr": true, "td": true, "th": true},
-	"tbody":    {"thead": true, "tbody": true, "tfoot": true, "tr": true, "td": true, "th": true},
-	"tfoot":    {"thead": true, "tbody": true, "tfoot": true, "tr": true, "td": true, "th": true},
-	"option":   {"option": true},
-	"optgroup": {"option": true, "optgroup": true},
-	"p": {
-		"p": true,
-	},
-	// Block-level elements close an open paragraph.
-	"div": {"p": true}, "ul": {"p": true}, "ol": {"p": true},
-	"table": {"p": true}, "h1": {"p": true}, "h2": {"p": true},
-	"h3": {"p": true}, "h4": {"p": true}, "h5": {"p": true},
-	"h6": {"p": true}, "blockquote": {"p": true}, "pre": {"p": true},
-	"form": {"p": true}, "hr": {"p": true},
-}
-
-// scopeStop are tags beyond which implicit closing never reaches: a new
-// <li> inside a nested <ul> must not close the outer <li>.
-var scopeStop = map[string]bool{
-	"html": true, "body": true, "div": true, "table": true, "ul": true,
-	"ol": true, "dl": true, "select": true, "form": true, "td": true,
-	"th": true, "object": true, "fieldset": true,
-}
-
 // Parse converts HTML text into a tag tree. It never fails: arbitrarily
 // malformed input yields a best-effort tree, exactly as a Tidy-then-parse
 // pipeline would. The returned root is always an <html> element (one is
@@ -51,8 +16,8 @@ var scopeStop = map[string]bool{
 // in THOR's page model.
 func Parse(src string) *tagtree.Node {
 	z := &tokenizer{src: src}
-	root, _ := build(z, heapAllocator{}, make([]*tagtree.Node, 0, 16))
-	return root
+	open := openElements{nodes: make([]*tagtree.Node, 0, 16), infos: make([]*tagInfo, 0, 16)}
+	return build(z, heapAllocator{}, &open)
 }
 
 // nodeAllocator abstracts where tree nodes — and the strings they hold —
@@ -87,31 +52,35 @@ func (heapAllocator) text(raw string, verbatim bool) string {
 
 func (heapAllocator) attrVal(raw string) string { return DecodeEntities(raw) }
 
+// openElements is the builder's stack of open elements, with each
+// element's tag-table entry on a parallel stack. A Parser keeps one
+// across calls so the grown capacity is reused.
+type openElements struct {
+	nodes []*tagtree.Node
+	infos []*tagInfo
+}
+
 // build runs the tree-construction loop over z's tokens, allocating nodes
-// from alloc and using stack as the open-element stack (its backing array
-// is returned so callers can retain the grown capacity).
-func build(z *tokenizer, alloc nodeAllocator, stack []*tagtree.Node) (*tagtree.Node, []*tagtree.Node) {
+// from alloc and using open as the open-element stack. It leaves open
+// empty, with its capacity kept.
+func build(z *tokenizer, alloc nodeAllocator, open *openElements) *tagtree.Node {
 	root := alloc.NewTag("html")
-	stack = append(stack, root)
-	top := func() *tagtree.Node { return stack[len(stack)-1] }
+	stack := append(open.nodes[:0], root)
+	infos := append(open.infos[:0], lookupTag("html"))
 
 	sawHTML := false
-	for {
-		tok, ok := z.next()
-		if !ok {
-			break
-		}
+	for z.next() {
+		tok := &z.tok
 		switch tok.kind {
 		case tokText:
+			if infos[len(infos)-1].flags&dropText != 0 {
+				continue
+			}
 			text := alloc.text(tok.data, tok.verbatim)
 			if text == "" {
 				continue
 			}
-			parent := top()
-			if parent.Tag == "script" || parent.Tag == "style" {
-				continue
-			}
-			parent.AppendChild(alloc.NewContent(text))
+			stack[len(stack)-1].AppendChild(alloc.NewContent(text))
 		case tokComment, tokDoctype:
 			// Dropped: Tidy-cleaned trees carry no comments or doctype.
 		case tokStartTag, tokSelfClosingTag:
@@ -126,63 +95,66 @@ func build(z *tokenizer, alloc nodeAllocator, stack []*tagtree.Node) (*tagtree.N
 				}
 				continue
 			}
-			closeImplied(&stack, name)
+			if tok.info.closes != 0 {
+				n := openAfterImpliedEnds(infos, tok.info.closes)
+				stack, infos = stack[:n], infos[:n]
+			}
 			node := alloc.NewTag(name)
 			for _, a := range tok.attrs {
 				node.Attrs = append(node.Attrs, tagtree.Attribute{Key: a.key, Val: alloc.attrVal(a.val)})
 			}
-			top().AppendChild(node)
-			if tok.kind == tokStartTag && !tagtree.IsVoidTag(name) {
+			stack[len(stack)-1].AppendChild(node)
+			if tok.kind == tokStartTag && tok.info.flags&void == 0 {
 				stack = append(stack, node)
+				infos = append(infos, tok.info)
 			}
 		case tokEndTag:
 			name := tok.data
 			if name == "html" {
-				stack = stack[:1]
+				stack, infos = stack[:1], infos[:1]
 				continue
 			}
 			// Find the matching open element; ignore the end tag if none.
 			for i := len(stack) - 1; i >= 1; i-- {
 				if stack[i].Tag == name {
-					stack = stack[:i]
+					stack, infos = stack[:i], infos[:i]
 					break
 				}
 			}
 		}
 	}
-	return root, stack
+	open.nodes, open.infos = stack[:0], infos[:0]
+	return root
 }
 
-// closeImplied pops open elements that the incoming tag implicitly closes.
-func closeImplied(stack *[]*tagtree.Node, incoming string) {
-	closes := impliedEnd[incoming]
-	if closes == nil {
-		return
-	}
-	s := *stack
-	for len(s) > 1 {
-		cur := s[len(s)-1].Tag
-		if closes[cur] {
-			s = s[:len(s)-1]
+// openAfterImpliedEnds returns how many open elements stay open when a
+// tag that implicitly closes the set closes arrives, given the open
+// elements' tag-table entries (infos[0] is the root, which never closes).
+func openAfterImpliedEnds(infos []*tagInfo, closes closeSet) int {
+	n := len(infos)
+	for n > 1 {
+		cur := infos[n-1]
+		if closes&cur.bit != 0 {
+			n--
 			continue
 		}
-		if scopeStop[cur] && !closes[cur] {
+		if cur.flags&scopeStop != 0 {
 			break
 		}
 		// A non-matching, non-scoping element (e.g. <b>) blocks nothing
 		// for table parts but does for list items; be conservative and
 		// only look through inline formatting elements.
-		if inlineTags[cur] {
+		if cur.flags&inline != 0 {
 			// Keep scanning upward without popping: implicit closing in
 			// Tidy unwinds through inline wrappers.
 			found := false
-			for i := len(s) - 2; i >= 1; i-- {
-				if closes[s[i].Tag] {
+			for i := n - 2; i >= 1; i-- {
+				if closes&infos[i].bit != 0 {
 					found = true
-					s = s[:i]
+					n = i
 					break
 				}
-				if scopeStop[s[i].Tag] || !inlineTags[s[i].Tag] {
+				if infos[i].flags&scopeStop != 0 || infos[i].flags&inline == 0 {
 					break
 				}
 			}
@@ -192,13 +164,7 @@ func closeImplied(stack *[]*tagtree.Node, incoming string) {
 		}
 		break
 	}
-	*stack = s
-}
-
-var inlineTags = map[string]bool{
-	"a": true, "b": true, "i": true, "em": true, "strong": true,
-	"span": true, "font": true, "u": true, "small": true, "big": true,
-	"code": true, "tt": true, "sub": true, "sup": true,
+	return n
 }
 
 // collapseSpace trims text and collapses internal whitespace runs to single
@@ -214,31 +180,41 @@ func collapseSpace(s string) string {
 
 // isCollapsed reports whether s is already in collapsed form — the common
 // case for template-generated pages — so collapseSpace can return it
-// without allocating.
+// without allocating: no leading, trailing or doubled space, and no
+// classBreak byte.
 func isCollapsed(s string) bool {
-	if s == "" {
-		return true
-	}
-	if s[0] == ' ' {
-		return false
-	}
+	// A space before the first byte makes a leading space a doubled one.
+	prev := byte(classSpace)
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == ' ':
-			// A trailing space or a space run needs collapsing.
-			if i+1 == len(s) || s[i+1] == ' ' {
-				return false
-			}
-		case c == '\t' || c == '\n' || c == '\r' || c == '\f' || c == '\v':
-			return false
-		case c == 0xC2 || c == 0xE1 || c == 0xE2 || c == 0xE3:
-			// Possible lead byte of a non-ASCII Unicode space
-			// (NBSP, en/em spaces, ideographic space, ...); defer to
-			// strings.Fields rather than decode here. Common text
-			// lead bytes (Latin-1 0xC3, CJK 0xE4+) stay on the fast
-			// path.
+		c := collapseClass[s[i]]
+		if c == classPlain {
+			prev = c
+			continue
+		}
+		if c == classBreak || prev == classSpace {
 			return false
 		}
+		prev = c
 	}
-	return true
+	return prev == classPlain || s == ""
 }
+
+// The byte classes of isCollapsed.
+const (
+	classPlain = iota
+	classSpace
+	// classBreak bytes need collapsing wherever they stand: ASCII
+	// white space other than ' ', and the lead bytes of the non-ASCII
+	// Unicode spaces (NBSP, en/em spaces, ideographic space, ...), which
+	// defer to strings.Fields rather than decode here. Common text lead
+	// bytes (Latin-1 0xC3, CJK 0xE4+) stay plain.
+	classBreak
+)
+
+var collapseClass = func() (t [256]byte) {
+	t[' '] = classSpace
+	for _, c := range []byte{'\t', '\n', '\r', '\f', '\v', 0xC2, 0xE1, 0xE2, 0xE3} {
+		t[c] = classBreak
+	}
+	return t
+}()

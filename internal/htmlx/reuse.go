@@ -19,13 +19,13 @@ import "thor/internal/tagtree"
 type Parser struct {
 	alloc arenaAllocator
 	tok   tokenizer
-	stack []*tagtree.Node
+	open  openElements
 }
 
 // NewParser returns an empty Parser; capacity builds up over the first few
 // pages parsed.
 func NewParser() *Parser {
-	return &Parser{stack: make([]*tagtree.Node, 0, 16)}
+	return &Parser{}
 }
 
 // Parse parses src into an arena-backed tag tree, first releasing every
@@ -34,9 +34,7 @@ func NewParser() *Parser {
 func (p *Parser) Parse(src string) *tagtree.Node {
 	p.alloc.reset()
 	p.tok.reset(src)
-	root, stack := build(&p.tok, &p.alloc, p.stack[:0])
-	p.stack = stack[:0]
-	return root
+	return build(&p.tok, &p.alloc, &p.open)
 }
 
 // Release scrubs the current tree's nodes without parsing a replacement,

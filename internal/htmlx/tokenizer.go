@@ -27,6 +27,8 @@ type token struct {
 	kind  tokenKind
 	data  string // tag name (lowercase) or text content
 	attrs []attr
+	// info is a start tag's tag-table entry.
+	info *tagInfo
 	// verbatim marks text from a raw-text element (script, style,
 	// textarea, title), whose character references are never decoded.
 	verbatim bool
@@ -47,6 +49,8 @@ type tokenizer struct {
 	// token's attrs slice aliases it and is valid only until the next call
 	// to next — the parser copies attributes into the tree immediately.
 	attrs []attr
+	// tok is the token the last successful next scanned.
+	tok token
 }
 
 // reset re-aims the tokenizer at a new document, retaining the attribute
@@ -56,24 +60,21 @@ func (z *tokenizer) reset(src string) {
 	z.pos = 0
 	z.rawTag = ""
 	z.attrs = z.attrs[:0]
+	z.tok = token{}
 }
 
-var rawTextTags = map[string]bool{
-	"script": true, "style": true, "textarea": true, "title": true,
-}
-
-// next returns the next token and true, or a zero token and false at end of
-// input.
-func (z *tokenizer) next() (token, bool) {
+// next scans the next token into z.tok and reports whether there was
+// one; at end of input it returns false.
+func (z *tokenizer) next() bool {
 	if z.pos >= len(z.src) {
-		return token{}, false
+		return false
 	}
 	if z.rawTag != "" {
 		return z.rawText()
 	}
 	if z.src[z.pos] == '<' {
-		if tok, ok := z.markup(); ok {
-			return tok, true
+		if z.markup() {
+			return true
 		}
 		// A lone '<' that does not begin markup is literal text.
 	}
@@ -81,7 +82,7 @@ func (z *tokenizer) next() (token, bool) {
 }
 
 // text scans character data up to the next '<' that begins markup.
-func (z *tokenizer) text() (token, bool) {
+func (z *tokenizer) text() bool {
 	start := z.pos
 	for z.pos < len(z.src) {
 		i := strings.IndexByte(z.src[z.pos:], '<')
@@ -96,7 +97,8 @@ func (z *tokenizer) text() (token, bool) {
 		z.pos++ // literal '<'
 	}
 	raw := z.src[start:z.pos]
-	return token{kind: tokText, data: raw}, true
+	z.tok = token{kind: tokText, data: raw}
+	return true
 }
 
 // beginsMarkup reports whether the '<' at z.pos starts a tag, comment, or
@@ -110,14 +112,15 @@ func (z *tokenizer) beginsMarkup() bool {
 }
 
 // rawText scans the contents of a raw-text element up to its end tag.
-func (z *tokenizer) rawText() (token, bool) {
+func (z *tokenizer) rawText() bool {
 	i := indexCloseTag(z.src[z.pos:], z.rawTag)
 	if i < 0 {
 		// Unterminated raw element: consume the rest of the input.
 		text := z.src[z.pos:]
 		z.pos = len(z.src)
 		z.rawTag = ""
-		return token{kind: tokText, data: text, verbatim: true}, true
+		z.tok = token{kind: tokText, data: text, verbatim: true}
+		return true
 	}
 	text := z.src[z.pos : z.pos+i]
 	z.pos += i
@@ -126,7 +129,8 @@ func (z *tokenizer) rawText() (token, bool) {
 		// Nothing between start and end tag; emit the end tag directly.
 		return z.next()
 	}
-	return token{kind: tokText, data: text, verbatim: true}, true
+	z.tok = token{kind: tokText, data: text, verbatim: true}
+	return true
 }
 
 // indexCloseTag returns the index of the first case-insensitive
@@ -162,39 +166,43 @@ func lowerASCII(c byte) byte {
 
 // markup scans a tag, comment, or declaration starting at '<'. It returns
 // ok=false when the text after '<' cannot be markup.
-func (z *tokenizer) markup() (token, bool) {
+func (z *tokenizer) markup() bool {
 	s := z.src
 	p := z.pos
 	if p+1 >= len(s) {
-		return token{}, false
+		return false
 	}
 	switch {
 	case strings.HasPrefix(s[p:], "<!--"):
 		end := strings.Index(s[p+4:], "-->")
 		if end < 0 {
 			z.pos = len(s)
-			return token{kind: tokComment, data: s[p+4:]}, true
+			z.tok = token{kind: tokComment, data: s[p+4:]}
+			return true
 		}
 		z.pos = p + 4 + end + 3
-		return token{kind: tokComment, data: s[p+4 : p+4+end]}, true
+		z.tok = token{kind: tokComment, data: s[p+4 : p+4+end]}
+		return true
 	case s[p+1] == '!' || s[p+1] == '?':
 		end := strings.IndexByte(s[p:], '>')
 		if end < 0 {
 			z.pos = len(s)
-			return token{kind: tokDoctype, data: s[p:]}, true
+			z.tok = token{kind: tokDoctype, data: s[p:]}
+			return true
 		}
 		z.pos = p + end + 1
-		return token{kind: tokDoctype, data: s[p : p+end+1]}, true
+		z.tok = token{kind: tokDoctype, data: s[p : p+end+1]}
+		return true
 	case s[p+1] == '/':
 		return z.endTag()
 	case isAlpha(s[p+1]):
 		return z.startTag()
 	default:
-		return token{}, false
+		return false
 	}
 }
 
-func (z *tokenizer) endTag() (token, bool) {
+func (z *tokenizer) endTag() bool {
 	s := z.src
 	p := z.pos + 2
 	start := p
@@ -210,10 +218,11 @@ func (z *tokenizer) endTag() (token, bool) {
 		p++
 	}
 	z.pos = p
-	return token{kind: tokEndTag, data: name}, true
+	z.tok = token{kind: tokEndTag, data: name}
+	return true
 }
 
-func (z *tokenizer) startTag() (token, bool) {
+func (z *tokenizer) startTag() bool {
 	s := z.src
 	p := z.pos + 1
 	start := p
@@ -283,13 +292,15 @@ func (z *tokenizer) startTag() (token, bool) {
 	}
 	z.pos = p
 	z.attrs = attrs
+	info := lookupTag(name)
 	kind := tokStartTag
 	if selfClosing {
 		kind = tokSelfClosingTag
-	} else if rawTextTags[name] {
+	} else if info.flags&rawText != 0 {
 		z.rawTag = name
 	}
-	return token{kind: kind, data: name, attrs: attrs}, true
+	z.tok = token{kind: kind, data: name, attrs: attrs, info: info}
+	return true
 }
 
 func isAlpha(c byte) bool {

@@ -9,13 +9,10 @@ import (
 func collect(src string) []token {
 	z := &tokenizer{src: src}
 	var out []token
-	for {
-		tok, ok := z.next()
-		if !ok {
-			return out
-		}
-		out = append(out, tok)
+	for z.next() {
+		out = append(out, z.tok)
 	}
+	return out
 }
 
 func kinds(toks []token) []tokenKind {

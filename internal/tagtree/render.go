@@ -2,16 +2,28 @@ package tagtree
 
 import "strings"
 
-// voidTags are elements that never have children or end tags in HTML.
-var voidTags = map[string]bool{
-	"area": true, "base": true, "br": true, "col": true, "embed": true,
-	"hr": true, "img": true, "input": true, "link": true, "meta": true,
-	"param": true, "source": true, "track": true, "wbr": true,
+// voidTagNames are the elements that never have children or end tags in
+// HTML.
+var voidTagNames = [...]string{
+	"area", "base", "br", "col", "embed", "hr", "img", "input", "link",
+	"meta", "param", "source", "track", "wbr",
 }
+
+var voidTags = func() map[string]bool {
+	m := make(map[string]bool, len(voidTagNames))
+	for _, tag := range voidTagNames {
+		m[tag] = true
+	}
+	return m
+}()
 
 // IsVoidTag reports whether tag is an HTML void element (one with no end
 // tag and no children).
 func IsVoidTag(tag string) bool { return voidTags[tag] }
+
+// VoidTags returns the names of the HTML void elements, the tags
+// IsVoidTag reports, in a fresh slice.
+func VoidTags() []string { return append([]string(nil), voidTagNames[:]...) }
 
 // Render serializes the subtree rooted at n back to HTML. Attributes are
 // emitted with double-quoted values; special characters in text and
