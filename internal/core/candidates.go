@@ -70,6 +70,7 @@ func (w *candidateWalk) start(tree *tagtree.Node, simp *strdist.Simplifier) {
 	w.stack, w.steps, w.path = w.stack[:0], w.steps[:0], w.path[:0]
 	w.simp, w.root, w.rendered, w.baseEnd, w.ranks = simp, tree, 0, -1, 0
 	w.cur = walkFrame{}
+	w.tally.reset()
 	if tree.Type != tagtree.TagNode {
 		return
 	}
@@ -205,23 +206,23 @@ func (w *candidateWalk) appendStep(dst []byte, tag string, step int32, sep bool)
 // appendStepIndexes appends, for each of children, the positional index
 // its path step carries: its 1-based position among its same-tag
 // siblings when it has any (tagtree's Path rule), else 0. Content
-// children, which never head a tag path, get 0. tally is empty scratch,
-// left empty for the next call.
-func appendStepIndexes(steps []int32, children []*tagtree.Node, tally *stepTally) []int32 {
+// children, which never head a tag path, get 0.
+func appendStepIndexes(steps []int32, children []*tagtree.Node, t *stepTally) []int32 {
 	if len(children) < 2 {
 		if len(children) == 1 {
 			steps = append(steps, 0)
 		}
 		return steps
 	}
-	// First each child's entry in the tally (-1 for content), then, in
-	// place, its index.
+	// First each child's slot (-1 for content), then, in place, its
+	// index.
+	t.parent++
 	off := len(steps)
 	for _, c := range children {
 		k := int32(-1)
 		if c.Type == tagtree.TagNode {
-			k = tally.slot(c.Tag)
-			tally.tags[k].n++
+			k = t.slot(c.Tag)
+			t.counts[k].n++
 		}
 		steps = append(steps, k)
 	}
@@ -233,68 +234,61 @@ func appendStepIndexes(steps []int32, children []*tagtree.Node, tally *stepTally
 			steps[i] = 0
 			continue
 		}
-		switch t := &tally.tags[k]; {
-		case t.n > 1:
+		switch c := &t.counts[k]; {
+		case c.n > 1:
 			steps[i] = 1
-			t.n = -1
-		case t.n < 0:
-			steps[i] = 1 - t.n
-			t.n--
+			c.n = -1
+		case c.n < 0:
+			steps[i] = 1 - c.n
+			c.n--
 		default:
 			steps[i] = 0
 		}
 	}
-	tally.reset()
 	return steps
 }
 
-// stepTally counts one parent's children per distinct tag. Siblings
-// carry few distinct tags, so it searches them linearly; past
-// linearTags of them an index map takes over.
+// stepTally counts each parent's children per tag for appendStepIndexes.
+// It gives every tag name a walk meets one slot, kept from parent to
+// parent; a slot's count belongs to the parent stamped on it, so a new
+// parent starts from zero without clearing a map. (Clearing a map costs
+// its capacity, not its length: after one parent of many distinct child
+// tags, a per-parent clear would make every later parent pay for it.)
 type stepTally struct {
-	tags  []tagCount
-	index map[string]int32 // position in tags, once len(tags) > linearTags
+	slots  map[string]int32
+	counts []slotCount
+	parent int32 // the current parent's stamp
 }
 
-type tagCount struct {
-	tag string
-	n   int32
-}
+type slotCount struct{ parent, n int32 }
 
-const linearTags = 16
+// maxKeptSlots bounds the slot map a tally clears for its next walk: a
+// bigger one, left by a page of unusually many distinct tag names, is
+// dropped instead, so that clearing stays cheap.
+const maxKeptSlots = 256
 
-// slot returns tag's position in t.tags, adding it when new.
-func (t *stepTally) slot(tag string) int32 {
-	if len(t.tags) <= linearTags {
-		for i := range t.tags {
-			if t.tags[i].tag == tag {
-				return int32(i)
-			}
-		}
-		if len(t.tags) < linearTags {
-			t.tags = append(t.tags, tagCount{tag: tag})
-			return int32(len(t.tags) - 1)
-		}
-		if t.index == nil {
-			t.index = make(map[string]int32)
-		}
-		for i, c := range t.tags {
-			t.index[c.tag] = int32(i)
-		}
-	}
-	if i, ok := t.index[tag]; ok {
-		return i
-	}
-	t.index[tag] = int32(len(t.tags))
-	t.tags = append(t.tags, tagCount{tag: tag})
-	return int32(len(t.tags) - 1)
-}
-
-// reset empties the tally, keeping its capacity.
+// reset readies the tally for a walk. The slots' keys may be views of
+// the previous page's text, since overwritten, so the map is emptied
+// before any lookup.
 func (t *stepTally) reset() {
-	if len(t.tags) > linearTags {
-		clear(t.index)
+	if t.slots == nil || len(t.slots) > maxKeptSlots {
+		t.slots = make(map[string]int32)
+	} else {
+		clear(t.slots)
 	}
-	clear(t.tags)
-	t.tags = t.tags[:0]
+	t.counts, t.parent = t.counts[:0], 0
+}
+
+// slot returns tag's slot, its count zeroed if a previous parent left it.
+func (t *stepTally) slot(tag string) int32 {
+	k, ok := t.slots[tag]
+	if !ok {
+		k = int32(len(t.counts))
+		t.slots[tag] = k
+		t.counts = append(t.counts, slotCount{})
+	}
+	if c := &t.counts[k]; c.parent != t.parent {
+		*c = slotCount{parent: t.parent}
+	}
+	return k
 }

@@ -10,12 +10,13 @@ import (
 
 // TestStepIndexesMatchStepIndex checks appendStepIndexes against
 // Node.StepIndex on sibling lists of content and tag children drawn from
-// 1 to 40 distinct tags, across the tally's switch from linear search to
-// its index map, with one tally reused for every list.
+// 1 to maxKeptSlots+10 distinct tags, with one tally reused for every
+// list of a walk, and reset between walks, past maxKeptSlots too.
 func TestStepIndexesMatchStepIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var tally stepTally
-	for _, distinct := range []int{1, 2, 3, linearTags - 1, linearTags, linearTags + 1, 40} {
+	for _, distinct := range []int{1, 2, 3, 16, maxKeptSlots + 10, 40} {
+		tally.reset()
 		for rep := 0; rep < 20; rep++ {
 			parent := tagtree.NewTag("ul")
 			for i, n := 0, rng.Intn(3*distinct)+1; i < n; i++ {
@@ -39,9 +40,6 @@ func TestStepIndexesMatchStepIndex(t *testing.T) {
 				if got := steps[i+1]; got != want {
 					t.Fatalf("%d distinct, child %d (%s): step %d, want %d", distinct, i, c.Tag, got, want)
 				}
-			}
-			if len(tally.tags) != 0 || len(tally.index) != 0 {
-				t.Fatalf("%d distinct: tally not left empty", distinct)
 			}
 		}
 	}

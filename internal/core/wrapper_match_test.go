@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -134,16 +135,18 @@ func FuzzWrapperMatch(f *testing.F) {
 	})
 }
 
-// TestApplyHTMLWideSiblings bounds the serve pass on a page of 200,000
-// sibling <li>s, which fits under the fleet's 4 MiB request limit: the
-// pass is linear in the sibling count. A step index counted per
-// candidate, by a scan over its siblings, is quadratic here and takes
-// minutes.
+// TestApplyHTMLWideSiblings bounds the serve pass on two pages that fit
+// under the fleet's 4 MiB request limit, so that it stays linear in the
+// page: one of 200,000 sibling <li>s, and one whose first parent has
+// 50,000 children of distinct tags, followed by 50,000 parents of two
+// children. A step index counted per candidate, by a scan over its
+// siblings, is quadratic on the first page and takes minutes; a
+// sibling tally cleared per parent is quadratic on the second, since
+// clearing a map costs the capacity its widest parent left.
 func TestApplyHTMLWideSiblings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation distorts the time budget; gate runs in the non-race CI step")
 	}
-	const siblings = 200_000
 	m, _, _ := buildModelForApproach(t, TFIDFTags)
 	// Every cluster serves through one wrapper, so the page reaches the
 	// wrapper pass wherever it is assigned.
@@ -161,15 +164,26 @@ func TestApplyHTMLWideSiblings(t *testing.T) {
 	for i := range wide.Wrappers {
 		wide.Wrappers[i] = w
 	}
-	body := []byte("<html><body><ul>" + strings.Repeat("<li>word</li>", siblings) + "</ul></body></html>")
-	start := time.Now()
-	_, _, err := wide.ApplyHTMLBytes(context.Background(), body)
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
+	var distinct strings.Builder
+	distinct.WriteString("<html><body><div>")
+	for i := 0; i < 50_000; i++ {
+		fmt.Fprintf(&distinct, "<t%d></t%d>", i, i)
 	}
-	t.Logf("%d siblings (%d bytes): %v", siblings, len(body), elapsed)
-	if elapsed > 2*time.Second {
-		t.Errorf("ApplyHTMLBytes took %v on %d sibling <li>s, budget 2s", elapsed, siblings)
+	distinct.WriteString("</div>" + strings.Repeat("<p><b>a</b><i>b</i></p>", 50_000) + "</body></html>")
+	for _, page := range []struct{ name, html string }{
+		{"200,000 sibling <li>s", "<html><body><ul>" + strings.Repeat("<li>word</li>", 200_000) + "</ul></body></html>"},
+		{"50,000 distinct sibling tags, then 50,000 small parents", distinct.String()},
+	} {
+		body := []byte(page.html)
+		start := time.Now()
+		_, _, err := wide.ApplyHTMLBytes(context.Background(), body)
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s (%d bytes): %v", page.name, len(body), elapsed)
+		if elapsed > 2*time.Second {
+			t.Errorf("ApplyHTMLBytes took %v on %s, budget 2s", elapsed, page.name)
+		}
 	}
 }

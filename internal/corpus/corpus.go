@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"thor/internal/htmlx"
-	"thor/internal/stem"
 	"thor/internal/tagtree"
 )
 
@@ -139,7 +138,7 @@ func (p *Page) ContentSignature() map[string]int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.termSig == nil {
-		p.termSig = p.treeLocked().TermCounts(stem.Stem)
+		p.termSig = TermSignature(p.treeLocked())
 	}
 	return p.termSig
 }

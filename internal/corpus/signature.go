@@ -1,13 +1,14 @@
 package corpus
 
 import (
-	"strings"
+	"maps"
+	"sync"
 
 	"thor/internal/stem"
 	"thor/internal/tagtree"
 )
 
-// SignatureScratch computes page signatures into one reusable map — the
+// SignatureScratch computes page signatures into reusable maps — the
 // serve-path form of Page.TagSignature/Page.ContentSignature for trees
 // that are not attached to a cached Page (arena-backed parses of request
 // bodies). The map returned by either method is the scratch's own and is
@@ -15,38 +16,14 @@ import (
 // releasing the scratch back to its pool.
 type SignatureScratch struct {
 	counts map[string]int
-	// stems memoizes each token spelling's Porter stem across calls, so a
-	// warm scratch lowercases and stems a spelling once, not once per
-	// occurrence. Keys and stems are copies, never views of a page. It
-	// holds at most maxStemMemo spellings and starts over when full.
-	stems map[string]string
-	// countTerm counts one raw token through the memo; built once, so the
-	// token walk allocates no closure per call.
-	countTerm func(string)
+	// terms counts content terms, stemming each spelling once across
+	// calls through its bounded memo.
+	terms *tagtree.TermCounter
 }
-
-// maxStemMemo bounds SignatureScratch's stem memo: a few thousand
-// spellings cover a site's vocabulary, at some hundreds of KB.
-const maxStemMemo = 1 << 12
 
 // NewSignatureScratch returns a ready scratch.
 func NewSignatureScratch() *SignatureScratch {
-	s := &SignatureScratch{counts: make(map[string]int, 64), stems: make(map[string]string)}
-	s.countTerm = func(raw string) {
-		st, ok := s.stems[raw]
-		if !ok {
-			if len(s.stems) == maxStemMemo {
-				clear(s.stems)
-			}
-			raw = strings.Clone(raw)
-			st = stem.Stem(strings.ToLower(raw))
-			s.stems[raw] = st
-		}
-		if st != "" {
-			s.counts[st]++
-		}
-	}
-	return s
+	return &SignatureScratch{counts: make(map[string]int, 64), terms: tagtree.NewTermCounter(stem.Stem)}
 }
 
 // TagCounts returns tree's tag-frequency signature, equal to
@@ -58,16 +35,21 @@ func (s *SignatureScratch) TagCounts(tree *tagtree.Node) map[string]int {
 }
 
 // TermCounts returns tree's Porter-stemmed content term signature, equal
-// to tree.TermCounts(stem.Stem) but computed into the reusable map, with
-// each spelling stemmed through the memo: a token's stem is the stem of
-// its lowercase form, which depends on the spelling alone.
+// to tree.TermCounts(stem.Stem) but computed into the reusable map.
 func (s *SignatureScratch) TermCounts(tree *tagtree.Node) map[string]int {
-	clear(s.counts)
-	tree.Walk(func(m *tagtree.Node) bool {
-		if m.Type == tagtree.ContentNode {
-			tagtree.EachRawToken(m.Content, s.countTerm)
-		}
-		return true
-	})
-	return s.counts
+	return s.terms.Count(tree)
+}
+
+// termCounters lends Porter-stemming term counters, memos included, to
+// TermSignature.
+var termCounters = sync.Pool{New: func() any { return tagtree.NewTermCounter(stem.Stem) }}
+
+// TermSignature returns tree's Porter-stemmed content term signature,
+// equal to tree.TermCounts(stem.Stem), in a fresh map: the training form
+// behind Page.ContentSignature, counted through a pooled counter so that
+// a spelling is stemmed once per counter, not once per occurrence.
+func TermSignature(tree *tagtree.Node) map[string]int {
+	c := termCounters.Get().(*tagtree.TermCounter)
+	defer termCounters.Put(c)
+	return maps.Clone(c.Count(tree))
 }

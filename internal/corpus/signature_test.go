@@ -1,9 +1,7 @@
 package corpus
 
 import (
-	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 	"unsafe"
 
@@ -36,17 +34,21 @@ func TestSignatureScratchMatchesPage(t *testing.T) {
 	}
 }
 
-// TestSignatureScratchStemMemo checks the memo against stemming every
-// occurrence: capitalized and repeated spellings, a scratch reused
-// across pages whose text buffers are overwritten between calls, and a
-// memo that overflows its bound and starts over.
+// TestSignatureScratchStemMemo checks the scratch's memoized stems
+// against stemming every occurrence, on capitalized and repeated
+// spellings with a scratch reused across pages whose text buffers are
+// overwritten between calls, as request bodies are.
 func TestSignatureScratchStemMemo(t *testing.T) {
 	s := NewSignatureScratch()
 	buf := []byte(`<html><body><p>Running RUNNING running runs Runner 42 Ünïcode ünïcode</p><p>Apples APPLE apple</p></body></html>`)
 	for round := 0; round < 3; round++ {
 		// The page's text is a view of buf, as a request body's is.
 		p := &Page{HTML: unsafe.String(&buf[0], len(buf))}
-		if got, want := s.TermCounts(p.Tree()), p.Tree().TermCounts(stem.Stem); !reflect.DeepEqual(got, want) {
+		want := make(map[string]int)
+		for _, tok := range p.Tree().ContentTokens() {
+			want[stem.Stem(tok)]++
+		}
+		if got := s.TermCounts(p.Tree()); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: memo counts %v, want %v", round, got, want)
 		}
 		for i := range buf {
@@ -55,18 +57,24 @@ func TestSignatureScratchStemMemo(t *testing.T) {
 			}
 		}
 	}
-	var b strings.Builder
-	b.WriteString("<p>")
-	for i := 0; i < maxStemMemo+100; i++ {
-		fmt.Fprintf(&b, "Word%d words ", i)
-	}
-	p := &Page{HTML: b.String()}
+}
+
+// TestTermSignatureOwnsItsMap checks that TermSignature's maps outlive
+// later calls, which reuse the pooled counter, and equal stemming every
+// occurrence.
+func TestTermSignatureOwnsItsMap(t *testing.T) {
+	var got, want []map[string]int
 	for round := 0; round < 2; round++ {
-		if got, want := s.TermCounts(p.Tree()), p.Tree().TermCounts(stem.Stem); !reflect.DeepEqual(got, want) {
-			t.Fatalf("overflow round %d: memo counts differ", round)
+		for _, html := range signaturePages {
+			tree := (&Page{HTML: html}).Tree()
+			w := make(map[string]int)
+			for _, tok := range tree.ContentTokens() {
+				w[stem.Stem(tok)]++
+			}
+			got, want = append(got, TermSignature(tree)), append(want, w)
 		}
-		if len(s.stems) > maxStemMemo {
-			t.Fatalf("memo holds %d spellings, bound %d", len(s.stems), maxStemMemo)
-		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("term signatures %v, want %v", got, want)
 	}
 }

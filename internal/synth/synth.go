@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"thor/internal/corpus"
-	"thor/internal/stem"
 )
 
 // ClassModel is the empirical signature distribution of one page class:
@@ -50,7 +49,7 @@ func BuildModel(pages []*corpus.Page) *Model {
 			byClass[p.Class] = cm
 		}
 		cm.TagSignatures = append(cm.TagSignatures, p.Tree().TagCounts())
-		cm.ContentSignatures = append(cm.ContentSignatures, p.Tree().TermCounts(stem.Stem))
+		cm.ContentSignatures = append(cm.ContentSignatures, corpus.TermSignature(p.Tree()))
 		cm.Sizes = append(cm.Sizes, p.Size())
 	}
 	m := &Model{}

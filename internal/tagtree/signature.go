@@ -48,38 +48,70 @@ func (n *Node) ContentTokens() []string {
 
 // TermCounts returns the frequency of each content token in the subtree,
 // after applying the supplied normalization (typically stemming). A nil
-// normalize is treated as the identity.
+// normalize is treated as the identity. Each call starts a fresh
+// TermCounter; a pass over many pages reuses one, whose memo then
+// normalizes each spelling once for the whole pass.
 func (n *Node) TermCounts(normalize func(string) string) map[string]int {
-	counts := make(map[string]int)
-	n.TermCountsInto(normalize, counts)
-	return counts
+	return NewTermCounter(normalize).Count(n)
 }
 
-// TermCountsInto accumulates the subtree's normalized token frequencies
-// into counts — the scratch-reuse form of TermCounts. Tokens stream
-// through EachToken, so no intermediate token slice is built. Existing
-// entries are added to, not replaced; clear the map between pages.
-func (n *Node) TermCountsInto(normalize func(string) string, counts map[string]int) {
-	n.EachContentToken(func(tok string) {
-		if normalize != nil {
-			tok = normalize(tok)
-		}
-		if tok != "" {
-			counts[tok]++
-		}
-	})
+// TermCounter computes TermCounts into one reusable map, normalizing each
+// distinct token spelling once instead of once per occurrence: a token's
+// term is normalize of its lowercase form, which depends on the spelling
+// alone, so a memo from spelling to term may outlive a page. normalize
+// must be a pure function. The memo's keys and terms are copies, never
+// views of a page, so a counter may serve trees whose text buffers are
+// reused between calls. It holds at most maxTermMemo spellings and starts
+// over when full. A counter is not safe for concurrent use.
+type TermCounter struct {
+	normalize func(string) string
+	memo      map[string]string
+	counts    map[string]int
+	// count counts one raw token through the memo; built once, so the
+	// token walk allocates no closure per call.
+	count func(string)
 }
 
-// EachContentToken calls fn with each lowercase word token of the
-// subtree's content nodes, in document order: EachToken over every
-// content node, the one token walk the counting helpers share.
-func (n *Node) EachContentToken(fn func(string)) {
+// maxTermMemo bounds a TermCounter's memo. A full memo, with a counts
+// map grown as far, measured about 660 KB. On Zipf streams past the
+// bound (BenchmarkTermCounterVocabulary) the memo starts over again and
+// again, yet a page still costs less than stemming every occurrence.
+const maxTermMemo = 1 << 12
+
+// NewTermCounter returns a counter for normalize (nil for the identity).
+func NewTermCounter(normalize func(string) string) *TermCounter {
+	c := &TermCounter{normalize: normalize, memo: make(map[string]string), counts: make(map[string]int)}
+	c.count = func(raw string) {
+		term, ok := c.memo[raw]
+		if !ok {
+			if len(c.memo) == maxTermMemo {
+				clear(c.memo)
+			}
+			raw = strings.Clone(raw)
+			if term = strings.ToLower(raw); c.normalize != nil {
+				term = c.normalize(term)
+			}
+			c.memo[raw] = term
+		}
+		if term != "" {
+			c.counts[term]++
+		}
+	}
+	return c
+}
+
+// Count returns the term frequencies of the subtree rooted at n, equal to
+// n.TermCounts(normalize). The map is the counter's own, valid until the
+// next call.
+func (c *TermCounter) Count(n *Node) map[string]int {
+	clear(c.counts)
 	n.Walk(func(m *Node) bool {
 		if m.Type == ContentNode {
-			EachToken(m.Content, fn)
+			EachRawToken(m.Content, c.count)
 		}
 		return true
 	})
+	return c.counts
 }
 
 // DistinctTerms returns the number of distinct raw content tokens in the
