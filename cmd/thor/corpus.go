@@ -12,8 +12,7 @@ import (
 )
 
 // renderSiteReport renders one collection's extraction result — the same
-// report for every ingestion path (probed, eagerly loaded, streamed), so
-// -corpus and -stream output is byte-identical.
+// report whether the pages were probed or streamed off a corpus file.
 func renderSiteReport(name string, pages []*corpus.Page, res *core.Result, verbose bool) siteReport {
 	var b strings.Builder
 	dist := [corpus.NumClasses]int{}
@@ -57,23 +56,40 @@ func renderSiteReport(name string, pages []*corpus.Page, res *core.Result, verbo
 
 // runCorpusFile extracts QA-Pagelets from every collection of a persisted
 // corpus file and writes the per-site reports (plus an overall tally when
-// the file holds several sites) to w. With stream=false the whole file is
-// materialized up front (corpus.ReadFile); with stream=true pages come
-// off the file one at a time (corpus.OpenStream) and each collection runs
-// through the bounded-memory streaming build. Both paths produce
-// byte-identical output — BuildModelFromSource is contract-pinned to
-// BuildModel, and the reports render from the same Result.
-func runCorpusFile(w io.Writer, path string, stream bool, mkCfg func(siteID int) core.Config, verbose bool) error {
-	var reports []siteReport
-	var err error
-	if stream {
-		reports, err = streamReports(path, mkCfg, verbose)
-	} else {
-		reports, err = eagerReports(path, mkCfg, verbose)
-	}
+// the file holds several sites) to w. Pages come off the file one at a
+// time (corpus.OpenStream), and each collection runs through the
+// bounded-memory streaming build; collections without pages are skipped.
+func runCorpusFile(w io.Writer, path string, mkCfg func(siteID int) core.Config, verbose bool) (err error) {
+	ps, err := corpus.OpenStream(path)
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if cerr := ps.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	var reports []siteReport
+	for {
+		siteID, name, err := ps.NextCollection()
+		if err == io.EOF {
+			return writeReports(w, reports)
+		}
+		if err != nil {
+			return err
+		}
+		src := &keptPages{src: ps}
+		m, err := core.NewExtractor(mkCfg(siteID)).BuildModelFromSource(src)
+		if err != nil {
+			return err
+		}
+		reports = append(reports, renderSiteReport(name, src.pages, m.Training(), verbose))
+	}
+}
+
+// writeReports writes the per-site reports, then the overall tally when
+// there are several.
+func writeReports(w io.Writer, reports []siteReport) error {
 	var counter quality.Counter
 	for _, r := range reports {
 		if _, err := fmt.Fprint(w, r.out); err != nil {
@@ -91,113 +107,18 @@ func runCorpusFile(w io.Writer, path string, stream bool, mkCfg func(siteID int)
 	return nil
 }
 
-// eagerReports loads the whole corpus and extracts per collection.
-func eagerReports(path string, mkCfg func(int) core.Config, verbose bool) ([]siteReport, error) {
-	c, err := corpus.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var reports []siteReport
-	for _, col := range c.Collections {
-		if len(col.Pages) == 0 {
-			continue // nothing to cluster; the streaming path never sees it either
-		}
-		res := core.NewExtractor(mkCfg(col.SiteID)).Extract(col.Pages)
-		reports = append(reports, renderSiteReport(col.Name, col.Pages, res, verbose))
-	}
-	return reports, nil
+// keptPages is a Source that keeps every page it yields: the report
+// scores the build's pagelets against the collection's pages. The build
+// releases the pages' derived trees and signatures, not the pages.
+type keptPages struct {
+	src   corpus.Source
+	pages []*corpus.Page
 }
 
-// streamReports pulls pages off the corpus stream and runs each
-// collection through the streaming model build as its pages arrive.
-func streamReports(path string, mkCfg func(int) core.Config, verbose bool) (reports []siteReport, err error) {
-	ps, err := corpus.OpenStream(path)
-	if err != nil {
-		return nil, err
+func (k *keptPages) Next() (*corpus.Page, error) {
+	p, err := k.src.Next()
+	if err == nil {
+		k.pages = append(k.pages, p)
 	}
-	defer func() {
-		if cerr := ps.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	sp := &streamSplitter{ps: ps}
-	for {
-		p, id, name, perr := sp.pull()
-		if perr == io.EOF {
-			return reports, nil
-		}
-		if perr != nil {
-			return nil, perr
-		}
-		sp.push(p, id, name)
-		cs := &collectionSource{sp: sp, siteID: id, name: name}
-		m, berr := core.NewExtractor(mkCfg(id)).BuildModelFromSource(cs)
-		if berr != nil {
-			return nil, berr
-		}
-		reports = append(reports, renderSiteReport(name, cs.seen, m.Training(), verbose))
-	}
-}
-
-// streamSplitter wraps a PageStream with one page of pushback, so the
-// per-collection sub-sources can detect a collection boundary (the page
-// that belongs to the next collection) and hand that page back for the
-// next sub-source to start from.
-type streamSplitter struct {
-	ps       *corpus.PageStream
-	pend     *corpus.Page
-	pendID   int
-	pendName string
-	hasPend  bool
-}
-
-// pull yields the next page together with its collection's identity.
-func (sp *streamSplitter) pull() (*corpus.Page, int, string, error) {
-	if sp.hasPend {
-		sp.hasPend = false
-		return sp.pend, sp.pendID, sp.pendName, nil
-	}
-	p, err := sp.ps.Next()
-	if err != nil {
-		return nil, 0, "", err
-	}
-	id, name := sp.ps.Collection()
-	return p, id, name, nil
-}
-
-// push hands one pulled page back; the next pull returns it again.
-func (sp *streamSplitter) push(p *corpus.Page, id int, name string) {
-	sp.pend, sp.pendID, sp.pendName, sp.hasPend = p, id, name, true
-}
-
-// collectionSource is the corpus.Source for one collection of the shared
-// stream: it yields pages until the stream crosses into the next
-// collection (or ends), pushing the crossing page back. Yielded pages are
-// retained in seen — the page structs must outlive the build for truth
-// scoring; it is their derived trees and signatures the streaming build
-// releases.
-type collectionSource struct {
-	sp     *streamSplitter
-	siteID int
-	name   string
-	done   bool
-	seen   []*corpus.Page
-}
-
-func (cs *collectionSource) Next() (*corpus.Page, error) {
-	if cs.done {
-		return nil, io.EOF
-	}
-	p, id, name, err := cs.sp.pull()
-	if err != nil {
-		cs.done = true
-		return nil, err // io.EOF ends the collection; real errors propagate
-	}
-	if id != cs.siteID || name != cs.name {
-		cs.sp.push(p, id, name)
-		cs.done = true
-		return nil, io.EOF
-	}
-	cs.seen = append(cs.seen, p)
-	return p, nil
+	return p, err
 }

@@ -2,21 +2,27 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"thor/internal/core"
+	"thor/internal/corpus"
 	"thor/internal/deepweb"
 	"thor/internal/probe"
 )
 
-// writeTestCorpus probes a couple of simulated sites and persists them.
-func writeTestCorpus(t *testing.T, nsites int) string {
-	t.Helper()
+// probeTestCorpus probes a few simulated sites.
+func probeTestCorpus(nsites int) *corpus.Corpus {
 	sites := deepweb.NewSites(nsites, 42)
 	prober := &probe.Prober{Plan: probe.NewPlan(20, 4, 43), Labeler: deepweb.Labeler()}
-	c := prober.ProbeAll(deepweb.AsProbeSites(sites))
+	return prober.ProbeAll(deepweb.AsProbeSites(sites))
+}
+
+// writeCorpus persists c into a fresh temporary file.
+func writeCorpus(t *testing.T, c *corpus.Corpus) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "c.thor.json.gz")
 	if err := c.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -24,52 +30,87 @@ func writeTestCorpus(t *testing.T, nsites int) string {
 	return path
 }
 
-// TestCorpusFileEagerStreamIdenticalOutput: -corpus and -stream must
-// render byte-identical reports from the same file, at every worker
-// count.
+// writeTestCorpus probes a few simulated sites and persists them.
+func writeTestCorpus(t *testing.T, nsites int) string {
+	t.Helper()
+	return writeCorpus(t, probeTestCorpus(nsites))
+}
+
+func testConfig(workers int) func(int) core.Config {
+	return func(siteID int) core.Config {
+		cfg := core.DefaultConfig()
+		cfg.Seed = 42 + int64(siteID)
+		cfg.Workers = workers
+		return cfg
+	}
+}
+
+// TestCorpusFileEagerStreamIdenticalOutput: -corpus streams each
+// collection through BuildModelFromSource, and its report must be byte
+// for byte the one the eager reference renders — Extract over the
+// in-memory probed collections — at every worker count.
 func TestCorpusFileEagerStreamIdenticalOutput(t *testing.T) {
-	path := writeTestCorpus(t, 2)
-	var first string
+	c := probeTestCorpus(2)
+	path := writeCorpus(t, c)
+	var reports []siteReport
+	for _, col := range c.Collections {
+		res := core.NewExtractor(testConfig(1)(col.SiteID)).Extract(col.Pages)
+		reports = append(reports, renderSiteReport(col.Name, col.Pages, res, true))
+	}
+	var eager bytes.Buffer
+	if err := writeReports(&eager, reports); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"precision", "overall:", "cluster 1:", "QA-Objects"} {
+		if !strings.Contains(eager.String(), want) {
+			t.Errorf("eager report missing %q:\n%s", want, eager.String())
+		}
+	}
 	for _, workers := range []int{1, 2, 0} {
-		mkCfg := func(siteID int) core.Config {
-			cfg := core.DefaultConfig()
-			cfg.Seed = 42 + int64(siteID)
-			cfg.Workers = workers
-			return cfg
-		}
-		var eager, stream bytes.Buffer
-		if err := runCorpusFile(&eager, path, false, mkCfg, true); err != nil {
-			t.Fatalf("workers=%d eager: %v", workers, err)
-		}
-		if err := runCorpusFile(&stream, path, true, mkCfg, true); err != nil {
-			t.Fatalf("workers=%d stream: %v", workers, err)
+		var stream bytes.Buffer
+		if err := runCorpusFile(&stream, path, testConfig(workers), true); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if eager.String() != stream.String() {
-			t.Errorf("workers=%d: -corpus and -stream output differ:\n--- eager ---\n%s\n--- stream ---\n%s",
+			t.Errorf("workers=%d: streamed and eager reports differ:\n--- eager ---\n%s\n--- stream ---\n%s",
 				workers, eager.String(), stream.String())
-		}
-		for _, want := range []string{"precision", "overall:", "cluster 1:"} {
-			if !strings.Contains(eager.String(), want) {
-				t.Errorf("workers=%d: output missing %q:\n%s", workers, want, eager.String())
-			}
-		}
-		if first == "" {
-			first = stream.String()
-		} else if first != stream.String() {
-			t.Errorf("workers=%d: output differs from workers=1", workers)
 		}
 	}
 }
 
-// TestCorpusFileErrors: both paths surface unreadable files as errors.
-func TestCorpusFileErrors(t *testing.T) {
-	mkCfg := func(int) core.Config { return core.DefaultConfig() }
-	var buf bytes.Buffer
-	if err := runCorpusFile(&buf, "/nonexistent/c.gz", false, mkCfg, false); err == nil {
-		t.Error("eager load of missing file did not error")
+// TestCorpusFileSkipsEmptyCollections: an empty collection between two
+// full ones changes nothing in the report.
+func TestCorpusFileSkipsEmptyCollections(t *testing.T) {
+	c := probeTestCorpus(2)
+	var want, got bytes.Buffer
+	if err := runCorpusFile(&want, writeCorpus(t, c), testConfig(1), false); err != nil {
+		t.Fatal(err)
 	}
-	if err := runCorpusFile(&buf, "/nonexistent/c.gz", true, mkCfg, false); err == nil {
-		t.Error("streamed load of missing file did not error")
+	c.Collections = []*corpus.Collection{c.Collections[0], {SiteID: 7, Name: "empty"}, c.Collections[1]}
+	if err := runCorpusFile(&got, writeCorpus(t, c), testConfig(1), false); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("an empty collection changed the report:\n--- without ---\n%s\n--- with ---\n%s", want.String(), got.String())
+	}
+}
+
+// TestCorpusFileErrors: a missing file and a truncated one are errors.
+func TestCorpusFileErrors(t *testing.T) {
+	var buf bytes.Buffer
+	if err := runCorpusFile(&buf, "/nonexistent/c.gz", testConfig(1), false); err == nil {
+		t.Error("missing file did not error")
+	}
+	path := writeTestCorpus(t, 1)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-4], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runCorpusFile(&buf, path, testConfig(1), false); err == nil {
+		t.Error("truncated file did not error")
 	}
 }
 
@@ -77,14 +118,8 @@ func TestCorpusFileErrors(t *testing.T) {
 // tally line.
 func TestCorpusFileSingleSiteNoOverall(t *testing.T) {
 	path := writeTestCorpus(t, 1)
-	mkCfg := func(siteID int) core.Config {
-		cfg := core.DefaultConfig()
-		cfg.Seed = 42 + int64(siteID)
-		cfg.Workers = 1
-		return cfg
-	}
 	var buf bytes.Buffer
-	if err := runCorpusFile(&buf, path, true, mkCfg, false); err != nil {
+	if err := runCorpusFile(&buf, path, testConfig(1), false); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "overall:") {

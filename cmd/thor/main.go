@@ -12,8 +12,7 @@
 //	thor -clusterer bisecting          # pick the phase-one algorithm by name
 //	thor -save-model site0.model.gz    # train once, persist the model
 //	thor -sites 5 -save-corpus c.thor.json.gz  # persist the probed corpus
-//	thor -corpus c.thor.json.gz        # extract from a persisted corpus (eager load)
-//	thor -stream c.thor.json.gz        # same output, pages streamed off the file
+//	thor -corpus c.thor.json.gz        # extract from a persisted corpus, streamed off the file
 //	thor -serve :8080      # serve the simulated deep web over HTTP instead
 //	thor -serve :8080 -model site0.model.gz  # …plus POST /extract serving
 //	thor -serve :8080 -models models/   # a fleet: POST /extract/<site> per model file
@@ -49,7 +48,6 @@ import (
 	"thor/internal/parallel"
 	"thor/internal/probe"
 	"thor/internal/qaindex"
-	"thor/internal/quality"
 )
 
 func main() {
@@ -74,8 +72,7 @@ func main() {
 		indexF  = flag.String("index", "", "with -serve: load a QA-object index (a -save-index segment directory) and mount GET /search + GET /sites")
 		saveIdx = flag.String("save-index", "", "probe the sites, index every extracted QA-object, and persist the index (a directory of segment files)")
 		idxShd  = flag.Int("index-shards", 4, "segment count for -save-index builds")
-		corpusF = flag.String("corpus", "", "extract from a persisted corpus file (loaded eagerly) instead of probing")
-		streamF = flag.String("stream", "", "like -corpus, but stream pages off the file with bounded derived memory; output is identical")
+		corpusF = flag.String("corpus", "", "extract from a persisted corpus file, streamed page by page, instead of probing")
 		saveCor = flag.String("save-corpus", "", "probe the sites, persist the labeled corpus to this file, and exit")
 	)
 	flag.Parse()
@@ -91,11 +88,7 @@ func main() {
 		return
 	}
 
-	if *corpusF != "" || *streamF != "" {
-		path, stream := *corpusF, false
-		if *streamF != "" {
-			path, stream = *streamF, true
-		}
+	if *corpusF != "" {
 		mkCfg := func(siteID int) core.Config {
 			cfg := core.DefaultConfig()
 			cfg.K = *k
@@ -105,7 +98,7 @@ func main() {
 			cfg.Clusterer = *clust
 			return cfg
 		}
-		if err := runCorpusFile(os.Stdout, path, stream, mkCfg, *verbose); err != nil {
+		if err := runCorpusFile(os.Stdout, *corpusF, mkCfg, *verbose); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -234,15 +227,8 @@ func main() {
 		return runSite(s, prober, cfg, *verbose)
 	})
 
-	var counter quality.Counter
-	for _, r := range reports {
-		fmt.Print(r.out)
-		counter.Add(r.c, r.i, r.t)
-	}
-	if len(sites) > 1 {
-		pr := counter.PR()
-		fmt.Printf("\noverall: precision %.3f, recall %.3f over %d sites\n",
-			pr.Precision, pr.Recall, len(sites))
+	if err := writeReports(os.Stdout, reports); err != nil {
+		log.Fatal(err)
 	}
 }
 

@@ -305,8 +305,9 @@ func writeServeBench(dir string, o experiments.Options, r *experiments.ServeResu
 		Precision:      r.Precision,
 		Recall:         r.Recall,
 		Workers:        parallel.Workers(o.Workers),
-		Note: "pages_per_second is per-page serving throughput (ApplyHTML); " +
-			"pre-pipeline records reported whole-figure wall throughput, builds included",
+		Note: "pages_per_second is per-page serving throughput (ApplyHTML), from the median of " +
+			"repeated serial passes over all fresh pages; pre-pipeline records reported " +
+			"whole-figure wall throughput, builds included",
 	}
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {

@@ -106,7 +106,15 @@ func TestPipelineCorpusPersistence(t *testing.T) {
 	if err := orig.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := corpus.ReadFile(path)
+	st, err := corpus.OpenStream(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, _, err := st.NextCollection(); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := corpus.Collect(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +122,7 @@ func TestPipelineCorpusPersistence(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Seed = 31
 	a := core.NewExtractor(cfg).Extract(orig.Collections[0].Pages)
-	b := core.NewExtractor(cfg).Extract(loaded.Collections[0].Pages)
+	b := core.NewExtractor(cfg).Extract(loaded)
 	if len(a.Pagelets) != len(b.Pagelets) {
 		t.Fatalf("pagelets: %d from original, %d from loaded corpus",
 			len(a.Pagelets), len(b.Pagelets))

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"thor/internal/strdist"
 	"thor/internal/vector"
 )
 
@@ -197,11 +196,12 @@ func LoadModel(r io.Reader) (*Model, error) {
 		if q < 1 {
 			q = 1
 		}
-		m.Wrappers[ws.ClusterID] = &Wrapper{
+		w := &Wrapper{
 			Paths: ws.Paths, Fanout: ws.Fanout, Depth: ws.Depth, Nodes: ws.Nodes,
-			Weights: ws.Weights, MaxDistance: ws.MaxDistance,
-			simp: strdist.NewSimplifier(q), q: q,
+			Weights: ws.Weights, MaxDistance: ws.MaxDistance, q: q,
 		}
+		w.resolveProfile()
+		m.Wrappers[ws.ClusterID] = w
 	}
 	return m, nil
 }

@@ -325,10 +325,11 @@ func TestWrapperMatchFirstMinimumWins(t *testing.T) {
 		Nodes:       float64(first.NodeCount()),
 		Weights:     WeightsAll,
 		MaxDistance: 0.35,
-		simp:        strdist.NewSimplifier(1),
+		q:           1,
 	}
-	dFirst := w.nodeDistance(first)
-	if dSecond := w.nodeDistance(second); dFirst != dSecond { //thorlint:allow no-float-eq the test needs an exact tie
+	w.resolveProfile()
+	dFirst := w.nodeDistance(pageSimplifier(w), first)
+	if dSecond := w.nodeDistance(pageSimplifier(w), second); dFirst != dSecond { //thorlint:allow no-float-eq the test needs an exact tie
 		t.Fatalf("divs not tied: %v vs %v", dFirst, dSecond)
 	}
 	got, d := w.Extract(tree)

@@ -26,6 +26,9 @@ type applyScratch struct {
 	sig    *corpus.SignatureScratch
 	intern vector.InternScratch
 	lev    strdist.LevScratch
+	// simp holds one match's tag identifiers: the wrapper profile's, then
+	// the page's other tags in the order the walk meets them.
+	simp strdist.Simplifier
 	// walk is the wrapper's candidate walk; it renders each candidate's
 	// simplified path, the second operand of the edit distance.
 	walk candidateWalk

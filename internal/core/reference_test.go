@@ -63,12 +63,21 @@ func nearestRef(d *vector.Dict, v vectorref.Sparse, centroids []vector.IDVec) (b
 	return best, bestSim
 }
 
+// pageSimplifier returns a simplifier for one page served by w: its
+// identifiers start from the profile's, the per-page rule of match.
+func pageSimplifier(w *Wrapper) *strdist.Simplifier {
+	var simp strdist.Simplifier
+	simp.Reset(w.profile)
+	return &simp
+}
+
 // distanceRef scores a candidate against the wrapper profile with the
-// paper's four-term shape distance, over the candidate's string path.
-func distanceRef(w *Wrapper, c *Candidate) float64 {
+// paper's four-term shape distance, over the candidate's string path
+// simplified through the page's simplifier.
+func distanceRef(w *Wrapper, simp *strdist.Simplifier, c *Candidate) float64 {
 	var d float64
 	if w.Weights[0] != 0 && len(w.Paths) > 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
-		d += w.Weights[0] * strdist.Normalized(w.topPath(), w.simp.SimplifyPath(c.Path))
+		d += w.Weights[0] * strdist.Normalized(w.profilePath, simp.SimplifyPath(c.Path))
 	}
 	if w.Weights[1] != 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
 		d += w.Weights[1] * ratioDiffF(w.Fanout, float64(c.Fanout))
@@ -87,8 +96,9 @@ func distanceRef(w *Wrapper, c *Candidate) float64 {
 // nil when it is farther than MaxDistance.
 func extractRef(w *Wrapper, tree *tagtree.Node) (*tagtree.Node, float64) {
 	best, bestD := (*tagtree.Node)(nil), math.Inf(1)
+	simp := pageSimplifier(w)
 	for _, cand := range SinglePageCandidates(tree, 0) {
-		if d := distanceRef(w, cand); d < bestD {
+		if d := distanceRef(w, simp, cand); d < bestD {
 			best, bestD = cand.Node, d
 		}
 	}
@@ -119,8 +129,9 @@ func applyRef(m *Model, page *corpus.Page) []*Pagelet {
 // (hasToken) and its children's subtrees for text (isMinimal), and scores
 // each candidate with nodeDistance, which rebuilds the candidate's
 // simplified path ancestor by ancestor and reads Depth and NodeCount off
-// the node. The first strict-less minimum wins.
-func matchRef(w *Wrapper, tree *tagtree.Node) (*tagtree.Node, float64) {
+// the node. The first strict-less minimum wins. simp is the page's
+// simplifier (pageSimplifier).
+func matchRef(w *Wrapper, simp *strdist.Simplifier, tree *tagtree.Node) (*tagtree.Node, float64) {
 	best, bestD := (*tagtree.Node)(nil), math.Inf(1)
 	tree.Walk(func(n *tagtree.Node) bool {
 		if n.Type != tagtree.TagNode {
@@ -132,7 +143,7 @@ func matchRef(w *Wrapper, tree *tagtree.Node) (*tagtree.Node, float64) {
 		if !isMinimal(n) {
 			return true
 		}
-		if d := w.nodeDistance(n); d < bestD {
+		if d := w.nodeDistance(simp, n); d < bestD {
 			best, bestD = n, d
 		}
 		return true
@@ -177,12 +188,13 @@ func isMinimal(n *tagtree.Node) bool {
 }
 
 // nodeDistance scores one node against the wrapper profile, reading its
-// simplified path, fanout, depth and size off the node itself.
-func (w *Wrapper) nodeDistance(n *tagtree.Node) float64 {
+// simplified path (through the page's simplifier), fanout, depth and
+// size off the node itself.
+func (w *Wrapper) nodeDistance(simp *strdist.Simplifier, n *tagtree.Node) float64 {
 	var d float64
 	if w.Weights[0] != 0 && len(w.Paths) > 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
 		var lev strdist.LevScratch
-		d += w.Weights[0] * strdist.NormalizedBytes(w.topPath(), simplifiedPathRef(n, w.simp), &lev)
+		d += w.Weights[0] * strdist.NormalizedBytes(w.profilePath, simplifiedPathRef(n, simp), &lev)
 	}
 	if w.Weights[1] != 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
 		d += w.Weights[1] * ratioDiffF(w.Fanout, float64(n.Fanout()))

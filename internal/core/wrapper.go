@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"thor/internal/strdist"
 	"thor/internal/tagtree"
@@ -34,26 +33,24 @@ type Wrapper struct {
 	// profile (no extraction rather than a wrong one).
 	MaxDistance float64
 
-	simp *strdist.Simplifier
-	q    int
-
-	// topOnce/topSimplified cache the simplified form of Paths[0], the
-	// reference operand of every candidate comparison. Resolving it first
-	// also pins the simplifier's first-sight ID assignments to the exact
-	// order the uncached code had (it always simplified Paths[0] before
-	// the candidate path).
-	topOnce       sync.Once
-	topSimplified string
+	q int
+	// profile holds the identifiers of Paths[0]'s tags, assigned when the
+	// wrapper is built or loaded, and profilePath is Paths[0] simplified
+	// through it. Each match copies profile into its scratch and mints the
+	// page's other tags there, so a verdict is the one a freshly loaded
+	// wrapper gives, whatever pages came before, and profile never grows.
+	profile     *strdist.Simplifier
+	profilePath string
 }
 
-// topPath returns (resolving once) the simplified form of Paths[0].
-func (w *Wrapper) topPath() string {
-	w.topOnce.Do(func() {
-		if len(w.Paths) > 0 {
-			w.topSimplified = w.simp.SimplifyPath(w.Paths[0])
-		}
-	})
-	return w.topSimplified
+// resolveProfile assigns the identifiers of the profile path, the
+// reference operand of every candidate comparison, before any page's
+// tags; each page's identifiers then extend these.
+func (w *Wrapper) resolveProfile() {
+	w.profile = strdist.NewSimplifier(w.q)
+	if len(w.Paths) > 0 {
+		w.profilePath = w.profile.SimplifyPath(w.Paths[0])
+	}
 }
 
 // BuildWrapper compiles a wrapper from a phase-two result. It returns an
@@ -65,7 +62,6 @@ func (e *Extractor) BuildWrapper(res *Phase2Result) (*Wrapper, error) {
 	w := &Wrapper{
 		Weights:     e.cfg.ShapeWeights,
 		MaxDistance: 0.35,
-		simp:        strdist.NewSimplifier(e.cfg.PathSimplifyQ),
 		q:           e.cfg.PathSimplifyQ,
 	}
 	counts := make(map[string]int)
@@ -91,6 +87,7 @@ func (e *Extractor) BuildWrapper(res *Phase2Result) (*Wrapper, error) {
 		w.Paths = append(w.Paths, best)
 		delete(counts, best)
 	}
+	w.resolveProfile()
 	return w, nil
 }
 
@@ -122,25 +119,25 @@ func (w *Wrapper) extractPath(tree *tagtree.Node, s *applyScratch) (string, bool
 // best one is farther than MaxDistance.
 //
 // The score is the paper's four-term shape distance with averaged
-// reference values: the edit distance between the cached simplified
-// profile path and the candidate's simplified path, which the walk
-// renders into scratch bytes by extending the chain its ancestors left,
-// then the three shape terms the walk counts. The walk yields candidates
-// in post-order, so an equal distance wins when its candidate comes
-// earlier in document order. The profile path is simplified before the
-// first candidate's path, and the walk presents tags in the order the
-// candidates' root-to-leaf paths first meet them, so the simplifier
-// assigns every identifier as a per-candidate path walk in document order
-// would.
+// reference values: the edit distance between the simplified profile
+// path and the candidate's simplified path, which the walk renders into
+// scratch bytes by extending the chain its ancestors left, then the three
+// shape terms the walk counts. The walk yields candidates in post-order,
+// so an equal distance wins when its candidate comes earlier in document
+// order. The page's identifiers start from the profile's, and the walk
+// presents tags in the order the candidates' root-to-leaf paths first
+// meet them, so every identifier is the one a per-candidate path walk in
+// document order would assign on a fresh wrapper.
 func (w *Wrapper) match(tree *tagtree.Node, s *applyScratch) (*tagtree.Node, float64) {
 	best, bestD, bestRank := (*tagtree.Node)(nil), math.Inf(1), 0
 	pathTerm := w.Weights[0] != 0 && len(w.Paths) > 0 //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
-	s.walk.start(tree, w.simp)
+	s.simp.Reset(w.profile)
+	s.walk.start(tree, &s.simp)
 	for s.walk.next() {
 		c := &s.walk.cur
 		var d float64
 		if pathTerm {
-			d += w.Weights[0] * strdist.NormalizedBytes(w.topPath(), s.walk.curPath(), &s.lev)
+			d += w.Weights[0] * strdist.NormalizedBytes(w.profilePath, s.walk.curPath(), &s.lev)
 		}
 		if w.Weights[1] != 0 { //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
 			d += w.Weights[1] * ratioDiffF(w.Fanout, float64(len(c.n.Children)))

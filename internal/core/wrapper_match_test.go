@@ -4,37 +4,41 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"thor/internal/corpus"
 	"thor/internal/htmlx"
 	"thor/internal/strdist"
 	"thor/internal/tagtree"
 )
 
-// freshWrapper copies w's profile with a simplifier that has seen no tag,
-// so two copies assign identifiers from the same empty state.
-func freshWrapper(w *Wrapper) *Wrapper {
-	return &Wrapper{
+// resolvedWrapper copies w's profile and resolves its identifiers, as
+// BuildWrapper and LoadModel do, so hand-made profiles serve too.
+func resolvedWrapper(w *Wrapper) *Wrapper {
+	c := &Wrapper{
 		Paths: w.Paths, Fanout: w.Fanout, Depth: w.Depth, Nodes: w.Nodes,
-		Weights: w.Weights, MaxDistance: w.MaxDistance,
-		simp: strdist.NewSimplifier(w.q), q: w.q,
+		Weights: w.Weights, MaxDistance: w.MaxDistance, q: w.q,
 	}
+	c.resolveProfile()
+	return c
 }
 
 // checkMatchAgainstRef runs the candidate-walk match and the per-node
-// matchRef over tree, each on a fresh copy of w, and fails unless both
-// pick the same node at the same distance bits and leave their
-// simplifiers with the same identifier for every tag of the tree.
+// matchRef over tree, and fails unless both pick the same node at the
+// same distance bits and leave their page simplifiers with the same
+// identifier for every tag of the tree.
 func checkMatchAgainstRef(t *testing.T, name string, w *Wrapper, tree *tagtree.Node) {
 	t.Helper()
-	got, want := freshWrapper(w), freshWrapper(w)
+	w = resolvedWrapper(w)
 	s := applyPool.Get().(*applyScratch)
-	gotN, gotD := got.match(tree, s)
-	applyPool.Put(s)
-	wantN, wantD := matchRef(want, tree)
+	defer applyPool.Put(s)
+	gotN, gotD := w.match(tree, s)
+	want := pageSimplifier(w)
+	wantN, wantD := matchRef(w, want, tree)
 	if gotN != wantN || math.Float64bits(gotD) != math.Float64bits(wantD) {
 		t.Fatalf("%s: match picked %v at %v, the per-node reference %v at %v", name, describe(gotN), gotD, describe(wantN), wantD)
 	}
@@ -54,7 +58,7 @@ func checkMatchAgainstRef(t *testing.T, name string, w *Wrapper, tree *tagtree.N
 	}
 	sort.Strings(sorted)
 	for _, tag := range sorted {
-		if a, b := got.simp.ID(tag), want.simp.ID(tag); a != b {
+		if a, b := s.simp.ID(tag), want.ID(tag); a != b {
 			t.Fatalf("%s: tag %q simplified to %q, the reference %q", name, tag, a, b)
 		}
 	}
@@ -112,8 +116,7 @@ func TestWrapperMatchMatchesPerNodeReference(t *testing.T) {
 }
 
 // FuzzWrapperMatch runs fuzzed HTML through the serve pass's candidate
-// walk and through the per-node walk it replaced, each wrapper with a
-// fresh simplifier: both must pick the same node at the same distance
+// walk and through the per-node walk it replaced: both must pick the same node at the same distance
 // bits. The profile path and q come from the fuzzer too.
 func FuzzWrapperMatch(f *testing.F) {
 	f.Add(`<html><body><ul><li>a</li><li>b</li><li>c</li></ul></body></html>`, "html/body/ul/li[2]", uint8(1))
@@ -185,5 +188,58 @@ func TestApplyHTMLWideSiblings(t *testing.T) {
 		if elapsed > 2*time.Second {
 			t.Errorf("ApplyHTMLBytes took %v on %s, budget 2s", elapsed, page.name)
 		}
+	}
+}
+
+// TestWrapperVerdictIndependentOfHistory: a served wrapper scores a page
+// as a freshly loaded one does, whatever tag names earlier requests
+// carried, and serving never grows the wrapper's own simplifier. With
+// identifiers kept for the life of the model, 200 pages of 50 new tag
+// names each used up the short identifiers, so <section> got a longer
+// one and the same page moved from 0.2020 to 0.2425 against a
+// MaxDistance of 0.35.
+func TestWrapperVerdictIndependentOfHistory(t *testing.T) {
+	col := probeSite(t, 2, 1)
+	m, err := NewExtractor(DefaultConfig()).BuildModel(col.Pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w *Wrapper
+	for _, cw := range m.Wrappers {
+		if cw != nil {
+			w = cw
+			break
+		}
+	}
+	if w == nil {
+		t.Fatal("model has no wrapper")
+	}
+	var html string
+	for _, p := range col.Pages {
+		if p.Class == corpus.MultiMatch {
+			html = strings.Replace(strings.Replace(p.HTML, "<body>", "<body><section>", 1), "</body>", "</section></body>", 1)
+			break
+		}
+	}
+	var profile strdist.Simplifier
+	profile.Reset(w.profile)
+
+	_, fresh := resolvedWrapper(w).Extract(htmlx.Parse(html))
+	for i := 0; i < 200; i++ {
+		var junk strings.Builder
+		junk.WriteString("<html><body>")
+		for j := 0; j < 50; j++ {
+			fmt.Fprintf(&junk, "<x%dy%d>word</x%dy%d>", i, j, i, j)
+		}
+		junk.WriteString("</body></html>")
+		w.Extract(htmlx.Parse(junk.String()))
+	}
+	_, after := w.Extract(htmlx.Parse(html))
+	t.Logf("distance %.4f fresh, %.4f after 10,000 new tag names", fresh, after)
+	if math.Float64bits(fresh) != math.Float64bits(after) {
+		t.Errorf("the same page scored %v on a fresh wrapper and %v after other traffic", fresh, after)
+	}
+	if !reflect.DeepEqual(&profile, w.profile) {
+		t.Errorf("serving changed the wrapper's profile identifiers")
 	}
 }

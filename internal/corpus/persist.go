@@ -6,13 +6,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 )
 
 // The on-disk corpus format: one gzipped JSON document holding every
 // collection with its pages' raw HTML and labels. Trees and signatures are
 // reconstructed lazily after loading. The format lets an expensive probing
-// run (or a capture of real deep-web pages) be replayed across processes.
+// run (or a capture of real deep-web pages) be replayed across processes;
+// PageStream reads it back one collection and one page at a time.
 
 type pageJSON struct {
 	SiteID int    `json:"site_id"`
@@ -60,38 +60,6 @@ func (c *Corpus) Write(w io.Writer) error {
 	return nil
 }
 
-// Read deserializes a corpus written by Write.
-func Read(r io.Reader) (*Corpus, error) {
-	gz, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("corpus: decompress: %w", err)
-	}
-	//thorlint:allow no-unchecked-error read-side gzip close holds no state worth surfacing
-	defer gz.Close()
-	var doc corpusJSON
-	if err := json.NewDecoder(gz).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("corpus: decode: %w", err)
-	}
-	if doc.Version != persistVersion {
-		return nil, fmt.Errorf("corpus: unsupported format version %d", doc.Version)
-	}
-	c := &Corpus{}
-	for _, cj := range doc.Collections {
-		col := &Collection{SiteID: cj.SiteID, Name: cj.Name}
-		for _, pj := range cj.Pages {
-			if pj.Class < 0 || pj.Class >= int(NumClasses) {
-				return nil, fmt.Errorf("corpus: page %q has invalid class %d", pj.URL, pj.Class)
-			}
-			col.Pages = append(col.Pages, &Page{
-				SiteID: pj.SiteID, URL: pj.URL, Query: pj.Query,
-				Class: Class(pj.Class), HTML: pj.HTML,
-			})
-		}
-		c.Collections = append(c.Collections, col)
-	}
-	return c, nil
-}
-
 // WriteFile writes the corpus to path (conventionally *.thor.json.gz).
 func (c *Corpus) WriteFile(path string) error {
 	f, err := os.Create(path)
@@ -103,20 +71,4 @@ func (c *Corpus) WriteFile(path string) error {
 		werr = fmt.Errorf("corpus: %w", cerr)
 	}
 	return werr
-}
-
-// ReadFile loads a corpus from path.
-func ReadFile(path string) (*Corpus, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("corpus: %w", err)
-	}
-	//thorlint:allow no-unchecked-error closing a read-only file cannot lose data
-	defer f.Close()
-	c, err := Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("corpus: reading %s: %w",
-			strings.TrimPrefix(path, "./"), err)
-	}
-	return c, nil
 }

@@ -9,7 +9,39 @@ import (
 	"testing"
 )
 
-func newGzip(w io.Writer) *gzip.Writer { return gzip.NewWriter(w) }
+// gzipped compresses data the way Write does.
+func gzipped(t testing.TB, data []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := gzip.NewWriter(&buf)
+	if _, err := w.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// readStreamed drains a stream into a corpus of the collections it
+// reports, which are the ones holding pages.
+func readStreamed(st *PageStream) (*Corpus, error) {
+	c := &Corpus{}
+	for {
+		siteID, name, err := st.NextCollection()
+		if err == io.EOF {
+			return c, nil
+		}
+		if err != nil {
+			return c, err
+		}
+		pages, err := Collect(st)
+		c.Collections = append(c.Collections, &Collection{SiteID: siteID, Name: name, Pages: pages})
+		if err != nil {
+			return c, err
+		}
+	}
+}
 
 func TestCorpusRoundTrip(t *testing.T) {
 	orig := &Corpus{Collections: []*Collection{buildCollection(), {
@@ -22,9 +54,13 @@ func TestCorpusRoundTrip(t *testing.T) {
 	if err := orig.Write(&buf); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	got, err := Read(&buf)
+	st, err := ReadStream(&buf)
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatalf("ReadStream: %v", err)
+	}
+	got, err := readStreamed(st)
+	if err != nil {
+		t.Fatalf("stream: %v", err)
 	}
 	if len(got.Collections) != 2 {
 		t.Fatalf("collections = %d", len(got.Collections))
@@ -38,8 +74,7 @@ func TestCorpusRoundTrip(t *testing.T) {
 			t.Errorf("collection %d identity lost", ci)
 		}
 		for pi, p := range col.Pages {
-			op := o.Pages[pi]
-			if p.HTML != op.HTML || p.Class != op.Class || p.URL != op.URL || p.Query != op.Query {
+			if !samePage(p, o.Pages[pi]) {
 				t.Errorf("page %d/%d fields lost", ci, pi)
 			}
 		}
@@ -57,9 +92,14 @@ func TestCorpusFileRoundTrip(t *testing.T) {
 	if err := orig.WriteFile(path); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	got, err := ReadFile(path)
+	st, err := OpenStream(path)
 	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
+		t.Fatalf("OpenStream: %v", err)
+	}
+	defer st.Close()
+	got, err := readStreamed(st)
+	if err != nil {
+		t.Fatalf("stream: %v", err)
 	}
 	if got.TotalPages() != orig.TotalPages() {
 		t.Errorf("pages = %d", got.TotalPages())
@@ -67,33 +107,24 @@ func TestCorpusFileRoundTrip(t *testing.T) {
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("not gzip at all")); err == nil {
-		t.Error("Read accepted non-gzip input")
+	if _, err := ReadStream(strings.NewReader("not gzip at all")); err == nil {
+		t.Error("ReadStream accepted non-gzip input")
 	}
-	if _, err := ReadFile(filepath.Join(t.TempDir(), "missing.gz")); err == nil {
-		t.Error("ReadFile accepted missing file")
+	if _, err := ReadStream(bytes.NewReader(gzipped(t, []byte("not json")))); err == nil {
+		t.Error("ReadStream accepted a non-JSON document")
+	}
+	if _, err := OpenStream(filepath.Join(t.TempDir(), "missing.gz")); err == nil {
+		t.Error("OpenStream accepted a missing file")
 	}
 }
 
 func TestReadRejectsBadClass(t *testing.T) {
-	// Serialize, then corrupt the class beyond the valid range via a
-	// manual document.
-	var buf bytes.Buffer
-	orig := &Corpus{Collections: []*Collection{{
-		SiteID: 1,
-		Pages:  []*Page{{HTML: "<p>x</p>", Class: MultiMatch}},
-	}}}
-	if err := orig.Write(&buf); err != nil {
+	bad := `{"version":1,"collections":[{"site_id":1,"name":"x","pages":[{"class":99,"html":"<p>x</p>"}]}]}`
+	st, err := ReadStream(bytes.NewReader(gzipped(t, []byte(bad))))
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Valid write reads fine; now fabricate an invalid class by abusing
-	// the JSON layer directly.
-	bad := `{"version":1,"collections":[{"site_id":1,"name":"x","pages":[{"class":99,"html":"<p>x</p>"}]}]}`
-	var gz bytes.Buffer
-	w := newGzip(&gz)
-	w.Write([]byte(bad))
-	w.Close()
-	if _, err := Read(&gz); err == nil {
-		t.Error("Read accepted out-of-range class")
+	if _, err := readStreamed(st); err == nil {
+		t.Error("stream accepted out-of-range class")
 	}
 }

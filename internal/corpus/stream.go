@@ -8,36 +8,39 @@ import (
 	"os"
 )
 
-// PageStream is a token-level streaming decoder for the persisted corpus
-// format: it yields one page at a time straight off the gzipped JSON
-// document, never buffering the whole corpus (Read materializes every
-// collection before returning; a paper-scale capture does not fit that
-// way). It implements Source; collection boundaries are exposed through
-// Collection, and pages of one collection are yielded contiguously in
-// their on-disk order — exactly the order Read produces.
+// PageStream is the decoder of the persisted corpus format: a
+// token-level reader that hands out one collection at a time and one
+// page at a time straight off the gzipped JSON document, never buffering
+// the whole corpus (a paper-scale capture does not fit in memory that
+// way). NextCollection moves to the next collection that holds a page;
+// Next then yields that collection's pages in their on-disk order and
+// returns io.EOF at its end, so the stream is the Source of one
+// collection at a time.
+//
+// The stream reads the document to its end and the gzip stream to its
+// checksum, so a truncated or corrupt file ends in an error, never in a
+// clean io.EOF after a short read. After any error the stream is spent
+// and keeps returning that error.
 type PageStream struct {
 	dec    *json.Decoder
-	gz     *gzip.Reader
 	closer io.Closer // underlying file when opened via OpenStream
 
-	siteID int    // site id of the collection currently being yielded
-	name   string // name of that collection
-
-	inCollection bool // between a collection's '{' and '}'
-	inPages      bool // between its pages '[' and ']'
-	err          error
+	inPages bool  // inside the current collection's pages array
+	err     error // sticky: io.EOF once the document is exhausted, or the first failure
 }
 
 // ReadStream starts streaming a corpus written by Write from r. The
-// document header (the format version) is validated eagerly; pages are
-// decoded on demand by Next. The version field must precede the
-// collections, which is how Write lays the document out.
+// document header (the format version) is validated eagerly; collections
+// and pages are decoded on demand. The version field must precede the
+// collections, and a collection's site_id and name must precede its
+// pages, which is how Write lays the document out; metadata after a
+// collection's pages is skipped.
 func ReadStream(r io.Reader) (*PageStream, error) {
 	gz, err := gzip.NewReader(r)
 	if err != nil {
 		return nil, fmt.Errorf("corpus: decompress: %w", err)
 	}
-	s := &PageStream{dec: json.NewDecoder(gz), gz: gz}
+	s := &PageStream{dec: json.NewDecoder(gz)}
 	if err := s.readHeader(); err != nil {
 		return nil, err
 	}
@@ -55,172 +58,200 @@ func OpenStream(path string) (*PageStream, error) {
 	if err != nil {
 		//thorlint:allow no-unchecked-error closing a read-only file cannot lose data
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("corpus: reading %s: %w", path, err)
 	}
 	s.closer = f
 	return s, nil
 }
 
-// readHeader consumes the document up to (and including) the opening '['
-// of the collections array, validating the format version on the way.
+// readHeader consumes the document up to the opening '[' of the
+// collections array, validating the format version on the way. A
+// document without collections is read to its end.
 func (s *PageStream) readHeader() error {
 	if err := s.expectDelim('{'); err != nil {
 		return err
 	}
-	versionSeen := false
-	for {
-		tok, err := s.dec.Token()
-		if err != nil {
-			return fmt.Errorf("corpus: decode: %w", err)
-		}
-		if d, ok := tok.(json.Delim); ok && d == '}' {
-			// A document with no collections at all: nothing to yield.
-			if !versionSeen {
-				return fmt.Errorf("corpus: unsupported format version %d", 0)
-			}
-			s.err = io.EOF
-			return nil
-		}
-		key, ok := tok.(string)
-		if !ok {
-			return fmt.Errorf("corpus: decode: unexpected token %v in header", tok)
-		}
+	version := 0 // stays 0 until a valid version is read
+	inArray, err := s.object("header", func(key string) (bool, error) {
 		switch key {
 		case "version":
 			var v int
-			if err := s.dec.Decode(&v); err != nil {
-				return fmt.Errorf("corpus: decode: %w", err)
+			if err := s.decode(&v); err != nil {
+				return false, err
 			}
 			if v != persistVersion {
-				return fmt.Errorf("corpus: unsupported format version %d", v)
+				return false, fmt.Errorf("corpus: unsupported format version %d", v)
 			}
-			versionSeen = true
+			version = v
+			return false, nil
 		case "collections":
-			if !versionSeen {
-				return fmt.Errorf("corpus: decode: collections precede the version header")
+			if version == 0 {
+				return false, fmt.Errorf("corpus: decode: collections precede the version header")
 			}
-			empty, err := s.startArray()
-			if err != nil {
-				return err
-			}
-			if empty {
-				s.err = io.EOF // a null collections list: nothing to yield
-			}
-			return nil
-		default:
-			if err := s.skipValue(); err != nil {
-				return err
-			}
+			null, err := s.startArray()
+			return !null, err // a null collections list holds nothing; read on
 		}
+		return false, s.skipValue()
+	})
+	if err != nil || inArray {
+		return err
 	}
+	if version == 0 {
+		return fmt.Errorf("corpus: unsupported format version %d", 0)
+	}
+	if s.err = s.finish(); s.err != io.EOF {
+		return s.err
+	}
+	return nil
 }
 
-// Next yields the next page of the stream, in on-disk order across all
-// collections, or io.EOF once the document is exhausted. After any error
-// the stream is spent and Next keeps returning that error.
+// NextCollection moves to the next collection that holds at least one
+// page and returns its site id and name, or io.EOF once the document is
+// exhausted. Pages of the previous collection that Next has not yielded
+// are skipped; collections without pages are never reported.
+func (s *PageStream) NextCollection() (siteID int, name string, err error) {
+	if s.err != nil {
+		return 0, "", s.err
+	}
+	if siteID, name, err = s.nextCollection(); err != nil {
+		s.err = err
+	}
+	return siteID, name, err
+}
+
+func (s *PageStream) nextCollection() (siteID int, name string, err error) {
+	if s.inPages {
+		for s.dec.More() {
+			if err := s.skipValue(); err != nil {
+				return 0, "", err
+			}
+		}
+		if err := s.endPages(); err != nil {
+			return 0, "", err
+		}
+	}
+	for s.dec.More() {
+		if err := s.expectDelim('{'); err != nil {
+			return 0, "", err
+		}
+		// Read the collection's keys up to its first page, or through its
+		// closing '}' when it holds none.
+		s.inPages, err = s.object("collection", func(key string) (bool, error) {
+			switch key {
+			case "site_id":
+				return false, s.decode(&siteID)
+			case "name":
+				return false, s.decode(&name)
+			case "pages":
+				null, err := s.startArray()
+				if err != nil || null {
+					return false, err
+				}
+				if s.dec.More() {
+					return true, nil
+				}
+				return false, s.expectDelim(']')
+			}
+			return false, s.skipValue()
+		})
+		if err != nil || s.inPages {
+			return siteID, name, err
+		}
+		siteID, name = 0, ""
+	}
+	if err := s.expectDelim(']'); err != nil {
+		return 0, "", err
+	}
+	if _, err := s.object("document", nil); err != nil {
+		return 0, "", err
+	}
+	return 0, "", s.finish()
+}
+
+// Next yields the current collection's next page, or io.EOF at the end
+// of the collection (and before the first NextCollection). It makes the
+// stream a Source of the current collection's pages.
 func (s *PageStream) Next() (*Page, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	p, err := s.next()
-	if err != nil {
-		s.err = err
-		return nil, err
+	if !s.inPages {
+		return nil, io.EOF
 	}
-	return p, nil
+	if !s.dec.More() {
+		if s.err = s.endPages(); s.err != nil {
+			return nil, s.err
+		}
+		return nil, io.EOF
+	}
+	var pj pageJSON
+	if s.err = s.decode(&pj); s.err != nil {
+		return nil, s.err
+	}
+	if pj.Class < 0 || pj.Class >= int(NumClasses) {
+		s.err = fmt.Errorf("corpus: page %q has invalid class %d", pj.URL, pj.Class)
+		return nil, s.err
+	}
+	return &Page{
+		SiteID: pj.SiteID, URL: pj.URL, Query: pj.Query,
+		Class: Class(pj.Class), HTML: pj.HTML,
+	}, nil
 }
 
-func (s *PageStream) next() (*Page, error) {
+// endPages consumes the closing ']' of the current collection's pages and
+// the rest of the collection.
+func (s *PageStream) endPages() error {
+	s.inPages = false
+	if err := s.expectDelim(']'); err != nil {
+		return err
+	}
+	_, err := s.object("collection", nil)
+	return err
+}
+
+// object reads the keys of an object through its closing '}', handing
+// each to field, which consumes the key's value or stops the walk there
+// by returning true; a nil field skips every value. It reports whether
+// field stopped the walk.
+func (s *PageStream) object(what string, field func(key string) (bool, error)) (stopped bool, err error) {
 	for {
-		switch {
-		case s.inPages:
-			if s.dec.More() {
-				var pj pageJSON
-				if err := s.dec.Decode(&pj); err != nil {
-					return nil, fmt.Errorf("corpus: decode: %w", err)
-				}
-				if pj.Class < 0 || pj.Class >= int(NumClasses) {
-					return nil, fmt.Errorf("corpus: page %q has invalid class %d", pj.URL, pj.Class)
-				}
-				return &Page{
-					SiteID: pj.SiteID, URL: pj.URL, Query: pj.Query,
-					Class: Class(pj.Class), HTML: pj.HTML,
-				}, nil
-			}
-			if err := s.expectDelim(']'); err != nil {
-				return nil, err
-			}
-			s.inPages = false
-
-		case s.inCollection:
-			tok, err := s.dec.Token()
-			if err != nil {
-				return nil, fmt.Errorf("corpus: decode: %w", err)
-			}
-			if d, ok := tok.(json.Delim); ok && d == '}' {
-				s.inCollection = false
-				continue
-			}
-			key, ok := tok.(string)
-			if !ok {
-				return nil, fmt.Errorf("corpus: decode: unexpected token %v in collection", tok)
-			}
-			switch key {
-			case "site_id":
-				if err := s.dec.Decode(&s.siteID); err != nil {
-					return nil, fmt.Errorf("corpus: decode: %w", err)
-				}
-			case "name":
-				if err := s.dec.Decode(&s.name); err != nil {
-					return nil, fmt.Errorf("corpus: decode: %w", err)
-				}
-			case "pages":
-				empty, err := s.startArray()
-				if err != nil {
-					return nil, err
-				}
-				s.inPages = !empty
-			default:
-				if err := s.skipValue(); err != nil {
-					return nil, err
-				}
-			}
-
-		default: // inside the collections array, between collections
-			if s.dec.More() {
-				if err := s.expectDelim('{'); err != nil {
-					return nil, err
-				}
-				s.inCollection = true
-				s.siteID, s.name = 0, ""
-				continue
-			}
-			if err := s.expectDelim(']'); err != nil {
-				return nil, err
-			}
-			// Drain any keys after "collections", then the closing '}'.
-			for {
-				tok, err := s.dec.Token()
-				if err != nil {
-					return nil, fmt.Errorf("corpus: decode: %w", err)
-				}
-				if d, ok := tok.(json.Delim); ok && d == '}' {
-					return nil, io.EOF
-				}
-				if _, ok := tok.(string); !ok {
-					return nil, fmt.Errorf("corpus: decode: unexpected trailing token %v", tok)
-				}
-				if err := s.skipValue(); err != nil {
-					return nil, err
-				}
-			}
+		tok, err := s.dec.Token()
+		if err != nil {
+			return false, fmt.Errorf("corpus: decode: %w", err)
+		}
+		if d, ok := tok.(json.Delim); ok && d == '}' {
+			return false, nil
+		}
+		key, ok := tok.(string)
+		if !ok {
+			return false, fmt.Errorf("corpus: decode: unexpected token %v in %s", tok, what)
+		}
+		if field == nil {
+			err = s.skipValue()
+		} else {
+			stopped, err = field(key)
+		}
+		if stopped || err != nil {
+			return stopped, err
 		}
 	}
 }
 
-// Collection reports the site id and name of the collection the most
-// recently yielded page belongs to (zero values before the first page).
-func (s *PageStream) Collection() (siteID int, name string) { return s.siteID, s.name }
+// finish checks the end of the input after the document's closing '}':
+// only white space may follow, and the gzip stream must end whole — the
+// reader verifies its checksum and length only when it reaches the end.
+// It returns io.EOF when all is well.
+func (s *PageStream) finish() error {
+	tok, err := s.dec.Token()
+	switch {
+	case err == io.EOF:
+		return io.EOF
+	case err != nil:
+		return fmt.Errorf("corpus: decode: %w", err)
+	default:
+		return fmt.Errorf("corpus: decode: unexpected token %v after the document", tok)
+	}
+}
 
 // Close releases the underlying file when the stream was opened with
 // OpenStream; for ReadStream over a caller-owned reader it is a no-op.
@@ -237,8 +268,8 @@ func (s *PageStream) Close() error {
 }
 
 // startArray consumes the start of an array value. The encoder writes a
-// nil slice as JSON null, so null counts as an (empty=true) array.
-func (s *PageStream) startArray() (empty bool, err error) {
+// nil slice as JSON null, which holds nothing.
+func (s *PageStream) startArray() (null bool, err error) {
 	tok, err := s.dec.Token()
 	if err != nil {
 		return false, fmt.Errorf("corpus: decode: %w", err)
@@ -264,11 +295,16 @@ func (s *PageStream) expectDelim(want json.Delim) error {
 	return nil
 }
 
-// skipValue consumes and discards the value following an unknown key.
-func (s *PageStream) skipValue() error {
-	var raw json.RawMessage
-	if err := s.dec.Decode(&raw); err != nil {
+// decode consumes the next value into v.
+func (s *PageStream) decode(v any) error {
+	if err := s.dec.Decode(v); err != nil {
 		return fmt.Errorf("corpus: decode: %w", err)
 	}
 	return nil
+}
+
+// skipValue consumes and discards the value following an unknown key.
+func (s *PageStream) skipValue() error {
+	var raw json.RawMessage
+	return s.decode(&raw)
 }

@@ -47,10 +47,12 @@ func samePage(a, b *Page) bool {
 		a.HTML == b.HTML && a.Class == b.Class
 }
 
-// TestStreamMatchesReadProperty is the decoder-equivalence property: for
-// randomized corpora, Write → ReadStream yields exactly the pages of
-// Write → Read — same order, same fields, same class labels, and the
-// same collection boundaries.
+// TestStreamMatchesReadProperty is the decoder's round-trip property:
+// for randomized corpora, Write → ReadStream hands out exactly the
+// collections of the written corpus that hold pages — same site ids and
+// names, same pages in the same order, same fields and class labels. A
+// collection whose pages are only partly drawn leaves the next one
+// intact.
 func TestStreamMatchesReadProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 50; trial++ {
@@ -59,65 +61,57 @@ func TestStreamMatchesReadProperty(t *testing.T) {
 		if err := c.Write(&buf); err != nil {
 			t.Fatalf("trial %d: Write: %v", trial, err)
 		}
-		data := buf.Bytes()
-
-		eager, err := Read(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("trial %d: Read: %v", trial, err)
-		}
-		st, err := ReadStream(bytes.NewReader(data))
+		st, err := ReadStream(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("trial %d: ReadStream: %v", trial, err)
 		}
-
-		var eagerPages []*Page
-		type meta struct {
-			siteID int
-			name   string
-		}
-		var eagerMeta []meta
-		for _, col := range eager.Collections {
-			for _, p := range col.Pages {
-				eagerPages = append(eagerPages, p)
-				eagerMeta = append(eagerMeta, meta{col.SiteID, col.Name})
+		for ci, col := range c.Collections {
+			if len(col.Pages) == 0 {
+				continue // never reported
 			}
-		}
-
-		i := 0
-		for {
-			p, err := st.Next()
-			if err == io.EOF {
-				break
-			}
+			siteID, name, err := st.NextCollection()
 			if err != nil {
-				t.Fatalf("trial %d: Next: %v", trial, err)
+				t.Fatalf("trial %d collection %d: NextCollection: %v", trial, ci, err)
 			}
-			if i >= len(eagerPages) {
-				t.Fatalf("trial %d: stream yielded more than the %d eager pages", trial, len(eagerPages))
+			if siteID != col.SiteID || name != col.Name {
+				t.Fatalf("trial %d collection %d = (%d,%q), want (%d,%q)",
+					trial, ci, siteID, name, col.SiteID, col.Name)
 			}
-			if !samePage(p, eagerPages[i]) {
-				t.Fatalf("trial %d: page %d differs: stream %+v, eager %+v", trial, i, p, eagerPages[i])
+			draw := len(col.Pages)
+			if rng.Intn(3) == 0 {
+				draw = rng.Intn(draw) // leave the rest for NextCollection to skip
 			}
-			siteID, name := st.Collection()
-			if siteID != eagerMeta[i].siteID || name != eagerMeta[i].name {
-				t.Fatalf("trial %d: page %d collection = (%d,%q), want (%d,%q)",
-					trial, i, siteID, name, eagerMeta[i].siteID, eagerMeta[i].name)
+			for pi := 0; pi < draw; pi++ {
+				p, err := st.Next()
+				if err != nil {
+					t.Fatalf("trial %d collection %d page %d: Next: %v", trial, ci, pi, err)
+				}
+				if !samePage(p, col.Pages[pi]) {
+					t.Fatalf("trial %d collection %d page %d = %+v, want %+v", trial, ci, pi, p, col.Pages[pi])
+				}
 			}
-			i++
-		}
-		if i != len(eagerPages) {
-			t.Fatalf("trial %d: stream yielded %d pages, eager read %d", trial, i, len(eagerPages))
+			if draw == len(col.Pages) {
+				if _, err := st.Next(); err != io.EOF {
+					t.Fatalf("trial %d collection %d: Next past the last page = %v, want io.EOF", trial, ci, err)
+				}
+			}
 		}
 		// Exhausted streams stay exhausted.
-		if _, err := st.Next(); err != io.EOF {
-			t.Fatalf("trial %d: Next after EOF = %v", trial, err)
+		for range 2 {
+			if _, _, err := st.NextCollection(); err != io.EOF {
+				t.Fatalf("trial %d: NextCollection past the end = %v", trial, err)
+			}
+			if _, err := st.Next(); err != io.EOF {
+				t.Fatalf("trial %d: Next past the end = %v", trial, err)
+			}
 		}
 	}
 }
 
 // TestStreamRejectsInvalidClassLikeRead pins the rejection path: a
-// persisted page with an out-of-range class fails both decoders with the
-// same message, and the stream yields exactly the pages before it.
+// persisted page with an out-of-range class fails with the message the
+// eager decoder gave, after the stream yielded exactly the pages before
+// it, and the error is sticky.
 func TestStreamRejectsInvalidClassLikeRead(t *testing.T) {
 	c := &Corpus{Collections: []*Collection{{
 		SiteID: 1, Name: "s",
@@ -131,13 +125,11 @@ func TestStreamRejectsInvalidClassLikeRead(t *testing.T) {
 	if err := c.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-
-	_, readErr := Read(bytes.NewReader(buf.Bytes()))
-	if readErr == nil {
-		t.Fatal("Read accepted an invalid class")
-	}
 	st, err := ReadStream(bytes.NewReader(buf.Bytes()))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.NextCollection(); err != nil {
 		t.Fatal(err)
 	}
 	p, err := st.Next()
@@ -145,15 +137,14 @@ func TestStreamRejectsInvalidClassLikeRead(t *testing.T) {
 		t.Fatalf("first page = %v, %v", p, err)
 	}
 	_, streamErr := st.Next()
-	if streamErr == nil {
-		t.Fatal("stream accepted an invalid class")
+	if want := `corpus: page "u1" has invalid class 9`; streamErr == nil || streamErr.Error() != want {
+		t.Fatalf("stream error = %v, want %s", streamErr, want)
 	}
-	if readErr.Error() != streamErr.Error() {
-		t.Errorf("rejection messages differ:\n  read:   %v\n  stream: %v", readErr, streamErr)
-	}
-	// The error is sticky.
-	if _, err := st.Next(); err == nil || err == io.EOF {
+	if _, err := st.Next(); err != streamErr {
 		t.Errorf("Next after rejection = %v, want the sticky error", err)
+	}
+	if _, _, err := st.NextCollection(); err != streamErr {
+		t.Errorf("NextCollection after rejection = %v, want the sticky error", err)
 	}
 }
 
@@ -181,8 +172,54 @@ func TestStreamEmptyCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, _, err := st.NextCollection(); err != io.EOF {
+		t.Fatalf("empty corpus NextCollection = %v, want io.EOF", err)
+	}
 	if _, err := st.Next(); err != io.EOF {
 		t.Fatalf("empty corpus Next = %v, want io.EOF", err)
+	}
+}
+
+// TestStreamTruncatedAtEveryOffset: a corpus file cut short anywhere —
+// inside the JSON or in the gzip trailer after it — ends in an error,
+// never in a clean io.EOF after a short read.
+func TestStreamTruncatedAtEveryOffset(t *testing.T) {
+	c := &Corpus{Collections: []*Collection{
+		buildCollection(),
+		{SiteID: 2, Name: "empty"},
+		{SiteID: 3, Name: "third", Pages: []*Page{{SiteID: 3, URL: "u", HTML: "<p>x</p>"}}},
+	}}
+	var buf bytes.Buffer
+	if err := c.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	st, err := ReadStream(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := readStreamed(st); err != nil || got.TotalPages() != c.TotalPages() {
+		t.Fatalf("whole file: %d pages, %v", got.TotalPages(), err)
+	}
+	for n := 0; n < len(data); n++ {
+		st, err := ReadStream(bytes.NewReader(data[:n]))
+		if err != nil {
+			continue
+		}
+		if _, err := readStreamed(st); err == nil {
+			t.Fatalf("truncated at %d of %d bytes: the stream ended cleanly", n, len(data))
+		}
+	}
+}
+
+// TestStreamRejectsTrailingData: the document must be the whole input.
+func TestStreamRejectsTrailingData(t *testing.T) {
+	st, err := ReadStream(bytes.NewReader(gzipped(t, []byte(`{"version":1,"collections":[]} []`))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.NextCollection(); err == nil || err == io.EOF {
+		t.Fatalf("NextCollection = %v, want an error for the trailing value", err)
 	}
 }
 
@@ -198,6 +235,9 @@ func TestOpenStream(t *testing.T) {
 	st, err := OpenStream(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if id, name, err := st.NextCollection(); err != nil || id != 3 || name != "site3" {
+		t.Fatalf("NextCollection = %d, %q, %v", id, name, err)
 	}
 	pages, err := Collect(st)
 	if err != nil {
@@ -281,4 +321,32 @@ func TestReleaseDerivedRebuildsEqualViews(t *testing.T) {
 	if !reflect.DeepEqual(p.ContentSignature(), terms) {
 		t.Error("rebuilt content signature differs")
 	}
+}
+
+// FuzzReadStream feeds the corpus decoder arbitrary input: raw bytes as
+// the file itself, or, with compress set, as the JSON document inside a
+// well-formed gzip stream, so mutations reach the decoder's token walk.
+// Draining the stream must end in io.EOF or an error, never a panic.
+// Seeds live under testdata/fuzz/FuzzReadStream; run with
+//
+//	go test -run '^$' -fuzz FuzzReadStream -fuzztime 20s ./internal/corpus
+func FuzzReadStream(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, compress bool) {
+		if compress {
+			data = gzipped(t, data)
+		}
+		st, err := ReadStream(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		got, err := readStreamed(st)
+		if err != nil {
+			return
+		}
+		for _, col := range got.Collections {
+			if len(col.Pages) == 0 {
+				t.Fatalf("collection (%d,%q) reported without pages", col.SiteID, col.Name)
+			}
+		}
+	})
 }

@@ -1,9 +1,6 @@
 package strdist
 
-import (
-	"strings"
-	"sync"
-)
+import "strings"
 
 // Simplifier maps tag names to unique fixed-length identifiers of q letters
 // each, as prescribed for path comparison in Section 3.2.1 of the paper:
@@ -13,11 +10,16 @@ import (
 //
 // With q=1 the paper's example maps html→h, head→e, and so on; identifiers
 // are assigned on first sight, preferring a letter of the tag itself when
-// available so simplified paths stay readable. A Simplifier is safe for
-// concurrent use.
+// available so simplified paths stay readable. Since identifiers depend on
+// the order tags are first seen, a caller that must answer the same way
+// for the same input keeps a base simplifier that it never changes and
+// Resets a working copy from it for each input.
+//
+// A Simplifier is not safe for concurrent use, except that any number of
+// goroutines may Reset their own simplifiers from one shared base that
+// nobody changes.
 type Simplifier struct {
-	q  int
-	mu sync.Mutex
+	q int
 	// assigned maps tag name -> identifier.
 	assigned map[string]string
 	// used tracks identifiers already handed out.
@@ -40,10 +42,38 @@ func NewSimplifier(q int) *Simplifier {
 	}
 }
 
+// maxKeptTags bounds the maps Reset keeps for reuse: bigger ones, left by
+// an input of unusually many distinct tag names, are dropped instead, so
+// that clearing them stays cheap.
+const maxKeptTags = 256
+
+// Reset makes s a copy of base — the same identifier length, the same
+// identifiers, the same next fresh one — reusing s's own maps unless they
+// grew past maxKeptTags, so a simplifier reset once per input allocates
+// nothing in the steady state. base is only read. The maps are emptied
+// before anything is looked up in them, so their keys may be views of
+// text that has since been overwritten.
+func (s *Simplifier) Reset(base *Simplifier) {
+	if s.assigned == nil || len(s.assigned) > maxKeptTags {
+		s.assigned = make(map[string]string, len(base.assigned))
+		s.used = make(map[string]bool, len(base.used))
+	} else {
+		clear(s.assigned)
+		clear(s.used)
+	}
+	//thorlint:allow no-map-range-order a copy: every entry lands in s, whatever the order
+	for tag, id := range base.assigned {
+		s.assigned[tag] = id
+	}
+	//thorlint:allow no-map-range-order a copy: every entry lands in s, whatever the order
+	for id := range base.used {
+		s.used[id] = true
+	}
+	s.q, s.next = base.q, base.next
+}
+
 // ID returns the identifier for tag, assigning a new one on first use.
 func (s *Simplifier) ID(tag string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if id, ok := s.assigned[tag]; ok {
 		return id
 	}
@@ -85,7 +115,7 @@ func counterID(n, q int) string {
 	// guarantee for uniqueness — HTML's real tag inventory fits well
 	// within 26^q identifiers for any q, so growth only matters for
 	// adversarial input.
-	var digits []byte
+	digits := make([]byte, 0, 16) // on the stack: a one-letter identifier then costs no allocation
 	for n > 0 {
 		digits = append(digits, byte('a'+n%26))
 		n /= 26

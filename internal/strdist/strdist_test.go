@@ -1,6 +1,8 @@
 package strdist
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -201,12 +203,20 @@ func TestAppendPathMatchesSplitReference(t *testing.T) {
 	}
 }
 
+// TestSimplifierConcurrentUse: goroutines Reset their own simplifiers
+// from one shared base and mint the same identifiers, and the base is
+// left as it was. Run it under -race.
 func TestSimplifierConcurrentUse(t *testing.T) {
-	s := NewSimplifier(1)
+	base := NewSimplifier(1)
+	base.SimplifyPath("html/body/table")
+	var want Simplifier
+	want.Reset(base)
 	done := make(chan map[string]string, 8)
 	tags := []string{"html", "head", "body", "table", "tr", "td", "div", "span"}
 	for g := 0; g < 8; g++ {
 		go func() {
+			var s Simplifier
+			s.Reset(base)
 			m := make(map[string]string)
 			for _, tag := range tags {
 				m[tag] = s.ID(tag)
@@ -220,6 +230,31 @@ func TestSimplifierConcurrentUse(t *testing.T) {
 		for tag, id := range m {
 			if first[tag] != id {
 				t.Errorf("concurrent ID(%q) disagreement: %q vs %q", tag, first[tag], id)
+			}
+		}
+	}
+	if len(base.assigned) != 3 || !reflect.DeepEqual(base, &want) {
+		t.Errorf("the shared base changed: %+v", base.assigned)
+	}
+}
+
+// TestSimplifierResetStartsFromBase: a simplifier Reset from a base
+// assigns exactly what the base would assign next, whatever it held
+// before, and past maxKeptTags it starts from fresh maps.
+func TestSimplifierResetStartsFromBase(t *testing.T) {
+	base := NewSimplifier(1)
+	base.SimplifyPath("html/body/section")
+	var s Simplifier
+	for round, junk := range []int{0, 30, maxKeptTags + 1} {
+		for i := 0; i < junk; i++ {
+			s.ID(fmt.Sprintf("junk%d", i))
+		}
+		s.Reset(base)
+		fresh := NewSimplifier(1)
+		fresh.SimplifyPath("html/body/section")
+		for _, tag := range []string{"section", "div", "span", "sub", "b"} {
+			if got, want := s.ID(tag), fresh.ID(tag); got != want {
+				t.Fatalf("round %d: ID(%q) = %q after Reset, %q on a fresh copy", round, tag, got, want)
 			}
 		}
 	}

@@ -2,13 +2,12 @@ package vector
 
 import (
 	"cmp"
-	"math"
 	"slices"
 )
 
 // Accumulator builds the weighted document vectors of a collection
-// incrementally, one document at a time — the streaming counterpart of
-// TFIDFInterned and RawFrequencyInterned. A streaming pipeline feeds each
+// incrementally, one document at a time; TFIDFInterned and
+// RawFrequencyInterned are its batch form. A streaming pipeline feeds each
 // page's count signature to Add and may then discard the page; the
 // accumulator keeps only the compact (term ID, count) entries and the
 // running document-frequency table, so peak residency is O(vectors) rather than
@@ -22,12 +21,6 @@ import (
 // arithmetic, same normalization order — and, in raw mode, to
 // vectorref.RawFrequency(docs); the equivalence is pinned by
 // TestAccumulatorMatchesBatch.
-//
-// An accumulator is resumable: Reset returns a finished (spent)
-// accumulator to its empty state so one allocation serves a stream of
-// mini-batches, and Merge folds another accumulator's documents in, so
-// shards accumulated independently can be combined before the finishing
-// pass.
 type Accumulator struct {
 	raw bool
 	// ids maps each term seen so far to its first-sight local ID; terms
@@ -91,8 +84,7 @@ func (a *Accumulator) intern(term string) int32 {
 func (a *Accumulator) Len() int { return len(a.docs) }
 
 // DF returns a copy of the document-frequency table accumulated so far —
-// after FinishInterned, exactly DocumentFrequencies over the added
-// documents.
+// after FinishInterned, how many of the added documents hold each term.
 // Returning a copy keeps the accumulator's own table safe: a caller
 // mutating the result mid-stream can no longer corrupt the weighting of
 // documents still to be finished.
@@ -104,46 +96,13 @@ func (a *Accumulator) DF() map[string]int {
 	return out
 }
 
-// Reset returns the accumulator to its empty state — no documents, an
-// empty DF table, the same weighting mode — so it can accumulate a fresh
-// batch after a finishing call spent it. The previously returned vectors
-// are unaffected: they never share storage with the accumulator.
-func (a *Accumulator) Reset() {
-	a.ids = make(map[string]int32)
-	a.terms, a.df, a.docs = nil, nil, nil
-}
-
-// Merge folds b's accumulated documents into a: b's documents are
-// appended in their Add order after a's, and the DF tables are summed. Both
-// accumulators must be unfinished and share the same weighting mode; b
-// is spent by the merge (a takes ownership of its documents) and must be
-// Reset before reuse. Merging two accumulators and finishing is
-// bit-identical to adding both streams to one accumulator in
-// concatenation order (pinned by TestAccumulatorMergeMatchesConcat).
-func (a *Accumulator) Merge(b *Accumulator) {
-	remap := make([]int32, len(b.terms))
-	for bid, term := range b.terms {
-		id := a.intern(term)
-		a.df[id] += b.df[bid]
-		remap[bid] = id
-	}
-	for _, doc := range b.docs {
-		for j := range doc {
-			doc[j].id = remap[doc[j].id]
-		}
-		a.docs = append(a.docs, doc)
-	}
-	b.docs = nil
-}
-
 // FinishInterned is the second pass into ID space. The dictionary is
-// built over the accumulated vocabulary (DictFromDF's terms and order),
-// each local ID is remapped to its dictionary ID once, and every
-// document's entries are sorted by dictionary ID — ascending-term order —
-// before Vector weights and normalizes them. The arithmetic and its
-// order are TFIDFInterned's (RawFrequencyInterned's in raw mode), so the
-// vectors are bit-identical to theirs over the same documents. It
-// spends the accumulator until Reset; the DF table stays readable.
+// built over the accumulated vocabulary in ascending term order, each
+// local ID is remapped to its dictionary ID once, and every document's
+// entries are sorted by dictionary ID — ascending-term order — before
+// Vector weights and normalizes them, so the arithmetic and its order
+// are the string-keyed reference's. It spends the accumulator; the DF
+// table stays readable.
 func (a *Accumulator) FinishInterned() Interned {
 	d := NewDict(a.terms)
 	remap := make([]int32, len(a.terms))
@@ -175,30 +134,4 @@ func (a *Accumulator) FinishInterned() Interned {
 	}
 	a.docs = nil
 	return Interned{Dict: d, Vecs: vecs}
-}
-
-// IDF is the paper's inverse document frequency, log((n+1)/df), of a
-// term that df of a collection's n documents hold (Section 3.1.2).
-func IDF(n, df int) float64 {
-	// Identical arithmetic to TFIDF: the quotient of the float count
-	// plus one, then the logarithm.
-	return math.Log((float64(n) + 1) / float64(df))
-}
-
-// Vector weights one document into a normalized vector: ids are its
-// distinct term IDs in ascending order, counts[j] is how often ids[j]
-// occurs, and idf, indexed by ID, holds each term's IDF — nil for raw
-// frequencies. A weight is log(count+1)·idf (the count itself when idf
-// is nil), and the weights are L2-normalized in ID order, so over the
-// same ascending-term IDs the result is bit-identical to TFIDFInterned's
-// (or RawFrequencyInterned's) vector. The counts are weighted in place,
-// and the result keeps both slices.
-func Vector(ids []int32, counts []float64, idf []float64) IDVec {
-	if idf != nil {
-		for j, id := range ids {
-			counts[j] = math.Log(counts[j]+1) * idf[id]
-		}
-	}
-	normalizeWeights(counts)
-	return NewIDVec(ids, counts)
 }

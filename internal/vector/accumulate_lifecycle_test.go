@@ -30,81 +30,6 @@ func sparseEqual(t *testing.T, label string, got, want []vectorref.Sparse) {
 	}
 }
 
-// TestAccumulatorReuseAfterFinish is the reuse-after-Finish regression
-// test: a finished accumulator, once Reset, must accumulate and finish a
-// second batch exactly as a fresh accumulator would — no leftover
-// vectors, no stale DF entries, no double weighting.
-func TestAccumulatorReuseAfterFinish(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, raw := range []bool{false, true} {
-		first := randomDocs(rng, 8)
-		second := randomDocs(rng, 6)
-
-		acc := NewAccumulator(raw)
-		for _, d := range first {
-			acc.Add(d)
-		}
-		finished := acc.FinishInterned().Vecs
-		acc.Reset()
-		if acc.Len() != 0 || len(acc.DF()) != 0 {
-			t.Fatalf("raw=%v: Reset left %d vectors, %d DF terms", raw, acc.Len(), len(acc.DF()))
-		}
-		for _, d := range second {
-			acc.Add(d)
-		}
-		got := refs(acc.FinishInterned())
-
-		fresh := NewAccumulator(raw)
-		for _, d := range second {
-			fresh.Add(d)
-		}
-		sparseEqual(t, "reused-vs-fresh", got, refs(fresh.FinishInterned()))
-		if !reflect.DeepEqual(acc.DF(), fresh.DF()) {
-			t.Fatalf("raw=%v: reused DF %v, want %v", raw, acc.DF(), fresh.DF())
-		}
-
-		// The first batch's output must survive the reuse untouched.
-		if len(finished) != len(first) {
-			t.Fatalf("raw=%v: first batch shrank to %d vectors", raw, len(finished))
-		}
-	}
-}
-
-// TestAccumulatorMergeMatchesConcat pins Merge's contract: accumulating
-// two shards independently and merging is bit-identical to one
-// accumulator fed both streams in concatenation order.
-func TestAccumulatorMergeMatchesConcat(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 20; trial++ {
-		left := randomDocs(rng, rng.Intn(10))
-		right := randomDocs(rng, rng.Intn(10))
-
-		for _, raw := range []bool{false, true} {
-			a := NewAccumulator(raw)
-			for _, d := range left {
-				a.Add(d)
-			}
-			b := NewAccumulator(raw)
-			for _, d := range right {
-				b.Add(d)
-			}
-			a.Merge(b)
-			if b.Len() != 0 {
-				t.Fatalf("trial %d raw=%v: Merge left %d vectors on the source", trial, raw, b.Len())
-			}
-
-			one := NewAccumulator(raw)
-			for _, d := range append(append([]map[string]int{}, left...), right...) {
-				one.Add(d)
-			}
-			if !reflect.DeepEqual(a.DF(), one.DF()) {
-				t.Fatalf("trial %d raw=%v: merged DF %v, want %v", trial, raw, a.DF(), one.DF())
-			}
-			sparseEqual(t, "merged-vs-concat", refs(a.FinishInterned()), refs(one.FinishInterned()))
-		}
-	}
-}
-
 // TestBlendIDVec checks the weighted-merge kernel: disjoint, overlapping,
 // and empty operands, plus the centroid-absorption identity — blending an
 // N-member centroid with an n-member batch mean at weights N/(N+n) and

@@ -38,17 +38,6 @@ func NewDict(terms []string) *Dict {
 	return d
 }
 
-// DictFromDF builds the dictionary over a document-frequency table's
-// terms — the natural corpus vocabulary after a TFIDF pass.
-func DictFromDF(df map[string]int) *Dict {
-	terms := make([]string, 0, len(df))
-	//thorlint:allow no-map-range-order NewDict sorts and dedupes its input, so collection order is immaterial
-	for t := range df {
-		terms = append(terms, t)
-	}
-	return NewDict(terms)
-}
-
 // Len returns the vocabulary size — one more than the largest assigned
 // ID. A nil dictionary has size 0.
 func (d *Dict) Len() int {
@@ -228,8 +217,8 @@ func (v IDVec) CosineUnit(b IDVec) float64 {
 }
 
 // Interned bundles a dictionary with the vectors interned against it —
-// what the interning constructors (TFIDFInterned, RawFrequencyInterned,
-// Accumulator.FinishInterned) hand to the clustering layer.
+// what Accumulator.FinishInterned (and its batch form, TFIDFInterned or
+// RawFrequencyInterned) hands to the clustering layer.
 type Interned struct {
 	Dict *Dict
 	Vecs []IDVec

@@ -41,13 +41,6 @@ func TestDictBasics(t *testing.T) {
 	}
 }
 
-func TestDictFromDF(t *testing.T) {
-	d := DictFromDF(map[string]int{"b": 2, "a": 1, "c": 7})
-	if got := d.Terms(); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
-		t.Fatalf("Terms = %v", got)
-	}
-}
-
 // toRef converts an interned vector to the reference's string-keyed
 // form.
 func toRef(d *Dict, v IDVec) vectorref.Sparse {
@@ -221,36 +214,6 @@ func TestInternedPipelineMatchesStringPipeline(t *testing.T) {
 					t.Fatalf("trial %d raw=%v rep %d: centroid norm %v, want %v",
 						trial, raw, rep, gotC.Norm(), wantC.Norm())
 				}
-			}
-		}
-	}
-}
-
-// TestFinishInternedMatchesFinish extends the accumulator contract to the
-// batch constructors: the two-pass streaming path's FinishInterned is
-// bit-identical, dictionary included, to TFIDFInterned and
-// RawFrequencyInterned over the same documents.
-func TestFinishInternedMatchesFinish(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 20; trial++ {
-		docs := randomDocs(rng, rng.Intn(12))
-		for _, raw := range []bool{false, true} {
-			var want Interned
-			if raw {
-				want = RawFrequencyInterned(docs)
-			} else {
-				want = TFIDFInterned(docs)
-			}
-			acc := NewAccumulator(raw)
-			for _, d := range docs {
-				acc.Add(d)
-			}
-			got := acc.FinishInterned()
-			if !reflect.DeepEqual(got.Dict.Terms(), want.Dict.Terms()) {
-				t.Fatalf("trial %d raw=%v: dict %v, want %v", trial, raw, got.Dict.Terms(), want.Dict.Terms())
-			}
-			if !reflect.DeepEqual(got.Vecs, want.Vecs) {
-				t.Fatalf("trial %d raw=%v: interned vectors differ\n got %+v\nwant %+v", trial, raw, got.Vecs, want.Vecs)
 			}
 		}
 	}

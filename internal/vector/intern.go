@@ -26,10 +26,9 @@ type Weighting struct {
 func (w Weighting) Raw() bool { return w.IDF == nil }
 
 // DFWeighting precomputes the TFIDF weighting tables for d against a
-// document-frequency table of nDocs documents. Each ID's IDF factor is
-// computed with exactly the expression vectorref.TFIDFWeight uses, so
-// weights built from these tables are bit-identical to the string-keyed
-// reference.
+// document-frequency table of nDocs documents: each ID's IDF factor, the
+// one training weighted with, so weights built from these tables are
+// bit-identical to the string-keyed reference.
 func DFWeighting(d *Dict, df map[string]int, nDocs int) Weighting {
 	idf := make([]float64, d.Len())
 	dfs := make([]int32, d.Len())
@@ -37,7 +36,7 @@ func DFWeighting(d *Dict, df map[string]int, nDocs int) Weighting {
 		n := df[term]
 		dfs[id] = int32(n)
 		if n > 0 {
-			idf[id] = math.Log(float64(nDocs+1) / float64(n))
+			idf[id] = IDF(nDocs, n)
 		}
 	}
 	return Weighting{IDF: idf, DF: dfs}
@@ -96,14 +95,11 @@ func (d *Dict) InternCounts(counts map[string]int, w Weighting, s *InternScratch
 	}
 	slices.SortFunc(s.pairs, func(a, b idCount) int { return cmp.Compare(a.id, b.id) })
 	s.ids, s.ws = s.ids[:0], s.ws[:0]
-	var sum float64
 	for _, p := range s.pairs {
-		wt := math.Log(float64(p.tf)+1) * w.IDF[p.id]
 		s.ids = append(s.ids, p.id)
-		s.ws = append(s.ws, wt)
-		sum += wt * wt
+		s.ws = append(s.ws, float64(p.tf))
 	}
-	return finishInterned(s, sum)
+	return Vector(s.ids, s.ws, w.IDF)
 }
 
 // internRawCounts is the raw-frequency branch: every term — in or out of
@@ -135,23 +131,6 @@ func (d *Dict) internRawCounts(counts map[string]int, s *InternScratch) IDVec {
 			s.ids = append(s.ids, p.id)
 			s.ws = append(s.ws, wt)
 		}
-	}
-	return IDVec{IDs: s.ids, Weights: s.ws, norm: math.Sqrt(sum2)}
-}
-
-// finishInterned normalizes the scratch's accumulated weights (sum is
-// their squared sum) and recomputes the cached norm over the normalized
-// weights, reproducing the reference's Normalize-then-Norm bit for bit.
-func finishInterned(s *InternScratch, sum float64) IDVec {
-	norm := math.Sqrt(sum)
-	if norm != 0 { //thorlint:allow no-float-eq the zero vector has an exactly zero norm
-		for i, wt := range s.ws {
-			s.ws[i] = wt / norm
-		}
-	}
-	var sum2 float64
-	for _, wt := range s.ws {
-		sum2 += wt * wt
 	}
 	return IDVec{IDs: s.ids, Weights: s.ws, norm: math.Sqrt(sum2)}
 }

@@ -37,7 +37,7 @@ func TestInternCountsMatchesComposition(t *testing.T) {
 		vocab[i] = fmt.Sprintf("term%02d", i)
 		df[vocab[i]] = 1 + rng.Intn(nDocs)
 	}
-	d := DictFromDF(df)
+	d := NewDict(vocab)
 	w := DFWeighting(d, df, nDocs)
 	var s InternScratch
 	for trial := 0; trial < 200; trial++ {

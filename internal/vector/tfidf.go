@@ -10,10 +10,7 @@
 // these kernels are checked against bit for bit.
 package vector
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // TFIDFInterned converts a collection of per-document term counts into
 // normalized TFIDF-weighted vectors using the paper's variant (Section
@@ -27,66 +24,51 @@ import (
 // document keeps a non-zero weight when its frequency varies between
 // documents — the property the paper calls out for tags like <table>.
 //
-// It builds one Dict over the collection vocabulary, precomputes each
-// ID's IDF once, and emits each document as an L2-normalized IDVec with
-// its norm cached. The weights are bit-identical to the string-keyed
-// reference (vectorref.TFIDF): the IDF quotient, the log(tf+1)
-// multiply, and the normalization use the same arithmetic in the same
-// (ascending-term ≡ ascending-ID) order.
-func TFIDFInterned(docs []map[string]int) Interned {
-	df := DocumentFrequencies(docs)
-	d := DictFromDF(df)
-	n := float64(len(docs))
-	idf := make([]float64, d.Len())
-	for id, term := range d.terms {
-		idf[id] = math.Log((n + 1) / float64(df[term]))
-	}
-	vecs := make([]IDVec, len(docs))
-	for i, counts := range docs {
-		ids := docIDs(d, counts)
-		weights := make([]float64, len(ids))
-		for j, id := range ids {
-			tf := counts[d.terms[id]]
-			weights[j] = math.Log(float64(tf)+1) * idf[id]
-		}
-		normalizeWeights(weights)
-		vecs[i] = NewIDVec(ids, weights)
-	}
-	return Interned{Dict: d, Vecs: vecs}
-}
+// It is the batch form of the streaming Accumulator: the documents are
+// added in order and finished in one call, so the dictionary and every
+// weight are the accumulator's, bit-identical to the string-keyed
+// reference (vectorref.TFIDF).
+func TFIDFInterned(docs []map[string]int) Interned { return accumulate(docs, false) }
 
 // RawFrequencyInterned converts per-document term counts into
 // normalized vectors whose weights are the raw term frequencies, against
 // one shared Dict — the "raw tags" / "raw content" baseline the paper
-// compares against in Figures 4, 5, and 10. The weights are
-// bit-identical to vectorref.RawFrequency's.
-func RawFrequencyInterned(docs []map[string]int) Interned {
-	d := DictFromDF(DocumentFrequencies(docs))
-	vecs := make([]IDVec, len(docs))
-	for i, counts := range docs {
-		ids := docIDs(d, counts)
-		weights := make([]float64, len(ids))
-		for j, id := range ids {
-			weights[j] = float64(counts[d.terms[id]])
-		}
-		normalizeWeights(weights)
-		vecs[i] = NewIDVec(ids, weights)
+// compares against in Figures 4, 5, and 10. It is the Accumulator's raw
+// mode in one call, bit-identical to vectorref.RawFrequency.
+func RawFrequencyInterned(docs []map[string]int) Interned { return accumulate(docs, true) }
+
+// accumulate adds docs to a fresh accumulator and finishes it.
+func accumulate(docs []map[string]int, raw bool) Interned {
+	acc := NewAccumulator(raw)
+	for _, counts := range docs {
+		acc.Add(counts)
 	}
-	return Interned{Dict: d, Vecs: vecs}
+	return acc.FinishInterned()
 }
 
-// docIDs interns one document's terms as a sorted ID list. Every term is
-// in the dictionary by construction (the Dict covers the collection's DF
-// table).
-func docIDs(d *Dict, counts map[string]int) []int32 {
-	ids := make([]int32, 0, len(counts))
-	for term := range counts {
-		if id, ok := d.ids[term]; ok {
-			ids = append(ids, id)
+// IDF is the paper's inverse document frequency, log((n+1)/df), of a
+// term that df of a collection's n documents hold (Section 3.1.2).
+func IDF(n, df int) float64 {
+	return math.Log((float64(n) + 1) / float64(df))
+}
+
+// Vector weights one document into a normalized vector: ids are its
+// distinct term IDs in ascending order, counts[j] is how often ids[j]
+// occurs, and idf, indexed by ID, holds each term's IDF — nil for raw
+// frequencies. A weight is log(count+1)·idf (the count itself when idf
+// is nil), and the weights are L2-normalized in ID order, so over the
+// same ascending-term IDs the result is bit-identical to the string-keyed
+// reference's vector. The counts are weighted in place, and the result
+// keeps both slices. It is the one place the TFIDF weight and the
+// normalization are computed.
+func Vector(ids []int32, counts []float64, idf []float64) IDVec {
+	if idf != nil {
+		for j, id := range ids {
+			counts[j] = math.Log(counts[j]+1) * idf[id]
 		}
 	}
-	slices.Sort(ids)
-	return ids
+	normalizeWeights(counts)
+	return NewIDVec(ids, counts)
 }
 
 // normalizeWeights scales weights to unit L2 norm in place, matching
@@ -104,16 +86,4 @@ func normalizeWeights(weights []float64) {
 	for i, w := range weights {
 		weights[i] = w / n
 	}
-}
-
-// DocumentFrequencies returns, for every term appearing in docs, the number
-// of documents that contain it.
-func DocumentFrequencies(docs []map[string]int) map[string]int {
-	df := make(map[string]int)
-	for _, counts := range docs {
-		for term := range counts {
-			df[term]++
-		}
-	}
-	return df
 }

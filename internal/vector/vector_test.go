@@ -207,14 +207,19 @@ func TestRawFrequency(t *testing.T) {
 	}
 }
 
+// TestDocumentFrequencies: the accumulator's DF table counts the
+// documents holding each term, not the term's occurrences.
 func TestDocumentFrequencies(t *testing.T) {
-	df := DocumentFrequencies([]map[string]int{
+	acc := NewAccumulator(false)
+	for _, counts := range []map[string]int{
 		{"a": 1, "b": 5},
 		{"b": 1},
 		{"b": 2, "c": 1},
-	})
-	if df["a"] != 1 || df["b"] != 3 || df["c"] != 1 {
-		t.Errorf("DocumentFrequencies = %v", df)
+	} {
+		acc.Add(counts)
+	}
+	if df := acc.DF(); len(df) != 3 || df["a"] != 1 || df["b"] != 3 || df["c"] != 1 {
+		t.Errorf("DF = %v", df)
 	}
 }
 
