@@ -262,14 +262,29 @@ func serveFarm(addr string, nsites int, seed int64, fl *fleet.Fleet, ix qaindex.
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigs)
 
-	return runServer(&http.Server{Handler: serveHandler(farm, fl, ix)}, ln, fl, sigs)
+	return runServer(newServer(serveHandler(farm, fl, ix)), ln, fl, sigs, shutdownDrain)
+}
+
+// shutdownDrain is how long a stop signal waits for in-flight requests.
+const shutdownDrain = 5 * time.Second
+
+// newServer returns the server behind -serve. ReadHeaderTimeout closes a
+// connection whose request headers have not all arrived in time, so a
+// slow or silent client holds no connection open for long.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
 }
 
 // runServer serves on ln until the listener fails or a value arrives on
 // stop, at which point in-flight requests — fleet extractions included —
 // are drained via Shutdown and only then is the fleet's registry closed,
-// so no draining request ever sees a torn or vanished model.
-func runServer(srv *http.Server, ln net.Listener, fl *fleet.Fleet, stop <-chan os.Signal) error {
+// so no draining request ever sees a torn or vanished model. The drain
+// waits at most drain: Shutdown counts a connection that has not sent a
+// request yet as busy until it is five seconds old, so a client that
+// connects and stays silent would otherwise hold it to its deadline.
+// Past the deadline every remaining connection is closed, and the fleet
+// is still closed.
+func runServer(srv *http.Server, ln net.Listener, fl *fleet.Fleet, stop <-chan os.Signal, drain time.Duration) error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
@@ -278,10 +293,13 @@ func runServer(srv *http.Server, ln net.Listener, fl *fleet.Fleet, stop <-chan o
 		return err // the listener failed before any shutdown request
 	case sig := <-stop:
 		log.Printf("received %s; shutting down", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		ctx, cancel := context.WithTimeout(context.Background(), drain)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
-			return err
+			log.Printf("drain unfinished after %s (%v); closing the remaining connections", drain, err)
+			if err := srv.Close(); err != nil {
+				log.Printf("closing connections: %v", err)
+			}
 		}
 		<-serveErr // Serve has returned ErrServerClosed
 		if fl != nil {

@@ -302,10 +302,10 @@ func TestRunServerShutdownDrainsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &http.Server{Handler: serveHandler(deepweb.NewFarm(1, 7), fl, nil)}
+	srv := newServer(serveHandler(deepweb.NewFarm(1, 7), fl, nil))
 	stop := make(chan os.Signal, 1)
 	done := make(chan error, 1)
-	go func() { done <- runServer(srv, ln, fl, stop) }()
+	go func() { done <- runServer(srv, ln, fl, stop, shutdownDrain) }()
 
 	site := deepweb.NewSite(deepweb.SiteConfig{ID: 2, Seed: 31})
 	prober := &probe.Prober{Plan: probe.NewPlan(12, 2, 909), Labeler: deepweb.Labeler()}
@@ -352,6 +352,52 @@ func TestRunServerShutdownDrainsInFlight(t *testing.T) {
 	wg.Wait()
 
 	// The drain completed and only then was the registry closed.
+	if _, err := fl.Get(context.Background(), fleet.DefaultSite); !errors.Is(err, fleet.ErrClosed) {
+		t.Errorf("fleet after shutdown: %v, want ErrClosed", err)
+	}
+}
+
+// TestRunServerShutdownSilentConnection: a client that connects and
+// sends nothing must not turn a stop signal into an error, and the fleet
+// must still be closed. Shutdown counts such a connection as busy until
+// it is five seconds old, so the drain runs into its deadline; the
+// remaining connections are then closed.
+func TestRunServerShutdownSilentConnection(t *testing.T) {
+	fl := fleet.New(fleet.Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(serveHandler(deepweb.NewFarm(1, 7), fl, nil))
+	if srv.ReadHeaderTimeout <= 0 {
+		t.Error("the -serve server sets no ReadHeaderTimeout")
+	}
+	accepted := make(chan struct{})
+	var once sync.Once
+	srv.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			once.Do(func() { close(accepted) })
+		}
+	}
+	stop := make(chan os.Signal, 1)
+	done := make(chan error, 1)
+	go func() { done <- runServer(srv, ln, fl, stop, 100*time.Millisecond) }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	<-accepted // the server tracks the silent connection
+	stop <- syscall.SIGTERM
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("runServer with a silent connection open: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("runServer did not return within 10 s of the stop signal")
+	}
 	if _, err := fl.Get(context.Background(), fleet.DefaultSite); !errors.Is(err, fleet.ErrClosed) {
 		t.Errorf("fleet after shutdown: %v, want ErrClosed", err)
 	}

@@ -53,11 +53,13 @@ func stringPathPhase1(pages []*corpus.Page, cfg Config) Phase1Result {
 
 // rankClusters builds and ranks the per-cluster statistics of Section
 // 3.1.3 over an existing clustering, reading the per-page scalars from
-// the (lazily cached) page trees.
+// the (lazily cached) page trees through the tree's own statistics, not
+// a build's spelling table.
 func rankClusters(pages []*corpus.Page, cl cluster.Clustering, sim float64) Phase1Result {
 	stats := make([]pageStat, len(pages))
 	for i, p := range pages {
-		stats[i] = statOf(p, make(map[string]struct{}))
+		t := p.Tree()
+		stats[i] = pageStat{distinctTerms: t.DistinctTerms(), maxFanout: t.MaxFanout(), size: p.Size()}
 	}
 	return rankClustersFromStats(pages, stats, cl, sim)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"io"
 	"sort"
+	"strings"
 
 	"thor/internal/cluster"
 	"thor/internal/corpus"
@@ -191,7 +192,7 @@ func phase1(src corpus.Source, cfg Config, release bool) (*phaseOne, error) {
 	acc := vector.NewAccumulator(a.RawWeighted())
 	var pages []*corpus.Page
 	var stats []pageStat
-	seen := make(map[string]struct{}) // statOf's distinct-term scratch, cleared per page
+	var sp spellings
 	for {
 		p, err := src.Next()
 		if err == io.EOF {
@@ -201,7 +202,7 @@ func phase1(src corpus.Source, cfg Config, release bool) (*phaseOne, error) {
 			return nil, err
 		}
 		acc.Add(signatureOf(p, a))
-		stats = append(stats, statOf(p, seen))
+		stats = append(stats, sp.statOf(p))
 		if release {
 			p.ReleaseDerived()
 		}
@@ -230,11 +231,82 @@ type pageStat struct {
 	size          int
 }
 
-// statOf reads the ranking scalars off a page (parsing its tree if it is
-// not already cached), counting distinct terms in the scratch set seen.
-func statOf(p *corpus.Page, seen map[string]struct{}) pageStat {
-	t := p.Tree()
-	return pageStat{distinctTerms: t.DistinctTermsIn(seen), maxFanout: t.MaxFanout(), size: p.Size()}
+// spellings reads a build's per-page ranking scalars in one walk of each
+// page's tree. Distinct terms are counted through a table of token
+// spellings that lasts the whole build: each spelling maps to the ID of
+// its lowercase form (a lowercase form is a spelling of itself), so a
+// spelling is lowercased once per build, not once per page, and a page
+// marks the IDs it has seen with its own stamp instead of filling a
+// fresh set. The zero value is ready to use; it is not safe for
+// concurrent use.
+type spellings struct {
+	ids map[string]int32
+	// stamps holds, per ID, the last page that used it.
+	stamps []uint32
+	page   uint32
+	terms  int // distinct terms of the page being walked
+	// stack is the walk's scratch, kept for the next page.
+	stack []*tagtree.Node
+}
+
+// maxSpellings bounds the table. A page that finds it full starts it
+// over; counts are per page, so they do not change.
+const maxSpellings = 1 << 16
+
+// statOf reads the ranking scalars off a page, parsing its tree if it is
+// not already cached.
+func (s *spellings) statOf(p *corpus.Page) pageStat {
+	terms, fanout := s.walk(p.Tree())
+	return pageStat{distinctTerms: terms, maxFanout: fanout, size: p.Size()}
+}
+
+// walk returns the number of distinct lowercase content tokens in the
+// tree rooted at root — root.DistinctTerms() — and its largest fanout —
+// root.MaxFanout(). Neither depends on visiting order, so the walk pops
+// nodes off a plain stack; it needs no goroutine stack however deep the
+// tree.
+func (s *spellings) walk(root *tagtree.Node) (terms, fanout int) {
+	if s.ids == nil || len(s.ids) >= maxSpellings {
+		s.ids = make(map[string]int32)
+		s.stamps = s.stamps[:0]
+	}
+	if s.page++; s.page == 0 { // the stamps wrapped: forget them all
+		clear(s.stamps)
+		s.page = 1
+	}
+	s.terms = 0
+	stack := append(s.stack[:0], root)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		fanout = max(fanout, len(n.Children))
+		if n.Type == tagtree.ContentNode {
+			tagtree.EachRawToken(n.Content, s.count)
+		}
+		stack = append(stack, n.Children...)
+	}
+	clear(stack[:cap(stack)]) // hold no page's nodes past its walk
+	s.stack = stack
+	return s.terms, fanout
+}
+
+// count counts one raw token of the page being walked.
+func (s *spellings) count(tok string) {
+	id, ok := s.ids[tok]
+	if !ok {
+		tok = strings.Clone(tok) // a key must not pin the page's text
+		lower := strings.ToLower(tok)
+		if id, ok = s.ids[lower]; !ok {
+			id = int32(len(s.stamps))
+			s.stamps = append(s.stamps, 0)
+			s.ids[lower] = id
+		}
+		s.ids[tok] = id
+	}
+	if s.stamps[id] != s.page {
+		s.stamps[id] = s.page
+		s.terms++
+	}
 }
 
 // rankClustersFromStats builds and ranks the per-cluster statistics of

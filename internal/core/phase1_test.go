@@ -2,10 +2,15 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
+	"unicode"
 
 	"thor/internal/corpus"
 	"thor/internal/quality"
+	"thor/internal/tagtree"
 )
 
 // miniCorpus builds a small page set with three structurally distinct
@@ -122,5 +127,97 @@ func TestTagAndContentSignatures(t *testing.T) {
 	terms := ContentSignatures(pages[:1])
 	if terms[0]["match"] != 1 {
 		t.Errorf("content signature = %v", terms[0])
+	}
+}
+
+// TestSpellingsMatchDistinctTerms pins phase one's build-wide spelling
+// table to the tree's own statistics, DistinctTerms and MaxFanout. All
+// pages go through one table, so each meets spellings that earlier pages
+// left, in other cases: first fixed pages whose words change byte length
+// between cases, then random pages of mixed-case Unicode words, then
+// pages across a wrap of the page stamps and past the table's bound.
+func TestSpellingsMatchDistinctTerms(t *testing.T) {
+	var sp spellings
+	check := func(what string, tree *tagtree.Node) {
+		t.Helper()
+		checkWith(t, &sp, what, tree)
+	}
+	page := func(texts ...string) *tagtree.Node {
+		div := tagtree.NewTag("div")
+		for _, text := range texts {
+			p := tagtree.NewTag("p")
+			p.AppendChild(tagtree.NewContent(text))
+			div.AppendChild(p)
+		}
+		return div
+	}
+	for _, texts := range [][]string{
+		{"Apple APPLE apple", "aPPLE pie"},
+		{"Apple APPLE", "Pie"}, // no lowercase spelling of either word
+		{"CAFÉ café Café", "Straße STRASSE straße ẞ"},
+		{"İstanbul İSTANBUL i̇stanbul", "ǅemal ǄEMAL ǆemal", "K k K"},
+		{"ÜBER über Über", "日本語 テスト 日本語", "h1 H1 x42Y X42y"},
+		{"ΣΊΣΥΦΟΣ σίσυφος Σίσυφοσ", "| — · |", ""},
+	} {
+		check(fmt.Sprintf("%q", texts), page(texts...))
+	}
+
+	words := []string{"apple", "café", "straße", "i̇stanbul", "ǆemal", "über", "日本語", "σίσυφος",
+		"x42y", "h1", "ﬁne", "kelvin", "ŉ", "ǰ", "ꙮ", "ⓐ", "ǈ"}
+	seps := []string{" ", "  ", "|", "—", ", ", " ", "\t", "·"}
+	recase := []func(rune) rune{unicode.ToLower, unicode.ToUpper, unicode.ToTitle}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 300; i++ {
+		root := tagtree.NewTag("div")
+		open := []*tagtree.Node{root}
+		for n := rng.Intn(40); n > 0; n-- {
+			parent := open[rng.Intn(len(open))]
+			if rng.Intn(3) == 0 {
+				tag := tagtree.NewTag("span")
+				parent.AppendChild(tag)
+				open = append(open, tag)
+				continue
+			}
+			var sb strings.Builder
+			for w := rng.Intn(8); w > 0; w-- {
+				for _, r := range words[rng.Intn(len(words))] {
+					sb.WriteRune(recase[rng.Intn(len(recase))](r))
+				}
+				sb.WriteString(seps[rng.Intn(len(seps))])
+			}
+			parent.AppendChild(tagtree.NewContent(sb.String()))
+		}
+		check(fmt.Sprintf("random page %d", i), root)
+	}
+
+	// A word stamped by the first page must count again on the first
+	// page after the stamps wrap, which is stamped 1 too.
+	var wrap spellings
+	checkWith(t, &wrap, "before the wrap", page("alpha"))
+	wrap.page = math.MaxUint32
+	checkWith(t, &wrap, "after the wrap", page("alpha beta"))
+
+	for i := 0; i < 3; i++ {
+		var sb strings.Builder
+		for w := 0; w < maxSpellings*3/4; w++ {
+			fmt.Fprintf(&sb, "W%d w%d ", w, w+i)
+		}
+		check(fmt.Sprintf("overflow page %d", i), page(sb.String()))
+	}
+	if len(sp.ids) > 2*maxSpellings {
+		t.Errorf("spelling table holds %d spellings, past twice its bound %d", len(sp.ids), maxSpellings)
+	}
+}
+
+// checkWith checks one walk of sp over tree against the tree's own
+// DistinctTerms and MaxFanout.
+func checkWith(t *testing.T, sp *spellings, what string, tree *tagtree.Node) {
+	t.Helper()
+	terms, fanout := sp.walk(tree)
+	if want := tree.DistinctTerms(); terms != want {
+		t.Fatalf("%s: spelling table counts %d distinct terms, DistinctTerms %d", what, terms, want)
+	}
+	if want := tree.MaxFanout(); fanout != want {
+		t.Fatalf("%s: walk finds max fanout %d, MaxFanout %d", what, fanout, want)
 	}
 }

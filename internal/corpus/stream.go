@@ -23,10 +23,46 @@ import (
 // and keeps returning that error.
 type PageStream struct {
 	dec    *json.Decoder
+	in     *valueCap // between the gzip stream and dec
 	closer io.Closer // underlying file when opened via OpenStream
 
 	inPages bool  // inside the current collection's pages array
 	err     error // sticky: io.EOF once the document is exhausted, or the first failure
+}
+
+// MaxValueBytes caps what the stream reads to decode any one JSON value
+// (a page, a collection's metadata, a value it skips). A stream that
+// meets a larger value fails, so a small gzipped file cannot make it
+// allocate without bound: the decoder buffers a value whole before
+// decoding it. Probing and /extract take pages of up to 4 MiB; the cap
+// leaves room for JSON's escaping of markup, which writes each '<', '>'
+// and '&' as six bytes.
+const MaxValueBytes = 16 << 20
+
+// errValueTooLarge is the error of a stream that met a value over
+// MaxValueBytes.
+var errValueTooLarge = fmt.Errorf("a value is larger than %d MiB", MaxValueBytes>>20)
+
+// valueCap is the reader the stream's JSON decoder reads from. Before
+// each decoder call the stream grants it MaxValueBytes; once a call has
+// read them all, the next read fails, and so does every later one.
+type valueCap struct {
+	r        io.Reader
+	left     int64
+	exceeded bool
+}
+
+func (c *valueCap) Read(p []byte) (int, error) {
+	if c.left <= 0 || c.exceeded {
+		c.exceeded = true
+		return 0, errValueTooLarge
+	}
+	if int64(len(p)) > c.left {
+		p = p[:c.left]
+	}
+	n, err := c.r.Read(p)
+	c.left -= int64(n)
+	return n, err
 }
 
 // ReadStream starts streaming a corpus written by Write from r. The
@@ -40,7 +76,8 @@ func ReadStream(r io.Reader) (*PageStream, error) {
 	if err != nil {
 		return nil, fmt.Errorf("corpus: decompress: %w", err)
 	}
-	s := &PageStream{dec: json.NewDecoder(gz)}
+	in := &valueCap{r: gz}
+	s := &PageStream{dec: json.NewDecoder(in), in: in}
 	if err := s.readHeader(); err != nil {
 		return nil, err
 	}
@@ -121,7 +158,7 @@ func (s *PageStream) NextCollection() (siteID int, name string, err error) {
 
 func (s *PageStream) nextCollection() (siteID int, name string, err error) {
 	if s.inPages {
-		for s.dec.More() {
+		for s.more() {
 			if err := s.skipValue(); err != nil {
 				return 0, "", err
 			}
@@ -130,7 +167,7 @@ func (s *PageStream) nextCollection() (siteID int, name string, err error) {
 			return 0, "", err
 		}
 	}
-	for s.dec.More() {
+	for s.more() {
 		if err := s.expectDelim('{'); err != nil {
 			return 0, "", err
 		}
@@ -147,7 +184,7 @@ func (s *PageStream) nextCollection() (siteID int, name string, err error) {
 				if err != nil || null {
 					return false, err
 				}
-				if s.dec.More() {
+				if s.more() {
 					return true, nil
 				}
 				return false, s.expectDelim(']')
@@ -178,7 +215,7 @@ func (s *PageStream) Next() (*Page, error) {
 	if !s.inPages {
 		return nil, io.EOF
 	}
-	if !s.dec.More() {
+	if !s.more() {
 		if s.err = s.endPages(); s.err != nil {
 			return nil, s.err
 		}
@@ -215,7 +252,7 @@ func (s *PageStream) endPages() error {
 // field stopped the walk.
 func (s *PageStream) object(what string, field func(key string) (bool, error)) (stopped bool, err error) {
 	for {
-		tok, err := s.dec.Token()
+		tok, err := s.token()
 		if err != nil {
 			return false, fmt.Errorf("corpus: decode: %w", err)
 		}
@@ -242,7 +279,7 @@ func (s *PageStream) object(what string, field func(key string) (bool, error)) (
 // reader verifies its checksum and length only when it reaches the end.
 // It returns io.EOF when all is well.
 func (s *PageStream) finish() error {
-	tok, err := s.dec.Token()
+	tok, err := s.token()
 	switch {
 	case err == io.EOF:
 		return io.EOF
@@ -270,7 +307,7 @@ func (s *PageStream) Close() error {
 // startArray consumes the start of an array value. The encoder writes a
 // nil slice as JSON null, which holds nothing.
 func (s *PageStream) startArray() (null bool, err error) {
-	tok, err := s.dec.Token()
+	tok, err := s.token()
 	if err != nil {
 		return false, fmt.Errorf("corpus: decode: %w", err)
 	}
@@ -285,7 +322,7 @@ func (s *PageStream) startArray() (null bool, err error) {
 
 // expectDelim consumes one token and verifies it is the given delimiter.
 func (s *PageStream) expectDelim(want json.Delim) error {
-	tok, err := s.dec.Token()
+	tok, err := s.token()
 	if err != nil {
 		return fmt.Errorf("corpus: decode: %w", err)
 	}
@@ -297,10 +334,23 @@ func (s *PageStream) expectDelim(want json.Delim) error {
 
 // decode consumes the next value into v.
 func (s *PageStream) decode(v any) error {
+	s.in.left = MaxValueBytes
 	if err := s.dec.Decode(v); err != nil {
 		return fmt.Errorf("corpus: decode: %w", err)
 	}
 	return nil
+}
+
+// token consumes the next token.
+func (s *PageStream) token() (json.Token, error) {
+	s.in.left = MaxValueBytes
+	return s.dec.Token()
+}
+
+// more reports whether the current array or object has another element.
+func (s *PageStream) more() bool {
+	s.in.left = MaxValueBytes
+	return s.dec.More()
 }
 
 // skipValue consumes and discards the value following an unknown key.

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -349,4 +350,70 @@ func FuzzReadStream(f *testing.F) {
 			}
 		}
 	})
+}
+
+// hostileCorpus gzips a corpus document whose one page holds htmlBytes
+// bytes of HTML, written in chunks so the test itself never holds the
+// page. It compresses to about a thousandth of its size.
+func hostileCorpus(t *testing.T, htmlBytes int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	fmt.Fprintf(gz, `{"version":%d,"collections":[{"site_id":1,"name":"s","pages":[{"site_id":1,"url":"u","class":0,"html":"`, persistVersion)
+	chunk := []byte(strings.Repeat("a", 1<<16))
+	for n := 0; n < htmlBytes; n += len(chunk) {
+		if _, err := gz.Write(chunk[:min(len(chunk), htmlBytes-n)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	io.WriteString(gz, `"}]}]}`)
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestStreamCapsValueSize feeds the stream gzipped files of 20 KB and
+// 80 KB whose one page is 20 MiB and 80 MiB: each must fail with a clean
+// error, having allocated what MaxValueBytes allows whatever the page's
+// size. Decoding the pages whole allocated 84 and 336 MiB. A page just
+// under the cap still reads.
+func TestStreamCapsValueSize(t *testing.T) {
+	for _, size := range []int{20 << 20, 80 << 20} {
+		data := hostileCorpus(t, size)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s, err := ReadStream(bytes.NewReader(data))
+		if err == nil {
+			_, _, err = s.NextCollection()
+		}
+		if err == nil {
+			_, err = s.Next()
+		}
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "larger than") {
+			t.Fatalf("%d MiB page: err = %v, want the value-size error", size>>20, err)
+		}
+		if _, again := s.Next(); again == nil || again.Error() != err.Error() {
+			t.Errorf("after the size error Next returned %v, want the same error", again)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%d MiB page in %d gzipped bytes: %.1f MiB allocated before failing", size>>20, len(data), float64(alloc)/(1<<20))
+		if limit := uint64(5 * MaxValueBytes); alloc > limit {
+			t.Errorf("%d MiB page: allocated %d bytes before failing, want at most %d", size>>20, alloc, limit)
+		}
+	}
+
+	s, err := ReadStream(bytes.NewReader(hostileCorpus(t, MaxValueBytes-1024)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.NextCollection(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.Next()
+	if err != nil || len(p.HTML) != MaxValueBytes-1024 {
+		t.Fatalf("page under the cap: err = %v", err)
+	}
 }

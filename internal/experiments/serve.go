@@ -75,7 +75,10 @@ type ServeResult struct {
 // and the median pass is reported. Outside the timed region the fresh
 // pages are also run through Model.Apply, whose verdicts must match the
 // last pass's and whose pagelets are scored against ground truth, so the
-// table shows what serving quality the latency buys.
+// table shows what serving quality the latency buys. The passes are
+// serial whatever Options.Workers says: the figure measures what one
+// request costs, and a request is served on one goroutine; the fleet
+// figure measures serving at a worker count.
 func ServeBenchmark(o Options) *ServeResult {
 	sites := deepweb.NewSites(o.Sites, o.Seed)
 	trainProber := &probe.Prober{Plan: probe.NewPlan(o.DictWords, o.Nonsense, o.Seed+1000), Labeler: deepweb.Labeler()}

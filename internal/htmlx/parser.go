@@ -1,7 +1,7 @@
 package htmlx
 
 import (
-	"strings"
+	"sync"
 
 	"thor/internal/tagtree"
 )
@@ -14,43 +14,22 @@ import (
 // normalization. Comments, doctypes, and processing instructions are
 // discarded, as are <script> and <style> bodies, none of which participate
 // in THOR's page model.
+//
+// The tree is built by a pooled Parser and then copied into a few blocks
+// of exactly its size that the returned tree owns (see ownTree), so it
+// lives as long as any of its nodes is referenced. Text that needed no
+// decoding or collapsing is a substring of src, as it is in the Parser's
+// tree.
 func Parse(src string) *tagtree.Node {
-	z := &tokenizer{src: src}
-	open := openElements{nodes: make([]*tagtree.Node, 0, 16), infos: make([]*tagInfo, 0, 16)}
-	return build(z, heapAllocator{}, &open)
+	p := parsers.Get().(*Parser)
+	defer parsers.Put(p)
+	root := ownTree(p.Parse(src), &p.alloc)
+	p.Release()
+	return root
 }
 
-// nodeAllocator abstracts where tree nodes — and the strings they hold —
-// come from: the heap for Parse (trees with unbounded lifetime) or arenas
-// for Parser (trees released wholesale after extraction). Both paths
-// share build, so the trees are identical node for node and byte for
-// byte.
-type nodeAllocator interface {
-	NewTag(tag string) *tagtree.Node
-	NewContent(text string) *tagtree.Node
-	// text materializes one text token's content: character references
-	// decoded (unless verbatim — raw-text element bodies are never
-	// decoded), then whitespace collapsed.
-	text(raw string, verbatim bool) string
-	// attrVal materializes one attribute value: references decoded,
-	// whitespace kept.
-	attrVal(raw string) string
-}
-
-// heapAllocator allocates ordinary garbage-collected nodes and strings.
-type heapAllocator struct{}
-
-func (heapAllocator) NewTag(tag string) *tagtree.Node      { return tagtree.NewTag(tag) }
-func (heapAllocator) NewContent(text string) *tagtree.Node { return tagtree.NewContent(text) }
-
-func (heapAllocator) text(raw string, verbatim bool) string {
-	if !verbatim {
-		raw = DecodeEntities(raw)
-	}
-	return collapseSpace(raw)
-}
-
-func (heapAllocator) attrVal(raw string) string { return DecodeEntities(raw) }
+// parsers lends Parse its arena parsers.
+var parsers = sync.Pool{New: func() any { return NewParser() }}
 
 // openElements is the builder's stack of open elements, with each
 // element's tag-table entry on a parallel stack. A Parser keeps one
@@ -61,10 +40,10 @@ type openElements struct {
 }
 
 // build runs the tree-construction loop over z's tokens, allocating nodes
-// from alloc and using open as the open-element stack. It leaves open
-// empty, with its capacity kept.
-func build(z *tokenizer, alloc nodeAllocator, open *openElements) *tagtree.Node {
-	root := alloc.NewTag("html")
+// and strings from alloc and using open as the open-element stack. It
+// leaves open empty, with its capacity kept.
+func build(z *tokenizer, alloc *arenaAllocator, open *openElements) *tagtree.Node {
+	root := alloc.nodes.NewTag("html")
 	stack := append(open.nodes[:0], root)
 	infos := append(open.infos[:0], lookupTag("html"))
 
@@ -76,11 +55,9 @@ func build(z *tokenizer, alloc nodeAllocator, open *openElements) *tagtree.Node 
 			if infos[len(infos)-1].flags&dropText != 0 {
 				continue
 			}
-			text := alloc.text(tok.data, tok.verbatim)
-			if text == "" {
-				continue
+			if node := alloc.content(tok.data, tok.verbatim); node != nil {
+				stack[len(stack)-1].AppendChild(node)
 			}
-			stack[len(stack)-1].AppendChild(alloc.NewContent(text))
 		case tokComment, tokDoctype:
 			// Dropped: Tidy-cleaned trees carry no comments or doctype.
 		case tokStartTag, tokSelfClosingTag:
@@ -90,7 +67,7 @@ func build(z *tokenizer, alloc nodeAllocator, open *openElements) *tagtree.Node 
 				if !sawHTML {
 					sawHTML = true
 					for _, a := range tok.attrs {
-						root.SetAttr(a.key, alloc.attrVal(a.val))
+						alloc.setRootAttr(root, a.key, a.val)
 					}
 				}
 				continue
@@ -99,9 +76,9 @@ func build(z *tokenizer, alloc nodeAllocator, open *openElements) *tagtree.Node 
 				n := openAfterImpliedEnds(infos, tok.info.closes)
 				stack, infos = stack[:n], infos[:n]
 			}
-			node := alloc.NewTag(name)
+			node := alloc.nodes.NewTag(name)
 			for _, a := range tok.attrs {
-				node.Attrs = append(node.Attrs, tagtree.Attribute{Key: a.key, Val: alloc.attrVal(a.val)})
+				alloc.appendAttr(node, a.key, a.val)
 			}
 			stack[len(stack)-1].AppendChild(node)
 			if tok.kind == tokStartTag && tok.info.flags&void == 0 {
@@ -167,20 +144,9 @@ func openAfterImpliedEnds(infos []*tagInfo, closes closeSet) int {
 	return n
 }
 
-// collapseSpace trims text and collapses internal whitespace runs to single
-// spaces, mirroring Tidy's text normalization. Text that is already in
-// collapsed form — the common case for template-generated pages — is
-// returned as-is without allocating.
-func collapseSpace(s string) string {
-	if isCollapsed(s) {
-		return s
-	}
-	return strings.Join(strings.Fields(s), " ")
-}
-
 // isCollapsed reports whether s is already in collapsed form — the common
-// case for template-generated pages — so collapseSpace can return it
-// without allocating: no leading, trailing or doubled space, and no
+// case for template-generated pages — so the parser can keep it as a
+// substring of the source: no leading, trailing or doubled space, and no
 // classBreak byte.
 func isCollapsed(s string) bool {
 	// A space before the first byte makes a leading space a doubled one.

@@ -4,12 +4,12 @@ import "thor/internal/tagtree"
 
 // Parser is a reusable, arena-backed parser for serve-style workloads:
 // parse a fresh page, walk the tree, release everything wholesale, repeat.
-// It produces trees identical to Parse node for node and byte for byte
-// (both run the same build loop), but every node comes from an internal
-// tagtree.Arena, every decoded or collapsed string from a byte arena with
-// the same lifetime, and the open-element stack and tokenizer scratch
-// persist across calls — a warmed Parser allocates nothing to parse a
-// page.
+// Every node comes from an internal tagtree.Arena, every decoded or
+// collapsed string from a byte arena with the same lifetime, and the
+// open-element stack and tokenizer scratch persist across calls — a
+// warmed Parser allocates nothing to parse a page. Parse runs a pooled
+// Parser and copies its tree out, so the two produce trees identical
+// node for node and byte for byte.
 //
 // The returned tree is valid only until the next Parse or Release call on
 // the same Parser, and its strings may alias src — keep src alive while

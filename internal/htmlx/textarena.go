@@ -1,6 +1,7 @@
 package htmlx
 
 import (
+	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -9,11 +10,11 @@ import (
 	"thor/internal/tagtree"
 )
 
-// arenaAllocator is Parser's nodeAllocator: nodes come from a
-// tagtree.Arena, and the strings those nodes hold — decoded attribute
-// values and normalized text content — come from a flat byte arena with
-// exactly the same lifetime. Both are recycled wholesale on reset, so a
-// warmed Parser materializes a whole tree without allocating.
+// arenaAllocator is where a parse's nodes and strings come from: nodes
+// from a tagtree.Arena, and the strings those nodes hold — decoded
+// attribute values and normalized text content — from a flat byte arena
+// with exactly the same lifetime. Both are recycled wholesale on reset,
+// so a warmed Parser materializes a whole tree without allocating.
 type arenaAllocator struct {
 	nodes tagtree.Arena
 	bytes textArena
@@ -21,10 +22,69 @@ type arenaAllocator struct {
 	// deciding whether they also need whitespace collapsing; it is
 	// overwritten on every token, so anything kept is copied into bytes.
 	decodeBuf []byte
+	// inBytes names every string of the current tree that lives in bytes
+	// rather than in the source, so that ownTree knows which strings to
+	// copy out.
+	inBytes []textSlot
+	// attrs counts the current tree's attributes, the root's aside.
+	attrs int
 }
 
-func (a *arenaAllocator) NewTag(tag string) *tagtree.Node      { return a.nodes.NewTag(tag) }
-func (a *arenaAllocator) NewContent(text string) *tagtree.Node { return a.nodes.NewContent(text) }
+// textSlot names one string field of a tree: the Content of the node
+// created ordinal-th (attr < 0), or the value of its attr-th attribute.
+// Nodes are created in document order, so the ordinal is also the
+// node's position in a preorder walk.
+type textSlot struct {
+	ordinal, attr int32
+}
+
+// field returns the slot's string field among a tree's nodes.
+func (s textSlot) field(nodes preorder) *string {
+	n := nodes.at(int(s.ordinal))
+	if s.attr < 0 {
+		return &n.Content
+	}
+	return &n.Attrs[s.attr].Val
+}
+
+// content returns a new content node for one text token, or nil when
+// the token normalizes to nothing.
+func (a *arenaAllocator) content(raw string, verbatim bool) *tagtree.Node {
+	s, inBytes := a.text(raw, verbatim)
+	if s == "" {
+		return nil
+	}
+	if inBytes {
+		a.inBytes = append(a.inBytes, textSlot{ordinal: int32(a.nodes.Len()), attr: -1})
+	}
+	return a.nodes.NewContent(s)
+}
+
+// appendAttr appends the attribute key=raw, references decoded, to n,
+// the node created last.
+func (a *arenaAllocator) appendAttr(n *tagtree.Node, key, raw string) {
+	val, inBytes := a.attrVal(raw)
+	if inBytes {
+		a.inBytes = append(a.inBytes, textSlot{ordinal: int32(a.nodes.Len() - 1), attr: int32(len(n.Attrs))})
+	}
+	n.Attrs = append(n.Attrs, tagtree.Attribute{Key: key, Val: val})
+	a.attrs++
+}
+
+// setRootAttr sets (or replaces) the root's attribute key to raw,
+// references decoded.
+func (a *arenaAllocator) setRootAttr(root *tagtree.Node, key, raw string) {
+	val, inBytes := a.attrVal(raw)
+	i := slices.IndexFunc(root.Attrs, func(at tagtree.Attribute) bool { return at.Key == key })
+	if i < 0 {
+		i = len(root.Attrs)
+		root.Attrs = append(root.Attrs, tagtree.Attribute{Key: key})
+	}
+	root.Attrs[i].Val = val
+	if inBytes {
+		a.inBytes = append(a.inBytes, textSlot{ordinal: 0, attr: int32(i)})
+	}
+}
 
 // reset recycles nodes and text bytes together. The node arena scrubs
 // every string field first, so no node can dangle into the byte arena
@@ -32,15 +92,18 @@ func (a *arenaAllocator) NewContent(text string) *tagtree.Node { return a.nodes.
 func (a *arenaAllocator) reset() {
 	a.nodes.Reset()
 	a.bytes.reset()
+	a.inBytes = a.inBytes[:0]
+	a.attrs = 0
 }
 
-// text implements the heapAllocator.text pipeline — decode unless
-// verbatim, then collapse — with every produced byte living in the
+// text materializes one text token's content: character references
+// decoded (unless verbatim — raw-text element bodies are never decoded),
+// then whitespace collapsed, with every produced byte living in the
 // arena. Already-clean text (the common case) is returned as a slice of
-// the source string without copying, which is why an arena tree may
-// alias the src passed to Parser.Parse.
-func (a *arenaAllocator) text(raw string, verbatim bool) string {
-	s := raw
+// the source string without copying, which is why a tree may alias the
+// src passed to Parser.Parse; inBytes reports the other case.
+func (a *arenaAllocator) text(raw string, verbatim bool) (s string, inBytes bool) {
+	s = raw
 	decoded := false
 	if !verbatim && strings.IndexByte(s, '&') >= 0 {
 		a.decodeBuf = appendDecodedEntities(a.decodeBuf[:0], s)
@@ -49,18 +112,20 @@ func (a *arenaAllocator) text(raw string, verbatim bool) string {
 	}
 	if isCollapsed(s) {
 		if !decoded {
-			return s // slice of src; stable for the tree's lifetime
+			return s, false // slice of src; stable for the tree's lifetime
 		}
-		return a.bytes.copyIn(s) // decodeBuf is volatile: move it in
+		return a.bytes.copyIn(s), true // decodeBuf is volatile: move it in
 	}
-	return a.bytes.collapseIn(s)
+	return a.bytes.collapseIn(s), true
 }
 
-func (a *arenaAllocator) attrVal(raw string) string {
+// attrVal materializes one attribute value: references decoded,
+// whitespace kept. A value without references is a slice of the source.
+func (a *arenaAllocator) attrVal(raw string) (val string, inBytes bool) {
 	if strings.IndexByte(raw, '&') < 0 {
-		return raw // slice of src
+		return raw, false // slice of src
 	}
-	return a.bytes.decodeIn(raw)
+	return a.bytes.decodeIn(raw), true
 }
 
 // textArena is an append-only byte buffer whose contents are viewed as
@@ -106,8 +171,8 @@ func byteView(b []byte) string {
 }
 
 // appendCollapsed appends s to dst with whitespace collapsed, producing
-// exactly the bytes of strings.Join(strings.Fields(s), " ") — the
-// collapseSpace slow path — without the intermediate slice of fields.
+// exactly the bytes of strings.Join(strings.Fields(s), " ") without the
+// intermediate slice of fields.
 func appendCollapsed(dst []byte, s string) []byte {
 	i := 0
 	first := true

@@ -42,6 +42,10 @@ func (a *Arena) NewContent(text string) *Node {
 	return n
 }
 
+// Len returns the number of nodes handed out since the last Reset; the
+// next node handed out is the Len()-th, counting from zero.
+func (a *Arena) Len() int { return a.slab*arenaSlabNodes + a.next }
+
 // alloc hands out the next node. Nodes are clean by invariant: fresh slab
 // memory is zero-valued, and Reset scrubs recycled nodes before they can
 // be handed out again.

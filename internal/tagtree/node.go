@@ -129,10 +129,8 @@ func (n *Node) Depth() int {
 // NodeCount returns the total number of nodes in the subtree rooted at n,
 // counting both tag and content nodes (including n itself).
 func (n *Node) NodeCount() int {
-	count := 1
-	for _, c := range n.Children {
-		count += c.NodeCount()
-	}
+	count := 0
+	n.eachDepth(func(*Node, int) { count++ })
 	return count
 }
 
@@ -140,11 +138,7 @@ func (n *Node) NodeCount() int {
 // A leaf has height 0.
 func (n *Node) Height() int {
 	h := 0
-	for _, c := range n.Children {
-		if ch := c.Height() + 1; ch > h {
-			h = ch
-		}
-	}
+	n.eachDepth(func(_ *Node, depth int) { h = max(h, depth) })
 	return h
 }
 
@@ -152,13 +146,34 @@ func (n *Node) Height() int {
 // n. It is the per-page statistic used by THOR's cluster ranking criterion
 // "average fanout" (Section 3.1.3).
 func (n *Node) MaxFanout() int {
-	max := len(n.Children)
-	for _, c := range n.Children {
-		if f := c.MaxFanout(); f > max {
-			max = f
-		}
+	f := 0
+	n.eachDepth(func(m *Node, _ int) { f = max(f, len(m.Children)) })
+	return f
+}
+
+// eachDepth calls fn with every node of the subtree rooted at n, in
+// document order, and with its depth below n. It keeps its own stack of
+// open nodes, so a subtree of any depth is walked in constant goroutine
+// stack.
+func (n *Node) eachDepth(fn func(m *Node, depth int)) {
+	type frame struct {
+		n    *Node
+		next int // index of the next child to visit
 	}
-	return max
+	fn(n, 0)
+	var buf [32]frame // trees this shallow walk without allocating
+	stack := append(buf[:0], frame{n: n})
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		if f.next == len(f.n.Children) {
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		c := f.n.Children[f.next]
+		f.next++
+		fn(c, len(stack))
+		stack = append(stack, frame{n: c})
+	}
 }
 
 // Walk visits every node of the subtree rooted at n in document (preorder)

@@ -114,45 +114,18 @@ func (c *TermCounter) Count(n *Node) map[string]int {
 	return c.counts
 }
 
-// DistinctTerms returns the number of distinct raw content tokens in the
-// subtree rooted at n. It implements the per-page statistic behind the
-// "average distinct terms" cluster ranking criterion (Section 3.1.3).
+// DistinctTerms returns the number of distinct lowercase content tokens
+// in the subtree rooted at n. It implements the per-page statistic behind
+// the "average distinct terms" cluster ranking criterion (Section 3.1.3).
 func (n *Node) DistinctTerms() int {
-	return n.DistinctTermsIn(make(map[string]struct{}))
-}
-
-// DistinctTermsIn is DistinctTerms counted in a caller's scratch set,
-// which it clears first: the form for a pass over many pages, where one
-// set grown once serves them all instead of a fresh set per page.
-//
-// Tokens are read as the text spells them and lowercased once per
-// distinct spelling, not once per occurrence. The set holds two kinds of
-// key: each lowercase token, which is counted, and each spelling that is
-// not its own lowercase form, which only marks that spelling as seen.
-// Lowercasing is idempotent on word runes, so no key is of both kinds.
-func (n *Node) DistinctTermsIn(seen map[string]struct{}) int {
-	clear(seen)
-	count := 0
+	seen := make(map[string]struct{})
 	n.Walk(func(m *Node) bool {
 		if m.Type == ContentNode {
-			EachRawToken(m.Content, func(tok string) {
-				// A set that does not grow already held the key.
-				size := len(seen)
-				if seen[tok] = struct{}{}; len(seen) == size {
-					return
-				}
-				if lower := strings.ToLower(tok); lower != tok {
-					size = len(seen)
-					if seen[lower] = struct{}{}; len(seen) == size {
-						return
-					}
-				}
-				count++
-			})
+			EachToken(m.Content, func(tok string) { seen[tok] = struct{}{} })
 		}
 		return true
 	})
-	return count
+	return len(seen)
 }
 
 // Tokenize splits text into lowercase word tokens. A token is a maximal run
