@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
+	"thor/internal/atomicfile"
 	"thor/internal/vector"
 )
 
@@ -212,32 +212,7 @@ func LoadModel(r io.Reader) (*Model, error) {
 // a fleet's hot-swap check or a cold load — sees the old file or the new
 // one, never a half-written snapshot.
 func (m *Model) SaveFile(path string) error {
-	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	tmp := f.Name()
-	werr := m.Save(f)
-	if werr == nil {
-		if err := f.Chmod(0o644); err != nil {
-			werr = fmt.Errorf("core: %w", err)
-		} else if err := f.Sync(); err != nil {
-			werr = fmt.Errorf("core: %w", err)
-		}
-	}
-	if cerr := f.Close(); werr == nil && cerr != nil {
-		werr = fmt.Errorf("core: %w", cerr)
-	}
-	if werr == nil {
-		if err := os.Rename(tmp, path); err != nil {
-			werr = fmt.Errorf("core: %w", err)
-		}
-	}
-	if werr != nil {
-		//thorlint:allow no-unchecked-error best-effort cleanup; the write error is what the caller needs
-		os.Remove(tmp)
-	}
-	return werr
+	return atomicfile.Write(path, m.Save)
 }
 
 // LoadModelFile loads a model from path.

@@ -5,7 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
+
+	"thor/internal/atomicfile"
 )
 
 // The on-disk corpus format: one gzipped JSON document holding every
@@ -35,16 +36,32 @@ type corpusJSON struct {
 
 const persistVersion = 1
 
-// Write serializes the corpus to w as gzipped JSON.
+// Write serializes the corpus to w as gzipped JSON. It refuses, with an
+// error and before writing anything, a corpus holding a page whose JSON
+// value, with the comma before it, would be larger than MaxValueBytes:
+// PageStream could not read it back. The JSON escapes '<', '>' and '&'
+// as six bytes each, so a page of markup grows by up to six times.
 func (c *Corpus) Write(w io.Writer) error {
 	doc := corpusJSON{Version: persistVersion}
+	var size byteCounter
+	enc := json.NewEncoder(&size)
 	for _, col := range c.Collections {
 		cj := collectionJSON{SiteID: col.SiteID, Name: col.Name}
 		for _, p := range col.Pages {
-			cj.Pages = append(cj.Pages, pageJSON{
+			pj := pageJSON{
 				SiteID: p.SiteID, URL: p.URL, Query: p.Query,
 				Class: int(p.Class), HTML: p.HTML,
-			})
+			}
+			// Encode ends the value with a newline, which stands in
+			// for the comma.
+			size = 0
+			if err := enc.Encode(&pj); err != nil {
+				return fmt.Errorf("corpus: encode: %w", err)
+			}
+			if size > MaxValueBytes {
+				return fmt.Errorf("corpus: page %q of site %d encodes to %d bytes, more than the %d a corpus value may hold", p.URL, p.SiteID, size, MaxValueBytes)
+			}
+			cj.Pages = append(cj.Pages, pj)
 		}
 		doc.Collections = append(doc.Collections, cj)
 	}
@@ -60,15 +77,17 @@ func (c *Corpus) Write(w io.Writer) error {
 	return nil
 }
 
-// WriteFile writes the corpus to path (conventionally *.thor.json.gz).
+// byteCounter is a writer that counts the bytes written to it.
+type byteCounter int
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
+}
+
+// WriteFile writes the corpus to path (conventionally *.thor.json.gz)
+// atomically, as Model.SaveFile writes a model: a reader sees the old
+// file or the new one, never a half-written corpus.
 func (c *Corpus) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	werr := c.Write(f)
-	if cerr := f.Close(); werr == nil && cerr != nil {
-		werr = fmt.Errorf("corpus: %w", cerr)
-	}
-	return werr
+	return atomicfile.Write(path, c.Write)
 }

@@ -3,6 +3,7 @@ package corpus
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
 	"io"
 	"path/filepath"
 	"strings"
@@ -126,5 +127,55 @@ func TestReadRejectsBadClass(t *testing.T) {
 	}
 	if _, err := readStreamed(st); err == nil {
 		t.Error("stream accepted out-of-range class")
+	}
+}
+
+// TestWriteRefusesWhatTheStreamCannotRead pins Write's size check at its
+// boundary, on pages of '<' characters, which the JSON writes as six
+// bytes each. A page whose value, with the comma before it, is exactly
+// MaxValueBytes round-trips, first in its collection or after another
+// page; one byte more (one more character of its URL) is refused, and
+// nothing is written.
+func TestWriteRefusesWhatTheStreamCannotRead(t *testing.T) {
+	empty, err := json.Marshal(pageJSON{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The value of a page with n '<' and a URL of u bytes is
+	// len(empty) + 6n + u bytes.
+	n := (MaxValueBytes - 1 - len(empty)) / 6
+	url := strings.Repeat("u", MaxValueBytes-1-len(empty)-6*n)
+	html := strings.Repeat("<", n)
+	atCap := &Page{URL: url, HTML: html}
+	if v, err := json.Marshal(pageJSON{URL: url, HTML: html}); err != nil || len(v)+1 != MaxValueBytes {
+		t.Fatalf("page value is %d bytes (%v), want %d with its comma", len(v), err, MaxValueBytes-1)
+	}
+	for _, pages := range [][]*Page{{atCap}, {{URL: "small", HTML: "<p>x</p>"}, atCap}} {
+		var buf bytes.Buffer
+		if err := (&Corpus{Collections: []*Collection{{Name: "s", Pages: pages}}}).Write(&buf); err != nil {
+			t.Fatalf("%d pages: the page at the cap was refused: %v", len(pages), err)
+		}
+		st, err := ReadStream(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := readStreamed(st)
+		if err != nil {
+			t.Fatalf("%d pages: reading back: %v", len(pages), err)
+		}
+		got := back.Collections[0].Pages
+		if last := got[len(got)-1]; len(got) != len(pages) || last.HTML != html || last.URL != url {
+			t.Fatalf("%d pages: read back %d, the last not the page at the cap", len(pages), len(got))
+		}
+	}
+
+	over := &Page{URL: url + "u", HTML: html}
+	var buf bytes.Buffer
+	err = (&Corpus{Collections: []*Collection{{Name: "s", Pages: []*Page{{HTML: "<p>x</p>"}, over}}}}).Write(&buf)
+	if err == nil || !strings.Contains(err.Error(), "more than") {
+		t.Fatalf("a page one byte over the cap: err = %v, want the size error", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("a refused corpus wrote %d bytes", buf.Len())
 	}
 }

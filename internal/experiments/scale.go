@@ -79,17 +79,17 @@ func (r *ScaleResult) String() string {
 
 // measureIngest runs one ingestion function and reports the live heap its
 // artifacts pin (HeapAlloc delta across the call, both ends measured
-// after a forced GC so only reachable memory counts), the total bytes it
-// allocated, and its wall time. The artifact is kept alive through the
-// final measurement.
+// after collecting garbage so only reachable memory counts), the total
+// bytes it allocated, and its wall time. The artifact is kept alive
+// through the final measurement.
 func measureIngest(f func() any) (liveBytes, allocBytes uint64, seconds float64) {
-	runtime.GC()
+	collect()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
 	artifact := f()
 	seconds = time.Since(start).Seconds()
-	runtime.GC()
+	collect()
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
 	if after.HeapAlloc > before.HeapAlloc {
@@ -98,6 +98,16 @@ func measureIngest(f func() any) (liveBytes, allocBytes uint64, seconds float64)
 	allocBytes = after.TotalAlloc - before.TotalAlloc
 	runtime.KeepAlive(artifact)
 	return liveBytes, allocBytes, seconds
+}
+
+// collect collects garbage twice. A sync.Pool moves what it holds to its
+// victim cache at one collection and drops it at the next, so after one
+// collection the heap still counts pooled objects, which the other end
+// of a reading may not: they would be subtracted from, or added to, what
+// the artifacts pin.
+func collect() {
+	runtime.GC()
+	runtime.GC()
 }
 
 // ScaleBenchmark measures the tentpole's memory claim: it ingests one

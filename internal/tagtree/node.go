@@ -177,13 +177,39 @@ func (n *Node) eachDepth(fn func(m *Node, depth int)) {
 }
 
 // Walk visits every node of the subtree rooted at n in document (preorder)
-// order. If fn returns false the node's children are skipped.
+// order. If fn returns false the node's children are skipped. Like
+// eachDepth it keeps its own stack of open nodes, so a subtree of any
+// depth is walked in constant goroutine stack, and one up to 32 levels
+// deep without allocating.
 func (n *Node) Walk(fn func(*Node) bool) {
 	if !fn(n) {
 		return
 	}
-	for _, c := range n.Children {
-		c.Walk(fn)
+	// The open node being visited is kids[next:]; the stack holds the
+	// open nodes above it, each with its next child to visit.
+	type frame struct {
+		kids []*Node
+		next int
+	}
+	var buf [32]frame
+	stack := buf[:0]
+	kids, next := n.Children, 0
+	for {
+		if next < len(kids) {
+			c := kids[next]
+			next++
+			if fn(c) && len(c.Children) > 0 {
+				stack = append(stack, frame{kids, next})
+				kids, next = c.Children, 0
+			}
+			continue
+		}
+		if len(stack) == 0 {
+			return
+		}
+		top := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		kids, next = top.kids, top.next
 	}
 }
 
@@ -191,23 +217,16 @@ func (n *Node) Walk(fn func(*Node) bool) {
 // at n, in document order, with single spaces between adjacent fragments.
 func (n *Node) Text() string {
 	var b strings.Builder
-	n.appendText(&b)
-	return b.String()
-}
-
-func (n *Node) appendText(b *strings.Builder) {
-	if n.Type == ContentNode {
-		if n.Content != "" {
+	n.Walk(func(m *Node) bool {
+		if m.Type == ContentNode && m.Content != "" {
 			if b.Len() > 0 {
 				b.WriteByte(' ')
 			}
-			b.WriteString(n.Content)
+			b.WriteString(m.Content)
 		}
-		return
-	}
-	for _, c := range n.Children {
-		c.appendText(b)
-	}
+		return true
+	})
+	return b.String()
 }
 
 // HasText reports whether the subtree rooted at n contains at least one
@@ -215,15 +234,9 @@ func (n *Node) appendText(b *strings.Builder) {
 // only emptiness matters (single-page analysis prunes content-empty
 // subtrees).
 func (n *Node) HasText() bool {
-	if n.Type == ContentNode {
-		return strings.TrimSpace(n.Content) != ""
-	}
-	for _, c := range n.Children {
-		if c.HasText() {
-			return true
-		}
-	}
-	return false
+	return n.Find(func(m *Node) bool {
+		return m.Type == ContentNode && strings.TrimSpace(m.Content) != ""
+	}) != nil
 }
 
 // Find returns the first node in document order for which pred returns
@@ -284,17 +297,38 @@ func (n *Node) IsAncestorOf(m *Node) bool {
 }
 
 // Clone returns a deep copy of the subtree rooted at n. The clone's parent
-// pointer is nil.
+// pointer is nil. It keeps its own stack, as Walk does.
 func (n *Node) Clone() *Node {
+	root := n.copyNode()
+	type frame struct {
+		kids []*Node // the original's children not yet copied
+		cp   *Node   // the copy they are appended to
+	}
+	stack := []frame{{n.Children, root}}
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if len(top.kids) == 0 {
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		c := top.kids[0]
+		top.kids = top.kids[1:]
+		cc := c.copyNode()
+		cc.Parent = top.cp
+		top.cp.Children = append(top.cp.Children, cc)
+		if len(c.Children) > 0 {
+			stack = append(stack, frame{c.Children, cc})
+		}
+	}
+	return root
+}
+
+// copyNode returns a copy of n alone: no parent, no children.
+func (n *Node) copyNode() *Node {
 	cp := &Node{Type: n.Type, Tag: n.Tag, Content: n.Content}
 	if n.Attrs != nil {
 		cp.Attrs = make([]Attribute, len(n.Attrs))
 		copy(cp.Attrs, n.Attrs)
-	}
-	for _, c := range n.Children {
-		cc := c.Clone()
-		cc.Parent = cp
-		cp.Children = append(cp.Children, cc)
 	}
 	return cp
 }

@@ -1,6 +1,7 @@
 package tagtree
 
 import (
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -272,5 +273,88 @@ func TestAttrAndSetAttr(t *testing.T) {
 	n.SetAttr("href", "/y") // replace, not append
 	if len(n.Attrs) != 1 || n.Attrs[0].Val != "/y" {
 		t.Errorf("SetAttr replace failed: %v", n.Attrs)
+	}
+}
+
+// deepChain builds a chain of levels nested <div>s with one word of text
+// at the bottom, its nodes in two blocks so the chain costs two
+// allocations.
+func deepChain(levels int) *Node {
+	nodes := make([]Node, levels+1)
+	kids := make([]*Node, levels)
+	for i := 0; i < levels; i++ {
+		nodes[i] = Node{Type: TagNode, Tag: "div", Children: kids[i : i+1 : i+1]}
+		kids[i] = &nodes[i+1]
+		nodes[i+1].Parent = &nodes[i]
+	}
+	nodes[levels] = Node{Type: ContentNode, Content: "Bottom", Parent: nodes[levels].Parent}
+	return &nodes[0]
+}
+
+// TestWalkDeepChain runs every Walk-based reader on the deepest chain a
+// 4 MiB page of bare <div> opens can hold, 838,000 levels, with the
+// goroutine stack capped at 4 MiB: a walk that recursed once per level
+// would need far more and crash. Clone, which copies every node, runs on
+// a chain of 100,000 levels, still some twenty times deeper than a
+// recursive copy fits in that stack.
+func TestWalkDeepChain(t *testing.T) {
+	const levels = 838_000
+	defer debug.SetMaxStack(debug.SetMaxStack(4 << 20))
+	root := deepChain(levels)
+	if got := root.TagCounts(); len(got) != 1 || got["div"] != levels {
+		t.Fatalf("TagCounts = %v, want div: %d", got, levels)
+	}
+	counts := map[string]int{"div": 1}
+	root.TagCountsInto(counts)
+	if counts["div"] != levels+1 {
+		t.Fatalf("TagCountsInto added %d divs, want %d", counts["div"]-1, levels)
+	}
+	if got := NewTermCounter(strings.ToUpper).Count(root); len(got) != 1 || got["BOTTOM"] != 1 {
+		t.Fatalf("TermCounter.Count = %v, want BOTTOM: 1", got)
+	}
+	if got := root.Text(); got != "Bottom" {
+		t.Fatalf("Text = %q, want %q", got, "Bottom")
+	}
+	if !root.HasText() {
+		t.Fatal("HasText = false on a chain with text at the bottom")
+	}
+	if got := root.Find(func(n *Node) bool { return n.Type == ContentNode }); got == nil || got.Content != "Bottom" {
+		t.Fatalf("Find = %v, want the bottom text", got)
+	}
+	visited := 0
+	root.Walk(func(*Node) bool { visited++; return visited < levels/2 })
+	if visited != levels/2 {
+		t.Fatalf("Walk visited %d nodes after fn returned false at %d", visited, levels/2)
+	}
+
+	const cloned = 100_000
+	src := deepChain(cloned)
+	cp := src.Clone()
+	a, b := src, cp
+	for i := 0; i <= cloned; i++ {
+		if a.Type != b.Type || a.Tag != b.Tag || a.Content != b.Content || len(a.Children) != len(b.Children) {
+			t.Fatalf("level %d: clone differs", i)
+		}
+		if i > 0 && b.Parent == nil {
+			t.Fatalf("level %d: clone has no parent", i)
+		}
+		if len(a.Children) == 0 {
+			break
+		}
+		a, b = a.Children[0], b.Children[0]
+	}
+	if b.Content != "Bottom" {
+		t.Fatalf("clone's bottom holds %q", b.Content)
+	}
+}
+
+// TestWalkAllocs pins the walk's fixed stack: a tree up to 32 levels deep
+// is walked, and its tags counted into a warm map, without allocating.
+func TestWalkAllocs(t *testing.T) {
+	root := deepChain(31)
+	counts := make(map[string]int)
+	root.TagCountsInto(counts)
+	if allocs := testing.AllocsPerRun(100, func() { root.TagCountsInto(counts) }); allocs != 0 {
+		t.Errorf("TagCountsInto on a 32-level tree: %.1f allocs, want 0", allocs)
 	}
 }
