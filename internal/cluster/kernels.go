@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -24,6 +26,14 @@ import (
 // exactly (one Perm per restart, one Intn per empty-cluster reseed, one
 // Int63 per bisection trial), which is what keeps the two on the same
 // random trajectory.
+//
+// A site's pages share a template, so many of them carry the same
+// vector. A K-Means call finds its bit-equal vectors once
+// (distinctVectors); the assignment step and the internal similarity
+// compute one cosine per distinct vector and hand it to every copy,
+// which is the cosine each copy would compute, bit for bit. Centroids
+// are still folded member by member, in member order, and the RNG still
+// draws over members, so nothing else changes.
 
 // KMeansInternedResult carries the chosen clustering with its centroids
 // in ID space.
@@ -65,6 +75,7 @@ func KMeansInterned(vecs []vector.IDVec, dim int, cfg KMeansConfig) KMeansIntern
 		maxIter = 100
 	}
 
+	dv := distinctVectors(vecs)
 	scratches := sync.Pool{New: func() any { return vector.NewCentroidScratch(dim) }}
 	type restartResult struct {
 		cl        Clustering
@@ -75,11 +86,11 @@ func KMeansInterned(vecs []vector.IDVec, dim int, cfg KMeansConfig) KMeansIntern
 	results := parallel.Map(restarts, cfg.Workers, func(r int) restartResult {
 		rng := rand.New(rand.NewSource(parallel.DeriveSeed(cfg.Seed, int64(r))))
 		scratch := scratches.Get().(*vector.CentroidScratch)
-		assign, centroids, iters := kmeansOnceInterned(vecs, k, maxIter, rng, scratch)
+		assign, centroids, iters := kmeansOnceInterned(vecs, dv, k, maxIter, rng, scratch)
 		scratches.Put(scratch)
 		cl := newClustering(k, assign)
 		return restartResult{cl: cl, centroids: centroids,
-			sim: InternalSimilarityInterned(vecs, cl, centroids), iters: iters}
+			sim: internalSimilarity(vecs, dv, cl, centroids), iters: iters}
 	})
 
 	best := KMeansInternedResult{Similarity: -1}
@@ -94,7 +105,39 @@ func KMeansInterned(vecs []vector.IDVec, dim int, cfg KMeansConfig) KMeansIntern
 	return best
 }
 
-func kmeansOnceInterned(vecs []vector.IDVec, k, maxIter int, rng *rand.Rand, scratch *vector.CentroidScratch) (assign []int, centroids []vector.IDVec, iters int) {
+// distinct indexes a call's bit-equal vectors: of[i] is vector i's
+// distinct vector, reps[d] the first vector that is distinct vector d.
+type distinct struct {
+	of   []int32
+	reps []int
+}
+
+// distinctVectors finds the bit-equal vectors among vecs: equal IDs,
+// equal weight bits and equal cached norms, so every kernel computes
+// the same bits for each of them. A vector's key is those bits, in
+// order.
+func distinctVectors(vecs []vector.IDVec) distinct {
+	dv := distinct{of: make([]int32, len(vecs))}
+	seen := make(map[string]int32, len(vecs)) // a vector's key → its distinct vector
+	var key []byte
+	for i, v := range vecs {
+		key = binary.LittleEndian.AppendUint64(key[:0], math.Float64bits(v.Norm()))
+		for j, id := range v.IDs {
+			key = binary.LittleEndian.AppendUint32(key, uint32(id))
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v.Weights[j]))
+		}
+		d, ok := seen[string(key)]
+		if !ok {
+			d = int32(len(dv.reps))
+			seen[string(key)] = d
+			dv.reps = append(dv.reps, i)
+		}
+		dv.of[i] = d
+	}
+	return dv
+}
+
+func kmeansOnceInterned(vecs []vector.IDVec, dv distinct, k, maxIter int, rng *rand.Rand, scratch *vector.CentroidScratch) (assign []int, centroids []vector.IDVec, iters int) {
 	n := len(vecs)
 	perm := rng.Perm(n)
 	centroids = make([]vector.IDVec, k)
@@ -109,43 +152,65 @@ func kmeansOnceInterned(vecs []vector.IDVec, k, maxIter int, rng *rand.Rand, scr
 	// iteration, and each vector's cosine with it is one gather over the
 	// vector's IDs: bit-identical to v.Cosine(ctr) (IDVec.CosineRow).
 	width := 0
-	for _, v := range vecs {
-		if l := len(v.IDs); l > 0 {
-			width = max(width, int(v.IDs[l-1])+1)
+	for _, i := range dv.reps {
+		if l := len(vecs[i].IDs); l > 0 {
+			width = max(width, int(vecs[i].IDs[l-1])+1)
 		}
 	}
+	nearest := make([]int, len(dv.reps)) // distinct vector d's centroid
+	members := make([]vector.IDVec, n)   // the vectors grouped by cluster
+	start := make([]int, k)              // cluster c's members begin at start[c]
 	rows := scratch.Rows(k, width)
 	row := func(c int) []float64 { return rows[c*width : (c+1)*width] }
 	for c, ctr := range centroids {
 		ctr.Scatter(row(c))
 	}
 	for iters = 1; iters <= maxIter; iters++ {
-		changed := false
-		for i, v := range vecs {
+		for d, i := range dv.reps {
 			bestC, bestSim := 0, -1.0
 			for c, ctr := range centroids {
-				if sim := v.CosineRow(row(c), ctr.Norm()); sim > bestSim {
+				if sim := vecs[i].CosineRow(row(c), ctr.Norm()); sim > bestSim {
 					bestC, bestSim = c, sim
 				}
 			}
-			if assign[i] != bestC {
-				assign[i] = bestC
+			nearest[d] = bestC
+		}
+		changed := false
+		for i, d := range dv.of {
+			if c := nearest[d]; assign[i] != c {
+				assign[i] = c
 				changed = true
 			}
 		}
 		if !changed {
 			break
 		}
-		groups := make([][]vector.IDVec, k)
-		for i, c := range assign {
-			groups[c] = append(groups[c], vecs[i])
+		// The clusters' members, cluster after cluster, each in member
+		// order, the order the centroids fold them in: start[c] counts
+		// up to cluster c's end, and filling from the back brings it
+		// down to its beginning.
+		clear(start)
+		for _, c := range assign {
+			start[c]++
+		}
+		for c := 1; c < k; c++ {
+			start[c] += start[c-1]
+		}
+		for i := n - 1; i >= 0; i-- {
+			c := assign[i]
+			start[c]--
+			members[start[c]] = vecs[i]
 		}
 		for c := range centroids {
 			centroids[c].Unscatter(row(c))
-			if len(groups[c]) == 0 {
+			lo, hi := start[c], n
+			if c+1 < k {
+				hi = start[c+1]
+			}
+			if lo == hi {
 				centroids[c] = vecs[rng.Intn(n)]
 			} else {
-				centroids[c] = scratch.Centroid(groups[c])
+				centroids[c] = scratch.Centroid(members[lo:hi])
 			}
 			centroids[c].Scatter(row(c))
 		}
@@ -164,14 +229,28 @@ func kmeansOnceInterned(vecs []vector.IDVec, k, maxIter int, rng *rand.Rand, scr
 // pages. Higher is better; it is the internal guidance metric that picks
 // the best of the M K-Means restarts.
 func InternalSimilarityInterned(vecs []vector.IDVec, cl Clustering, centroids []vector.IDVec) float64 {
+	return internalSimilarity(vecs, distinctVectors(vecs), cl, centroids)
+}
+
+// internalSimilarity is InternalSimilarityInterned over vecs' distinct
+// vectors dv: a distinct vector's cosine with a centroid is computed
+// once and added for each copy in the cluster, in member order, so the
+// sum is the per-member sum bit for bit.
+func internalSimilarity(vecs []vector.IDVec, dv distinct, cl Clustering, centroids []vector.IDVec) float64 {
 	if len(vecs) == 0 {
 		return 0
 	}
 	n := float64(len(vecs))
+	sim := make([]float64, len(dv.reps))
+	at := make([]int, len(dv.reps)) // the cluster sim[d] was computed against, +1; 0 for none
 	var total float64
 	for c, members := range cl.Clusters {
 		for _, i := range members {
-			total += vecs[i].Cosine(centroids[c])
+			d := dv.of[i]
+			if at[d] != c+1 {
+				sim[d], at[d] = vecs[i].Cosine(centroids[c]), c+1
+			}
+			total += sim[d]
 		}
 	}
 	return total / n

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"thor/internal/parallel"
 	"thor/internal/vector"
 	"thor/internal/vector/vectorref"
 )
@@ -81,7 +83,25 @@ func stringReference(name string, vecs []vectorref.Sparse, cfg Config) stringRes
 // several worker counts. The integer kernels are a pure re-encoding,
 // never a different algorithm.
 func TestInternedKernelsMatchStringPath(t *testing.T) {
-	docs := randomClusterDocs(90, 21)
+	for _, docs := range [][]map[string]int{randomClusterDocs(90, 21), duplicateHeavyDocs(90, 21)} {
+		checkInternedKernels(t, docs)
+	}
+}
+
+// duplicateHeavyDocs is randomClusterDocs(n/6, seed) with every document
+// repeated six times, the copies spread over the order, as a site's
+// pages repeat a template.
+func duplicateHeavyDocs(n int, seed int64) []map[string]int {
+	base := randomClusterDocs(n/6, seed)
+	docs := make([]map[string]int, 0, n)
+	for _, j := range rand.New(rand.NewSource(seed)).Perm(len(base) * 6) {
+		docs = append(docs, base[j%len(base)])
+	}
+	return docs
+}
+
+func checkInternedKernels(t *testing.T, docs []map[string]int) {
+	t.Helper()
 	vecs := vectorref.TFIDF(docs)
 	iv := vector.TFIDFInterned(docs)
 	for _, name := range []string{"kmeans", "bisecting", "kmedoids"} {
@@ -166,5 +186,119 @@ func TestInternedKMeansMatchesKMeans(t *testing.T) {
 		if !vectorref.Equal(toRef(iv.Dict, gotC[i]), wantC[i]) {
 			t.Errorf("recomputed centroid %d differs", i)
 		}
+	}
+}
+
+// kmeansPerVector is the K-Means restart before distinct vectors were
+// found once per call: every vector computes its own cosine with every
+// centroid, and the internal similarity its own cosine with its
+// centroid. It is the oracle of TestKMeansDistinctVectorsMatchPerVector.
+func kmeansPerVector(vecs []vector.IDVec, dim int, cfg KMeansConfig) KMeansInternedResult {
+	n := len(vecs)
+	k := min(max(cfg.K, 1), n)
+	best := KMeansInternedResult{Similarity: -1}
+	for r := 0; r < cfg.Restarts; r++ {
+		rng := rand.New(rand.NewSource(parallel.DeriveSeed(cfg.Seed, int64(r))))
+		scratch := vector.NewCentroidScratch(dim)
+		perm := rng.Perm(n)
+		centroids := make([]vector.IDVec, k)
+		for i := range centroids {
+			centroids[i] = vecs[perm[i]]
+		}
+		assign := make([]int, n)
+		for i := range assign {
+			assign[i] = -1
+		}
+		iters := 1
+		for ; iters <= 100; iters++ {
+			changed := false
+			for i, v := range vecs {
+				bestC, bestSim := 0, -1.0
+				for c, ctr := range centroids {
+					if sim := v.Cosine(ctr); sim > bestSim {
+						bestC, bestSim = c, sim
+					}
+				}
+				if assign[i] != bestC {
+					assign[i], changed = bestC, true
+				}
+			}
+			if !changed {
+				break
+			}
+			groups := make([][]vector.IDVec, k)
+			for i, c := range assign {
+				groups[c] = append(groups[c], vecs[i])
+			}
+			for c := range centroids {
+				if len(groups[c]) == 0 {
+					centroids[c] = vecs[rng.Intn(n)]
+				} else {
+					centroids[c] = scratch.Centroid(groups[c])
+				}
+			}
+		}
+		cl := newClustering(k, assign)
+		var total float64
+		for c, members := range cl.Clusters {
+			for _, i := range members {
+				total += vecs[i].Cosine(centroids[c])
+			}
+		}
+		sim := total / float64(n)
+		best.Iterations += iters
+		if sim > best.Similarity {
+			best.Clustering, best.Centroids, best.Similarity = cl, centroids, sim
+		}
+	}
+	return best
+}
+
+// TestKMeansDistinctVectorsMatchPerVector pins K-Means' one cosine per
+// distinct vector to the per-vector oracle on duplicate-heavy input:
+// each vector repeated, and two vectors that differ only in the last
+// bit of one weight, which must stay apart. The whole result — the
+// clustering, the centroids, the similarity and the iteration count —
+// is deep-equal, and so is InternalSimilarityInterned on a clustering
+// that puts copies of one vector in different clusters.
+func TestKMeansDistinctVectorsMatchPerVector(t *testing.T) {
+	iv := vector.TFIDFInterned(duplicateHeavyDocs(96, 13))
+	vecs := append([]vector.IDVec(nil), iv.Vecs...)
+	last := len(vecs[0].Weights) - 1
+	w := append([]float64(nil), vecs[0].Weights...)
+	w[last] = math.Float64frombits(math.Float64bits(w[last]) ^ 1)
+	twin := vector.NewIDVec(vecs[0].IDs, w)
+	vecs = append(vecs[:40], append([]vector.IDVec{twin, vecs[0]}, vecs[40:]...)...)
+	dv := distinctVectors(vecs)
+	if len(dv.reps) != 96/6+1 {
+		t.Fatalf("%d distinct vectors among %d, want %d (the one-bit twin apart)", len(dv.reps), len(vecs), 96/6+1)
+	}
+	if dv.of[40] == dv.of[41] {
+		t.Fatal("vectors one weight bit apart were found equal")
+	}
+	for _, k := range []int{2, 3, 5} {
+		cfg := KMeansConfig{K: k, Restarts: 6, Seed: int64(k), Workers: 2}
+		got := KMeansInterned(vecs, iv.Dict.Len(), cfg)
+		want := kmeansPerVector(vecs, iv.Dict.Len(), cfg)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("k=%d: K-Means over distinct vectors differs from the per-vector oracle (sim %v vs %v, iters %d vs %d)",
+				k, got.Similarity, want.Similarity, got.Iterations, want.Iterations)
+		}
+	}
+	// Copies split over clusters: round-robin assignment.
+	assign := make([]int, len(vecs))
+	for i := range assign {
+		assign[i] = i % 3
+	}
+	cl := newClustering(3, assign)
+	centroids := ClusterCentroidsInterned(vecs, cl, iv.Dict.Len())
+	var total float64
+	for c, members := range cl.Clusters {
+		for _, i := range members {
+			total += vecs[i].Cosine(centroids[c])
+		}
+	}
+	if got, want := InternalSimilarityInterned(vecs, cl, centroids), total/float64(len(vecs)); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("InternalSimilarityInterned = %v, per-member sum %v", got, want)
 	}
 }

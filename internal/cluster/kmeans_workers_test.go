@@ -31,7 +31,7 @@ func TestKMeansRestartsIndependentSeeds(t *testing.T) {
 	runs := make([]lone, restarts)
 	for r := range runs {
 		rng := rand.New(rand.NewSource(parallel.DeriveSeed(seed, int64(r))))
-		assign, centroids, iters := kmeansOnceInterned(iv.Vecs, k, 100, rng, vector.NewCentroidScratch(iv.Dict.Len()))
+		assign, centroids, iters := kmeansOnceInterned(iv.Vecs, distinctVectors(iv.Vecs), k, 100, rng, vector.NewCentroidScratch(iv.Dict.Len()))
 		sim := InternalSimilarityInterned(iv.Vecs, newClustering(k, assign), centroids)
 		runs[r] = lone{assign, centroids, sim, iters}
 	}

@@ -100,12 +100,58 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
+// Bounds on the size fields a model file carries. Each field sizes
+// work or memory when the model is loaded, hot-swapped or rebuilt, so a
+// file whose value lies past its bound is refused as corrupt rather than
+// trusted: a few bytes of snapshot could otherwise ask for terabytes.
+const (
+	// MaxSimplifyQ bounds the identifier length q of a wrapper's
+	// simplifier (wrapper Q) and of phase two's (Cfg.PathSimplifyQ):
+	// every identifier is padded to q bytes when it is minted. The paper
+	// uses q = 1; 26^16 identifiers outnumber any page's tag names, so a
+	// longer q only lengthens every path an edit distance reads.
+	MaxSimplifyQ = 16
+	// MaxRestarts bounds Cfg.Restarts, the K-Means restarts a rebuild
+	// runs, each keeping a clustering and its centroids until the best is
+	// chosen. The paper settles on 10.
+	MaxRestarts = 1024
+	// MaxClusters bounds Cfg.K, the clusters of phase one, each holding
+	// a dense centroid row over the dictionary in every restart. The
+	// paper finds 2 to 5 enough.
+	MaxClusters = 1024
+)
+
+// checkSizes refuses a snapshot whose size fields lie past their bounds.
+// Zero configuration fields are allowed: NewExtractor reads them as
+// defaults, as it does for a Config built in code.
+func checkSizes(snap *modelSnapshot) error {
+	for _, f := range []struct {
+		name  string
+		v, hi int
+	}{
+		{"Cfg.K", snap.Cfg.K, MaxClusters},
+		{"Cfg.Restarts", snap.Cfg.Restarts, MaxRestarts},
+		{"Cfg.PathSimplifyQ", snap.Cfg.PathSimplifyQ, MaxSimplifyQ},
+	} {
+		if f.v < 0 || f.v > f.hi {
+			return fmt.Errorf("core: corrupt model: %s = %d outside [0, %d]", f.name, f.v, f.hi)
+		}
+	}
+	for _, ws := range snap.Wrappers {
+		if ws.Q > MaxSimplifyQ {
+			return fmt.Errorf("core: corrupt model: wrapper for cluster %d has Q = %d, above %d", ws.ClusterID, ws.Q, MaxSimplifyQ)
+		}
+	}
+	return nil
+}
+
 // LoadModel deserializes a model written by Save, rebuilding each
 // wrapper's simplifier and every centroid's cached norm. It rejects
 // snapshots of any other format version and validates the dictionary,
 // centroid, and drift-baseline tables (sorted vocabulary, in-range ascending
 // IDs) so a corrupt snapshot cannot smuggle a broken assignment space
-// into a served model.
+// into a served model, and bounds the size fields a load or a rebuild
+// allocates by (checkSizes).
 func LoadModel(r io.Reader) (*Model, error) {
 	gz, err := gzip.NewReader(r)
 	if err != nil {
@@ -119,6 +165,9 @@ func LoadModel(r io.Reader) (*Model, error) {
 	}
 	if snap.Version != ModelVersion {
 		return nil, fmt.Errorf("core: unsupported model format version %d (want %d; older snapshots predate the term dictionary or the drift baseline — rebuild and re-save)", snap.Version, ModelVersion)
+	}
+	if err := checkSizes(&snap); err != nil {
+		return nil, err
 	}
 	for i := 1; i < len(snap.DictTerms); i++ {
 		if snap.DictTerms[i-1] >= snap.DictTerms[i] {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	mathbits "math/bits"
 	"math/rand"
@@ -214,7 +215,10 @@ func FindCommonSubtreeSets(perPage [][]*Candidate, cfg Config, rng *rand.Rand, s
 	// raw path, fanout, depth and node count — return page after page. A
 	// pair's key is a function of the prototype and the shape alone, so
 	// it is computed once per (set, shape), the path term once per (set,
-	// path), and a page's rows are filled from the shapes' columns.
+	// path), and a page's rows are filled from the shapes' columns. The
+	// matching of a page is a function of its rows alone, so a page
+	// whose candidates have an earlier page's shapes, in the same order,
+	// takes that page's matching without building rows.
 	usePath := cfg.ShapeWeights[0] != 0 //thorlint:allow no-float-eq zero weight is an exact "term disabled" sentinel
 	S := len(protos)
 	protoPaths := make([]string, S)
@@ -247,6 +251,8 @@ func FindCommonSubtreeSets(perPage [][]*Candidate, cfg Config, rng *rand.Rand, s
 		best      = make([]int, S) // set si's least free candidate, −1 when none is admissible
 		setTaken  = make([]bool, S)
 		candTaken []bool
+		seqKey    []byte                     // the page's shape IDs as bytes
+		seqMatch  = make(map[string][]int32) // a shape sequence → its matching's (set, candidate) pairs
 	)
 	if usePath {
 		pathIDs = make(map[string]int32)
@@ -284,6 +290,17 @@ func FindCommonSubtreeSets(perPage [][]*Candidate, cfg Config, rng *rand.Rand, s
 			}
 			candShape = append(candShape, h)
 		}
+		seqKey = seqKey[:0]
+		for _, h := range candShape {
+			seqKey = binary.LittleEndian.AppendUint32(seqKey, uint32(h))
+		}
+		if pairs, ok := seqMatch[string(seqKey)]; ok {
+			// Every shape was met before, so nothing new is simplified.
+			for p := 0; p < len(pairs); p += 2 {
+				sets[pairs[p]].Members = append(sets[pairs[p]].Members, cands[pairs[p+1]])
+			}
+			continue
+		}
 		// The new paths' terms and the new shapes' keys, set by set, so
 		// the prototypes' paths are simplified in set order after the
 		// first page's candidates'.
@@ -292,10 +309,13 @@ func FindCommonSubtreeSets(perPage [][]*Candidate, cfg Config, rng *rand.Rand, s
 		shapeKeys = slices.Grow(shapeKeys, (len(shapeOf)-freshShape)*S)[:len(shapeOf)*S]
 		for si, proto := range protos {
 			if freshPath < numPaths {
-				pp := protoPath(si)
+				// The prototype's path is the pattern of every new path's
+				// edit distance, so its table is built once per page.
+				lev.Prepare(protoPath(si))
 				for p := freshPath; p < numPaths; p++ {
-					pathDist[p*S+si] = strdist.NormalizedBytes(pp, paths[pathOff[p]:pathOff[p+1]], &lev)
+					pathDist[p*S+si] = lev.NormalizedRun(paths[pathOff[p]:pathOff[p+1]])
 				}
+				lev.Release()
 			}
 			for h := freshShape; h < len(shapeOf); h++ {
 				var path float64
@@ -329,6 +349,7 @@ func FindCommonSubtreeSets(perPage [][]*Candidate, cfg Config, rng *rand.Rand, s
 		for si := range protos {
 			best[si] = argminFree(keys[si*nc:(si+1)*nc], candTaken)
 		}
+		pairs := make([]int32, 0, 2*min(S, nc))
 		for assigned := 0; assigned < len(protos) && assigned < nc; assigned++ {
 			bs, bk := -1, noPair
 			for si, ci := range best {
@@ -343,12 +364,14 @@ func FindCommonSubtreeSets(perPage [][]*Candidate, cfg Config, rng *rand.Rand, s
 			setTaken[bs] = true
 			candTaken[ci] = true
 			sets[bs].Members = append(sets[bs].Members, cands[ci])
+			pairs = append(pairs, int32(bs), int32(ci))
 			for si, b := range best {
 				if b == ci && !setTaken[si] {
 					best[si] = argminFree(keys[si*nc:(si+1)*nc], candTaken)
 				}
 			}
 		}
+		seqMatch[string(seqKey)] = pairs
 	}
 	return sets
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -125,6 +126,9 @@ func pathTags(perPage [][]*Candidate) []string {
 //   - "repeated path": html/body/div[1] comes back on page 2 with the
 //     shape of the prototype's div[2], so only its path term may be
 //     reused; its fanout, depth and size terms are its own.
+//   - "repeated sequence": pages 1, 2 and 4 hold the same shapes in the
+//     same order, so pages 2 and 4 take page 1's matching; page 3 holds
+//     them in the other order and is matched anew.
 func memoCases() map[string][][]*Candidate {
 	cand := func(page int, path string, fanout, depth, nodes int) *Candidate {
 		return &Candidate{PageIdx: page, Path: path, Fanout: fanout, Depth: depth, Nodes: nodes}
@@ -149,6 +153,17 @@ func memoCases() map[string][][]*Candidate {
 			},
 			{cand(1, "html/body/div[1]", 2, 2, 5), cand(1, "html/body/p", 1, 2, 2)},
 			{cand(2, "html/body/div/h1", 2, 2, 5), cand(2, "html/body/div/h2", 3, 2, 7)},
+		},
+		"repeated sequence": {
+			{
+				cand(0, "html/body/div[1]", 2, 2, 5),
+				cand(0, "html/body/div[2]", 3, 2, 7),
+				cand(0, "html/body/p", 1, 2, 2),
+			},
+			{cand(1, "html/body/div[1]", 3, 2, 7), cand(1, "html/body/p", 1, 2, 2)},
+			{cand(2, "html/body/div[1]", 3, 2, 7), cand(2, "html/body/p", 1, 2, 2)},
+			{cand(3, "html/body/p", 1, 2, 2), cand(3, "html/body/div[1]", 3, 2, 7)},
+			{cand(4, "html/body/div[1]", 3, 2, 7), cand(4, "html/body/p", 1, 2, 2)},
 		},
 		"repeated path": {
 			{
@@ -179,7 +194,7 @@ func TestFindCommonSubtreeSetsMatchesPerPairReference(t *testing.T) {
 		cases = append(cases, matcherCase{fmt.Sprintf("cluster %d", ci), candidatesPerPage(pages), pageTags(pages)})
 	}
 	memo := memoCases()
-	for _, name := range []string{"late tag", "same simplified", "repeated path"} {
+	for _, name := range []string{"late tag", "same simplified", "repeated path", "repeated sequence"} {
 		cases = append(cases, matcherCase{name, memo[name], pathTags(memo[name])})
 	}
 	weightings := map[string]ShapeWeights{"all": WeightsAll, "path": WeightsPathOnly, "fanout": WeightsFanoutOnly}
@@ -250,7 +265,8 @@ func assertSameSets(t *testing.T, name string, got, want []*SubtreeSet) {
 // bitmap's 64-bit words, hold the IDs either side of a word boundary
 // (63 and 64, 127 and 128), or hold no word at all, and a set whose
 // members repeat one another's entries, or only their IDs, so members
-// share a vector and pairs of members share a cosine.
+// share a vector and pairs of members share a cosine, and a set of 100
+// members over 85 texts.
 func TestRankSubtreeSetsIntraSimMatchesStemReference(t *testing.T) {
 	check := func(name string, sets []*SubtreeSet, raw bool) {
 		t.Helper()
@@ -320,6 +336,26 @@ func TestRankSubtreeSetsIntraSimMatchesStemReference(t *testing.T) {
 			sets = append(sets, &SubtreeSet{Proto: ms[0], Members: ms})
 		}
 		check("200 stems", sets, raw)
+	}
+	// A set of 100 members over 85 distinct texts, with runs of equal
+	// members and repeats spread among the others.
+	var order []int // text i is words(i, ..., i+2+i%5)
+	for i := 0; i < 85; i++ {
+		order = append(order, i)
+		if i%17 == 16 {
+			order = append(order, i) // a run of two
+		}
+		if i%8 == 7 {
+			order = append(order, i%5) // a repeat of an earlier text
+		}
+	}
+	var big []*Candidate
+	for _, i := range order {
+		page := &corpus.Page{HTML: "<html><body><div><p>" + words(span(i, i+3+i%5)...) + "</p></div></body></html>"}
+		big = append(big, &Candidate{Node: page.Tree(), PageIdx: len(big)})
+	}
+	for _, raw := range []bool{false, true} {
+		check("100 members, 85 texts", []*SubtreeSet{{Proto: big[0], Members: big}}, raw)
 	}
 }
 
@@ -580,6 +616,46 @@ func TestRankSubtreeSetsAllocs(t *testing.T) {
 	t.Logf("%d sets, %d members, %d distinct spellings: %.0f allocs per call, budget %d", len(sets[0]), members, len(spellings), allocs, budget)
 	if allocs > float64(budget) {
 		t.Errorf("%.0f allocs per RankSubtreeSets call, budget %d (2 per distinct spelling + 64)", allocs, budget)
+	}
+}
+
+// TestRankSubtreeSetsScratchLinear is set ranking's size gate: ranking
+// one set of 5,000 members allocates a bounded number of bytes per
+// member, whether the members are all distinct or fall into 2,500
+// groups of two equal ones, spread so that no two of a group are
+// adjacent: the worst case for a cosine cache over pairs of groups of
+// equal members, which would hold 2,500² cells (75 MB) here.
+func TestRankSubtreeSetsScratchLinear(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race CI step")
+	}
+	const n = 5000
+	word := func(i int) string { // letters only, so each stems apart
+		b := []byte("q")
+		for ; i > 0; i /= 26 {
+			b = append(b, byte('a'+i%26))
+		}
+		return string(b) + "x"
+	}
+	for _, distinct := range []int{n, n / 2} {
+		s := &SubtreeSet{}
+		for j := 0; j < n; j++ {
+			page := &corpus.Page{HTML: "<html><body><p>" + word(j%distinct) + " shared</p></body></html>"}
+			s.Members = append(s.Members, &Candidate{Node: page.Tree(), PageIdx: j})
+		}
+		s.Proto = s.Members[0]
+		cfg := DefaultConfig()
+		cfg.Workers = 1
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		RankSubtreeSets([]*SubtreeSet{s}, cfg)
+		runtime.ReadMemStats(&after)
+		perMember := float64(after.TotalAlloc-before.TotalAlloc) / n
+		t.Logf("%d members, %d distinct: %.0f bytes allocated per member, IntraSim %v", n, distinct, perMember, s.IntraSim)
+		if perMember > 4096 {
+			t.Errorf("%d members, %d distinct: %.0f bytes allocated per member, budget 4096", n, distinct, perMember)
+		}
 	}
 }
 

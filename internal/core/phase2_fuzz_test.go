@@ -72,13 +72,21 @@ func fuzzCluster(data []byte) (perPage [][]*Candidate, cfg Config, q int) {
 }
 
 // FuzzFindCommonSubtreeSets checks the matcher, which keys pairs by
-// distinct candidate shape, against the per-pair reference on fuzzed
+// distinct candidate shape and reuses the matching of a repeated shape
+// sequence, against the per-pair reference on fuzzed
 // clusters: the same sets with the same members, by pointer and in
 // order, and simplifiers that answer alike for every tag afterwards.
 func FuzzFindCommonSubtreeSets(f *testing.F) {
 	f.Add([]byte{3, 0x55, 2, 0, 4, 0x01, 0x09, 0x11, 0x01, 2, 0x01, 0x09, 3, 0x01, 0x02, 0x0a})
 	f.Add([]byte{2, 0x04, 1, 1, 8, 0, 1, 2, 3, 4, 5, 6, 7, 8, 7, 6, 5, 4, 3, 2, 1, 0})
 	f.Add([]byte{4, 0x00, 3, 0, 3, 0x85, 0x85, 0x85, 3, 0x85, 0x85, 0x05})
+	// Pages that repeat one shape sequence, whose matching is reused.
+	f.Add([]byte{2, 0x55, 2, 0, 3, 0x01, 0x09, 0x11, 3, 0x01, 0x09, 0x11, 3, 0x01, 0x09, 0x11, 3, 0x01, 0x09, 0x11})
+	// Pages holding the same shapes in other orders, which must not be.
+	f.Add([]byte{2, 0x55, 2, 0, 3, 0x01, 0x09, 0x11, 3, 0x11, 0x01, 0x09, 3, 0x09, 0x11, 0x01, 3, 0x01, 0x09, 0x11})
+	// Two sequences that alternate, one the other reversed, at q=2 with
+	// a tight MaxMatchDistance.
+	f.Add([]byte{3, 0x5a, 1, 1, 2, 0x02, 0x0a, 2, 0x0a, 0x02, 2, 0x02, 0x0a, 2, 0x0a, 0x02, 2, 0x02, 0x0a})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		perPage, cfg, q := fuzzCluster(data)
 		cfg.PathSimplifyQ = q

@@ -7,15 +7,21 @@ package strdist
 // LevScratch holds the reusable tables of the edit-distance kernel, so a
 // caller computing many distances (the phase-two matcher, the pooled
 // apply path) allocates nothing per call. The zero value is ready to use;
-// the tables grow to the longest shorter operand seen and stay. A scratch
+// the tables grow to the longest pattern seen and stay. A scratch
 // belongs to one goroutine at a time.
 type LevScratch struct {
 	// peq[b][c] has bit i set when byte 64b+i of the pattern is c. It is
-	// all zero between calls: a call clears exactly the bits it set.
+	// all zero while no pattern is prepared: Release clears exactly the
+	// bits Prepare set.
 	peq [][256]uint64
 	// pv and mv are the pattern's vertical +1 and −1 delta bits, one
 	// word per 64 pattern bytes.
 	pv, mv []uint64
+	// m is the pattern's length.
+	m int
+	// pat is the pattern Prepare set, kept so Release knows which bits
+	// to clear.
+	pat string
 }
 
 // Levenshtein returns the edit distance between a and b: the minimum number
@@ -54,46 +60,101 @@ func NormalizedBytes(a string, b []byte, s *LevScratch) float64 {
 }
 
 // Distance returns the edit distance between a and b, each a string or a
-// byte slice read byte by byte, using s's tables.
-// It is the one edit-distance kernel every entry point goes through:
-// Myers' bit-parallel algorithm (Myers 1999) in Hyyrö's global form,
-// blocked over 64-bit words so that operands of any length take the same
-// path. The shorter operand is the pattern: its dynamic-programming
-// column is held as vertical delta bits, and each byte of the longer
-// operand advances the whole column in a few word operations per 64
-// pattern bytes, in place of one DP cell per byte pair. Edit distance is
-// an integer, so the result is exactly the DP's.
+// byte slice read byte by byte, using s's tables: the shorter operand's
+// bits are set as the pattern, the longer one is run against it, and
+// the bits are cleared. A caller comparing one string with many prepares
+// it once and runs each of the others (Prepare, Run, Release); either
+// way the one kernel, run, computes every distance.
 func Distance[A, B ~string | ~[]byte](a A, b B, s *LevScratch) int {
+	var d int
 	if len(a) <= len(b) {
-		return myers(a, b, s)
+		setPattern(s, a)
+		d = run(s, b)
+		clearPattern(s, a)
+	} else {
+		setPattern(s, b)
+		d = run(s, a)
+		clearPattern(s, b)
 	}
-	return myers(b, a, s)
+	return d
 }
 
-// myers computes the edit distance of pattern p and text t, with
-// len(p) <= len(t). Column j of the DP matrix D (D[i][0] = i, D[0][j] = j)
-// is held as the bits Pv/Mv of its vertical deltas D[i][j]−D[i−1][j] ∈
-// {+1, −1}, zero where neither is set; score tracks D[m][j]. Each text
-// byte advances every block from the top, passing the horizontal delta of
-// the block's last row down to the next block as hp/hm. Row 0 rises by
-// one per column, so the first block always receives +1. Bits above the
-// pattern's end in the last block are never read: carries and shifts only
-// move information toward higher bits.
-func myers[P, T ~string | ~[]byte](p P, t T, s *LevScratch) int {
-	m := len(p)
-	if m == 0 {
-		return len(t)
+// Prepare makes p the pattern of s's following Run calls: its bits are
+// set in the per-byte match table, where they stay until Release. A
+// prepared scratch must be released before Distance or another Prepare
+// uses it.
+func (s *LevScratch) Prepare(p string) {
+	setPattern(s, p)
+	s.pat = p
+}
+
+// Run returns the edit distance between the prepared pattern and t.
+func (s *LevScratch) Run(t []byte) int { return run(s, t) }
+
+// Release clears the bits Prepare set, leaving the table all zero for
+// the next pattern.
+func (s *LevScratch) Release() {
+	clearPattern(s, s.pat)
+	s.pat = ""
+}
+
+// NormalizedRun is NormalizedBytes of the prepared pattern and t: Run's
+// distance divided by the longer operand's length, 0 when both are
+// empty. The distance does not depend on which operand is the pattern,
+// so the result is bit-identical to NormalizedBytes in either order.
+func (s *LevScratch) NormalizedRun(t []byte) float64 {
+	if s.m == 0 && len(t) == 0 {
+		return 0
 	}
+	return float64(run(s, t)) / float64(max(s.m, len(t)))
+}
+
+// setPattern sets p's bits in the match table and makes it the pattern
+// run reads.
+func setPattern[P ~string | ~[]byte](s *LevScratch, p P) {
+	m := len(p)
 	w := (m + 63) >> 6
 	if len(s.peq) < w {
 		s.peq = make([][256]uint64, w)
 		s.pv = make([]uint64, w)
 		s.mv = make([]uint64, w)
 	}
-	peq, pv, mv := s.peq[:w], s.pv[:w], s.mv[:w]
 	for i := 0; i < m; i++ {
-		peq[i>>6][p[i]] |= 1 << (i & 63)
+		s.peq[i>>6][p[i]] |= 1 << (i & 63)
 	}
+	s.m = m
+}
+
+// clearPattern clears the bits setPattern(s, p) set.
+func clearPattern[P ~string | ~[]byte](s *LevScratch, p P) {
+	for i := 0; i < len(p); i++ {
+		s.peq[i>>6][p[i]] = 0
+	}
+	s.m = 0
+}
+
+// run returns the edit distance between the pattern whose bits are set
+// and the text t: Myers' bit-parallel algorithm (Myers 1999) in Hyyrö's global
+// form, blocked over 64-bit words so that operands of any length take
+// the same path. Column j of the DP matrix D (D[i][0] = i, D[0][j] = j)
+// is held as the bits Pv/Mv of its vertical deltas D[i][j]−D[i−1][j] ∈
+// {+1, −1}, zero where neither is set; score tracks D[m][j]. Each text
+// byte advances every block from the top in a few word operations,
+// passing the horizontal delta of the block's last row down to the next
+// block as hp/hm, in place of one DP cell per byte pair. Row 0 rises by
+// one per column, so the first block always receives +1. Bits above the
+// pattern's end in the last block are never read: carries and shifts
+// only move information toward higher bits. Nothing bounds the pattern
+// by the text: a pattern longer than the text costs more blocks per
+// text byte, not a different answer. Edit distance is an integer, so
+// the result is exactly the DP's.
+func run[T ~string | ~[]byte](s *LevScratch, t T) int {
+	m := s.m
+	if m == 0 {
+		return len(t)
+	}
+	w := (m + 63) >> 6
+	peq, pv, mv := s.peq[:w], s.pv[:w], s.mv[:w]
 	for b := range pv {
 		pv[b], mv[b] = ^uint64(0), 0
 	}
@@ -121,9 +182,6 @@ func myers[P, T ~string | ~[]byte](p P, t T, s *LevScratch) int {
 			hp, hm = hpOut, hmOut
 		}
 		score += int(hp) - int(hm)
-	}
-	for i := 0; i < m; i++ {
-		peq[i>>6][p[i]] = 0
 	}
 	return score
 }

@@ -74,6 +74,42 @@ func checkKernel(t testing.TB, a, b string, s *LevScratch) {
 	}
 }
 
+// checkPrepared prepares p once and runs each text against it in a row,
+// comparing every distance with the DP oracle, so a table bit or delta
+// word one run left behind would show in the next. The pattern may be
+// longer than a text. After Release the match table must be all zero.
+func checkPrepared(t testing.TB, p string, texts []string, s *LevScratch) {
+	t.Helper()
+	s.Prepare(p)
+	for _, x := range texts {
+		if got, want := s.Run([]byte(x)), levenshteinDP(p, x); got != want {
+			t.Fatalf("prepared %q run against %q = %d, DP oracle %d", p, x, got, want)
+		}
+		if got, want := s.NormalizedRun([]byte(x)), normalizedDP(p, x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("prepared %q normalized against %q = %x, DP oracle %x", p, x, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+	s.Release()
+	for b := range s.peq {
+		for c, bits := range s.peq[b] {
+			if bits != 0 {
+				t.Fatalf("match table block %d byte %d left at %x after Release of %q", b, c, bits, p)
+			}
+		}
+	}
+}
+
+// TestPreparedRunsMatchDP runs one prepared pattern against texts
+// shorter and longer than it, empty, and spanning one to three blocks.
+func TestPreparedRunsMatchDP(t *testing.T) {
+	var s LevScratch
+	long := strings.Repeat("abXY/", 30) // 150 bytes: three blocks
+	texts := []string{"", "a", "kitten", long[:63], long[:64], long[:65], long[:129], long, "sitting", ""}
+	for _, p := range []string{"", "kitten", long[:64], long[:100], long} {
+		checkPrepared(t, p, texts, &s)
+	}
+}
+
 // TestLevenshteinBytesMatchesString pins the kernel, over string and
 // byte-slice operands in both orders, to the DP oracle on edge cases and
 // random operand pairs, short ones and ones that span two and three
@@ -143,7 +179,8 @@ func TestLevScratchReuseAcrossSizes(t *testing.T) {
 // FuzzEditDistance checks the bit-parallel kernel against the DP oracle,
 // and its symmetry, on arbitrary bytes. Besides the raw operands it also
 // compares them padded past 64 and 128 bytes, so every input exercises
-// the carry between blocks.
+// the carry between blocks, and runs a prepared pattern against several
+// texts in a row (checkPrepared).
 func FuzzEditDistance(f *testing.F) {
 	f.Add("kitten", "sitting")
 	f.Add("het", "he")
@@ -159,5 +196,13 @@ func FuzzEditDistance(f *testing.F) {
 		pad := strings.Repeat("/", 70)
 		checkKernel(t, a+pad+a, pad+b+pad, &s)
 		checkKernel(t, pad+a+pad+a, b+pad, &s)
+		// One prepared pattern against several texts in a row, the way
+		// the phase-two matcher runs a prototype's path against a page's
+		// new paths: shorter and longer texts, and both operands past 64
+		// and 128 bytes.
+		texts := []string{b, a, b[:len(b)/2], pad + b, b + pad + a + pad, "", b}
+		checkPrepared(t, a, texts, &s)
+		checkPrepared(t, a+pad, texts, &s)
+		checkPrepared(t, pad+a+pad, texts, &s)
 	})
 }

@@ -64,11 +64,32 @@ func IDF(n, df int) float64 {
 func Vector(ids []int32, counts []float64, idf []float64) IDVec {
 	if idf != nil {
 		for j, id := range ids {
-			counts[j] = math.Log(counts[j]+1) * idf[id]
+			counts[j] = logCount(counts[j]) * idf[id]
 		}
 	}
 	normalizeWeights(counts)
 	return NewIDVec(ids, counts)
+}
+
+// logCounts[c] is math.Log(c+1) for the whole counts c below its length,
+// the counts nearly every term of a page has.
+var logCounts = func() (t [1024]float64) {
+	for c := range t {
+		t[c] = math.Log(float64(c) + 1)
+	}
+	return t
+}()
+
+// logCount returns math.Log(c+1): from logCounts when c is a whole count
+// it holds, which is the same call on the same operand, so the same
+// bits; from math.Log otherwise.
+func logCount(c float64) float64 {
+	if c >= 0 && c < float64(len(logCounts)) {
+		if i := int(c); float64(i) == c { //thorlint:allow no-float-eq an exactly whole count is the table's precondition
+			return logCounts[i]
+		}
+	}
+	return math.Log(c + 1)
 }
 
 // normalizeWeights scales weights to unit L2 norm in place, matching

@@ -256,3 +256,19 @@ func TestTFIDFSeparatesClasses(t *testing.T) {
 		t.Errorf("TFIDF failed to separate classes: within=%v cross=%v", within, cross)
 	}
 }
+
+// TestLogCountsMatchMathLog checks every entry of the whole-count log
+// table against math.Log, and that logCount falls back to math.Log past
+// the table, between whole counts and below zero.
+func TestLogCountsMatchMathLog(t *testing.T) {
+	for c := range logCounts {
+		if got, want := logCounts[c], math.Log(float64(c)+1); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("logCounts[%d] = %x, math.Log %x", c, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+	for _, c := range []float64{0, 1, 2.5, 1023, 1024, 1e6, 0.25, -0.5} {
+		if got, want := logCount(c), math.Log(c+1); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("logCount(%v) = %x, math.Log %x", c, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+}
