@@ -210,7 +210,8 @@ func legacyExtractHandler(m *core.Model) http.Handler {
 // test: a one-entry fleet answering POST /extract must be byte-identical
 // — status, Content-Type, and full body — to the pre-refactor
 // single-model handler, for every clustering approach and for the error
-// paths (405, empty body, 413).
+// paths (405, empty body, 413), also when one fleet serves a long page,
+// a short one, a refused body, an empty one and the short page again.
 func TestFleetHandlerMatchesLegacyByteForByte(t *testing.T) {
 	site := deepweb.NewSite(deepweb.SiteConfig{ID: 2, Seed: 31})
 	prober := &probe.Prober{Plan: probe.NewPlan(40, 4, 1), Labeler: deepweb.Labeler()}
@@ -218,6 +219,15 @@ func TestFleetHandlerMatchesLegacyByteForByte(t *testing.T) {
 	fresh := &probe.Prober{Plan: probe.NewPlan(12, 2, 909), Labeler: deepweb.Labeler()}
 	freshPages := fresh.ProbeSite(site).Pages
 	oversized := strings.Repeat("x", fleet.MaxExtractBody+1)
+	long, short := freshPages[0].HTML, freshPages[0].HTML
+	for _, p := range freshPages {
+		if len(p.HTML) > len(long) {
+			long = p.HTML
+		}
+		if len(p.HTML) < len(short) {
+			short = p.HTML
+		}
+	}
 
 	for a := core.Approach(0); a < core.NumApproaches; a++ {
 		cfg := core.DefaultConfig()
@@ -256,6 +266,14 @@ func TestFleetHandlerMatchesLegacyByteForByte(t *testing.T) {
 		check("get", http.MethodGet, "")
 		check("empty", http.MethodPost, "")
 		check("oversized", http.MethodPost, oversized)
+		// The fleet reads each body into a pooled buffer: a short page
+		// after a long one, and again after a refused and an empty
+		// body, must not see stale bytes of an earlier request.
+		check("long", http.MethodPost, long)
+		check("short", http.MethodPost, short)
+		check("oversized after short", http.MethodPost, oversized)
+		check("empty after oversized", http.MethodPost, "")
+		check("short again", http.MethodPost, short)
 	}
 }
 

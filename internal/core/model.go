@@ -111,28 +111,37 @@ func (m *Model) Apply(page *corpus.Page) ([]*Pagelet, error) {
 // up front suffices; a ctx error is returned verbatim for the caller to
 // map onto its transport (the HTTP handler answers 503).
 func (m *Model) ApplyContext(ctx context.Context, page *corpus.Page) ([]*Pagelet, error) {
+	pls, _, err := m.applyPage(ctx, page)
+	return pls, err
+}
+
+// applyPage is ApplyContext reporting the assignment-space observation
+// as ApplyHTMLBytesStats does; FuzzApplyHTMLBytes holds the two to the
+// same stats.
+func (m *Model) applyPage(ctx context.Context, page *corpus.Page) ([]*Pagelet, ApplyStats, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, ApplyStats{}, err
 	}
 	if page == nil {
-		return nil, fmt.Errorf("core: Apply on nil page")
+		return nil, ApplyStats{}, fmt.Errorf("core: Apply on nil page")
 	}
 	if len(m.Centroids) == 0 {
-		return nil, fmt.Errorf("core: model has no clusters to assign to")
+		return nil, ApplyStats{}, fmt.Errorf("core: model has no clusters to assign to")
 	}
 	s := applyPool.Get().(*applyScratch)
 	defer applyPool.Put(s)
 	v := m.Dict.InternCounts(signatureOf(page, m.Cfg.Approach), m.applyWeighting(), &s.intern)
-	best, _ := vector.AssignNearest(v, m.Centroids)
+	best, sim := vector.AssignNearest(v, m.Centroids)
+	stats := ApplyStats{Cluster: best, Distance: 1 - sim}
 	w := m.Wrappers[best]
 	if w == nil {
-		return nil, nil
+		return nil, stats, nil
 	}
 	node, _ := w.match(page.Tree(), s)
 	if node == nil {
-		return nil, nil
+		return nil, stats, nil
 	}
-	return []*Pagelet{{Page: page, Node: node, Path: node.Path()}}, nil
+	return []*Pagelet{{Page: page, Node: node, Path: node.Path()}}, stats, nil
 }
 
 // String summarizes the model.

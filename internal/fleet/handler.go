@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,11 +10,19 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
 // MaxExtractBody bounds how much HTML one /extract request may post.
 const MaxExtractBody = 4 << 20
+
+// maxRetainedBody bounds the body capacity a pooled request scratch may
+// keep between requests. A warm buffer holds one served page, tens of
+// kilobytes; one that grew past the bound, for a page near the 4 MiB
+// MaxExtractBody cap, goes back to the garbage collector instead of the
+// pool, so a few large requests cannot pin megabytes per pooled slot.
+const maxRetainedBody = 1 << 20
 
 // SiteHeader is the header that routes a bare /extract request to a
 // named site when the path form is inconvenient for the client.
@@ -31,6 +40,36 @@ type extractedPagelet struct {
 	Path string `json:"path"`
 }
 
+// extractScratch is one /extract request's reusable body buffer and the
+// limited reader it is filled through. Warm, reading a page into it
+// allocates nothing.
+type extractScratch struct {
+	body bytes.Buffer
+	lim  io.LimitedReader
+}
+
+var extractScratches = sync.Pool{New: func() any { return new(extractScratch) }}
+
+// readBody reads r's body into s.body, at most MaxExtractBody+1 bytes,
+// so that a longer body shows as one byte too many.
+func (s *extractScratch) readBody(r *http.Request) error {
+	s.body.Reset()
+	s.lim = io.LimitedReader{R: r.Body, N: MaxExtractBody + 1}
+	_, err := s.body.ReadFrom(&s.lim)
+	return err
+}
+
+// putExtractScratch returns s to the pool unless its body buffer grew
+// past maxRetainedBody. It drops the request's body reader first, so a
+// pooled scratch does not keep the request alive.
+func putExtractScratch(s *extractScratch) {
+	if s.body.Cap() > maxRetainedBody {
+		return
+	}
+	s.lim.R = nil
+	extractScratches.Put(s)
+}
+
 // Handler returns the fleet's serving surface, to be mounted at both
 // /extract (exact) and /extract/ (prefix):
 //
@@ -44,8 +83,9 @@ type extractedPagelet struct {
 // fleet-level refusals: 404 for a site with no model file, 503 for a
 // site whose file will not load (cached briefly) and after Close, and
 // 429 with Retry-After once the admission queue is full. Every
-// admitted request flows through the pooled zero-allocation
-// Model.ApplyHTMLBytes pipeline.
+// admitted request reads its body into a pooled request scratch and
+// flows through the pooled zero-allocation Model.ApplyHTMLBytes
+// pipeline.
 func (f *Fleet) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -68,11 +108,15 @@ func (f *Fleet) Handler() http.Handler {
 			f.refuse(w, err)
 			return
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, MaxExtractBody+1))
-		if err != nil {
+		s := extractScratches.Get().(*extractScratch) //thorlint:allow pool-hygiene putExtractScratch puts it back unless it outgrew the retention bound
+		// The scratch goes back only after f.observe, which copies the
+		// body bytes it keeps.
+		defer putExtractScratch(s)
+		if err := s.readBody(r); err != nil {
 			http.Error(w, "reading request body: "+err.Error(), http.StatusBadRequest)
 			return
 		}
+		body := s.body.Bytes()
 		if len(body) > MaxExtractBody {
 			http.Error(w, fmt.Sprintf("page exceeds %d bytes", MaxExtractBody),
 				http.StatusRequestEntityTooLarge)

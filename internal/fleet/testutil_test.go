@@ -28,7 +28,7 @@ var (
 	freshHTML []string
 )
 
-func fixtures(t *testing.T) {
+func fixtures(t testing.TB) {
 	t.Helper()
 	fixOnce.Do(func() {
 		site := deepweb.NewSite(deepweb.SiteConfig{ID: 2, Seed: 31})
@@ -63,7 +63,7 @@ func fixtures(t *testing.T) {
 // writeModel drops raw model bytes at dir/<site>.thor.model.gz with an
 // explicit mtime, so successive writes are guaranteed to change the
 // size/mtime fingerprint even on coarse filesystem clocks.
-func writeModel(t *testing.T, dir, site string, raw []byte, mtime time.Time) string {
+func writeModel(t testing.TB, dir, site string, raw []byte, mtime time.Time) string {
 	t.Helper()
 	path := filepath.Join(dir, site+".thor.model.gz")
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
